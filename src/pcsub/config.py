@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ConfigParseError
 from .network import NetworkConfig
-from .scalar32 import ACTIVATION_KINDS
+from .scalar32 import ACTIVATION_KINDS, is_finite_f32
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +47,7 @@ _INT_KEYS = {"seed", "infer_ticks", "learn_ticks", "epochs", "eval_ticks",
              "n_samples", "teacher_seed"}
 _FLOAT_KEYS = {"alpha", "gamma", "init_scale", "alpha_bias_scale",
                "teacher_weight_scale"}
+_NONNEGATIVE_KEYS = {"alpha", "gamma", "init_scale", "teacher_weight_scale"}
 _BOOL_KEYS = {"clamp_hard", "bias_frozen", "reset_between_samples"}
 _STR_KEYS = {"teacher_kind", "out_csv"}
 _LIST_INT_KEYS = {"layer_sizes"}
@@ -127,8 +128,10 @@ def _validate(values: dict, lines: dict, errors: list) -> None:
         for kind in acts:
             if kind not in ACTIVATION_KINDS:
                 bad("activations", f"unknown activation: {kind!r}")
-    for key in ("alpha", "gamma", "init_scale", "teacher_weight_scale"):
-        if values[key] < 0:
+    for key in sorted(_FLOAT_KEYS):
+        if not is_finite_f32(values[key]):
+            bad(key, f"{key} must be finite in binary32, got {values[key]!r}")
+        elif key in _NONNEGATIVE_KEYS and values[key] < 0:
             bad(key, f"{key} must be >= 0")
     for key in ("infer_ticks", "epochs", "eval_ticks", "n_samples"):
         if values[key] < 1:

@@ -22,9 +22,9 @@ like any other so the stream layout is uniform.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +45,14 @@ from .scalar32 import (
     F32,
     activation64,
     apply_activation_vec,
+    is_finite_f32,
 )
 
 ClampMap = dict[int, Sequence[ClampSignal]]
+
+# Distinct (alpha, gamma) tick overrides whose layer configs are kept; the
+# training protocol uses two (inference at alpha = 0, learning at the default).
+_MAX_PHASES = 8
 
 
 @dataclass
@@ -77,8 +82,14 @@ class NetworkConfig:
         for kind in self.activations:
             if kind not in ACTIVATION_KINDS:
                 raise ConfigurationError(f"unknown activation kind: {kind!r}")
-        if self.init_scale < 0:
-            raise ConfigurationError("init_scale must be >= 0")
+        for key in ("alpha", "gamma", "init_scale", "alpha_bias_scale"):
+            value = getattr(self, key)
+            if not is_finite_f32(value):
+                raise ConfigurationError(
+                    f"{key} must be finite in binary32, got {value!r}"
+                )
+            if key != "alpha_bias_scale" and value < 0:
+                raise ConfigurationError(f"{key} must be >= 0")
 
 
 @dataclass
@@ -109,7 +120,7 @@ class Layer:
 @dataclass
 class TickReport:
     network_cycles: int  # max over cores; the tick's done latency
-    per_core_cycles: dict  # (layer, index) -> cycles
+    per_core_cycles: Mapping  # read-only (layer, index) -> cycles
     diverged: bool  # any non-finite state or error after the tick
     states: list  # post-tick x per layer (copies)
     errors: list  # post-tick eps per layer (copies)
@@ -136,9 +147,12 @@ class Network:
         rng = Prng(cfg.seed)
         scale = float(cfg.init_scale)
         self.layers = []
+        per_core_cycles = {}
         for s, n in enumerate(sizes):
             n_presyn = sizes[s - 1] if s > 0 else 0
             m_back = sizes[s + 1] if s < len(sizes) - 1 else 0
+            cycles = tick_cycles(n_presyn, m_back, has_upper=s > 0)
+            per_core_cycles.update(((s, i), cycles) for i in range(n))
             core_cfg = CoreConfig(
                 n_presyn=n_presyn,
                 m_back=m_back,
@@ -163,8 +177,11 @@ class Network:
                     backvec_buf=np.zeros((n, n_presyn), dtype=np.float32),
                 )
             )
-        self._executor = None
-        self._executor_size = 0
+        # the cycle model depends on the shape alone, so it is computed once
+        self._per_core_cycles = MappingProxyType(per_core_cycles)
+        self._network_cycles = max(per_core_cycles.values())
+        # (alpha, gamma) tick override -> per-layer CoreConfig list
+        self._phase_cfgs: dict = {}
 
     # ------------------------------------------------------------------
     # tick scheduling
@@ -182,96 +199,86 @@ class Network:
 
         ``alpha``/``gamma`` override the built-in step sizes for this tick
         (they are supplied externally in the same way the start pulse is).
-        ``reverse_order`` and ``threads`` only change scheduling; results
-        are bit-identical by construction.
+        ``reverse_order`` and ``threads`` are scheduling arguments that
+        cannot change a bit: every cross-core read hits a latch.
+        ``reverse_order`` runs the cores in reverse order. ``threads`` is
+        accepted for compatibility and ignored; the cores always run in
+        the calling thread, because a thread pool was about 2x slower
+        under the GIL.
         """
         with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
-            return self._tick(clamp, alpha, gamma, reverse_order, threads)
+            return self._tick(clamp, alpha, gamma, reverse_order)
 
-    def _tick(self, clamp, alpha, gamma, reverse_order, threads) -> TickReport:
+    def _tick(self, clamp, alpha, gamma, reverse_order) -> TickReport:
         clamp = self._check_clamp(clamp)
-        layer_cfgs = []
-        for layer in self.layers:
-            c = layer.cfg
-            if alpha is not None or gamma is not None:
-                c = replace(
-                    c,
-                    alpha=c.alpha if alpha is None else alpha,
-                    gamma=c.gamma if gamma is None else gamma,
-                )
-            layer_cfgs.append(c)
+        cfgs = self._cfgs_for(alpha, gamma)
+        hard = self.cfg.clamp_hard
+        layers = self.layers
 
         # start-of-tick states: these are this tick's downward emissions
-        pre_x = [layer.states() for layer in self.layers]
-        presyn_f = [
-            apply_activation_vec(layer.cfg.presyn_activation, layer.states_in)
-            if s > 0
-            else None
-            for s, layer in enumerate(self.layers)
-        ]
+        pre_x = [layer.states() for layer in layers]
 
-        jobs = []
-        for s, layer in enumerate(self.layers):
-            signals = clamp.get(s)
-            hard = self.cfg.clamp_hard
-            for i in range(layer.size):
-                jobs.append((s, i, signals[i] if signals else NO_CLAMP, hard))
-        if reverse_order:
-            jobs = jobs[::-1]
-
-        per_core_cycles = {}
-
-        def run_job(job):
-            s, i, sig, hard = job
-            layer = self.layers[s]
-            inp = CoreTickInput(
-                presyn=layer.states_in,
-                back=layer.back_in[:, i],
-                clamp=sig,
-                clamp_hard=hard,
+        order = range(len(layers))
+        for s in reversed(order) if reverse_order else order:
+            layer = layers[s]
+            cfg = cfgs[s]
+            presyn = layer.states_in
+            presyn_f = (
+                apply_activation_vec(cfg.presyn_activation, presyn) if s > 0 else None
             )
-            out = core_tick(layer.cores[i], inp, layer_cfgs[s], presyn_f=presyn_f[s])
-            if layer.backvec_buf.shape[1]:
-                layer.backvec_buf[i, :] = out.backvec
-            return (s, i), out.cycles
-
-        if threads > 1:
-            for key, cyc in self._pool(threads).map(run_job, jobs):
-                per_core_cycles[key] = cyc
-        else:
-            for job in jobs:
-                key, cyc = run_job(job)
-                per_core_cycles[key] = cyc
+            back_in = layer.back_in
+            backvec_buf = layer.backvec_buf if layer.backvec_buf.shape[1] else None
+            signals = clamp.get(s)
+            cores = layer.cores
+            indices = range(len(cores))
+            for i in reversed(indices) if reverse_order else indices:
+                inp = CoreTickInput(
+                    presyn=presyn,
+                    back=back_in[:, i],
+                    clamp=signals[i] if signals else NO_CLAMP,
+                    clamp_hard=hard,
+                )
+                out = core_tick(cores[i], inp, cfg, presyn_f=presyn_f)
+                if backvec_buf is not None:
+                    backvec_buf[i, :] = out.backvec
 
         # atomic bus swap: new latches become visible only after all cores
         # have completed the tick
-        for s, layer in enumerate(self.layers):
+        for s, layer in enumerate(layers):
             if s > 0:
                 layer.states_in = pre_x[s - 1]
-            if s < len(self.layers) - 1:
-                layer.back_in = self.layers[s + 1].backvec_buf.copy()
+            if s < len(layers) - 1:
+                layer.back_in = layers[s + 1].backvec_buf.copy()
 
-        states = [layer.states() for layer in self.layers]
-        errors = [layer.errors() for layer in self.layers]
-        diverged = any(
-            not (np.isfinite(xs).all() and np.isfinite(es).all())
-            for xs, es in zip(states, errors)
-        )
+        states = [layer.states() for layer in layers]
+        errors = [layer.errors() for layer in layers]
         return TickReport(
-            network_cycles=max(per_core_cycles.values()),
-            per_core_cycles=per_core_cycles,
-            diverged=diverged,
+            network_cycles=self._network_cycles,
+            per_core_cycles=self._per_core_cycles,
+            diverged=not np.isfinite(np.concatenate(states + errors)).all(),
             states=states,
             errors=errors,
         )
 
-    def _pool(self, threads: int) -> ThreadPoolExecutor:
-        if self._executor is None or self._executor_size != threads:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-            self._executor = ThreadPoolExecutor(max_workers=threads)
-            self._executor_size = threads
-        return self._executor
+    def _cfgs_for(self, alpha, gamma) -> list:
+        """Per-layer configs for one tick's step-size override, built once
+        per distinct override. Overrides that compare equal convert to the
+        same binary32 step (0.0 and -0.0 both disable the update)."""
+        key = (alpha, gamma)
+        cfgs = self._phase_cfgs.get(key)
+        if cfgs is None:
+            cfgs = [
+                replace(
+                    layer.cfg,
+                    alpha=layer.cfg.alpha if alpha is None else alpha,
+                    gamma=layer.cfg.gamma if gamma is None else gamma,
+                )
+                for layer in self.layers
+            ]
+            if len(self._phase_cfgs) >= _MAX_PHASES:  # a per-tick step-size schedule
+                self._phase_cfgs.clear()
+            self._phase_cfgs[key] = cfgs
+        return cfgs
 
     def _check_clamp(self, clamp: Optional[ClampMap]) -> ClampMap:
         if clamp is None:
@@ -332,10 +339,7 @@ class Network:
 
     def tick_latency(self) -> int:
         """Network tick latency: the slowest core's cycle count."""
-        return max(
-            tick_cycles(layer.cfg.n_presyn, layer.cfg.m_back, layer.cfg.has_upper)
-            for layer in self.layers
-        )
+        return self._network_cycles
 
 
 def build_network(cfg: NetworkConfig) -> Network:

@@ -30,6 +30,13 @@ _ZERO = F32(0.0)
 _ONE = F32(1.0)
 
 
+def is_finite_f32(value) -> bool:
+    """True when ``value`` is finite and stays finite rounded to binary32:
+    the rule for every configured value that is cast to binary32."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(F32(value)))
+
+
 def fp_mul_add(a, b, acc) -> np.float32:
     """round32(round32(a*b) + acc): the sequential MAC step."""
     return F32(a) * F32(b) + F32(acc)

@@ -8,7 +8,7 @@ import pytest
 
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.config import DEFAULTS, parse_config
-from pcsub.errors import CheckpointError, ConfigParseError
+from pcsub.errors import CheckpointError, ConfigParseError, ConfigurationError
 from pcsub.network import NetworkConfig, build_network, clamp_layer
 from pcsub.prng import Prng
 
@@ -78,6 +78,33 @@ def test_parse_negative_gamma_rejected():
     with pytest.raises(ConfigParseError) as exc:
         parse_config("gamma = -0.1\n")
     assert any("gamma" in msg for _, msg in exc.value.errors)
+
+
+FLOAT_KEYS = (
+    "alpha", "gamma", "init_scale", "alpha_bias_scale", "teacher_weight_scale"
+)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e39", "-3.5e38"])
+def test_parse_non_finite_binary32_rejected(key, raw):
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config(f"seed = 2\n{key} = {raw}\n")
+    want = f"{key} must be finite in binary32, got {float(raw)!r}"
+    assert exc.value.errors == [(2, want)]
+
+
+@pytest.mark.parametrize("key", ["alpha", "gamma", "init_scale", "alpha_bias_scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e39])
+def test_network_config_non_finite_binary32_rejected(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        NetworkConfig(layer_sizes=(2, 3), **{key: value})
+
+
+@pytest.mark.parametrize("key", ["alpha", "gamma", "init_scale"])
+def test_network_config_negative_rejected(key):
+    with pytest.raises(ConfigurationError, match=f"{key} must be >= 0"):
+        NetworkConfig(layer_sizes=(2, 3), **{key: -0.5})
 
 
 def test_parse_empty_file_defaults_with_notice(caplog):

@@ -1,5 +1,7 @@
 """Network composition, tick scheduling, buses, energy, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,13 @@ def test_network_cycles_2_4_3():
     assert report.network_cycles == 16
     assert report.network_cycles == max(report.per_core_cycles.values())
     assert net.tick_latency() == 16
+    # one read-only entry per core: 3N+M+4, or M+2 for the topmost layer
+    cycles = {0: 2 + 4, 1: 3 * 2 + 3 + 4, 2: 3 * 4 + 0 + 4}
+    want = {(s, i): cycles[s] for s, n in enumerate((2, 4, 3)) for i in range(n)}
+    assert dict(report.per_core_cycles) == want
+    with pytest.raises(TypeError):
+        report.per_core_cycles[(0, 0)] = 0
+    assert dict(net.tick().per_core_cycles) == want
 
 
 def test_hard_clamped_input_absorbs():
@@ -187,9 +196,12 @@ def test_core_order_does_not_matter():
 def test_thread_count_does_not_matter():
     clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
     a = _run_ticks(mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 10, clamp)
+    before = threading.active_count()
     b = _run_ticks(
         mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 10, clamp, threads=4
     )
+    mknet([2, 4, 3]).tick(clamp, threads=3)
+    assert threading.active_count() == before  # threads starts no thread
     for xa, xb in zip(a.x, b.x):
         assert xa.tobytes() == xb.tobytes()
     for ta, tb in zip(a.theta, b.theta):

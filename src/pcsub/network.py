@@ -88,7 +88,8 @@ class NetworkConfig:
                 raise ConfigurationError(
                     f"{key} must be finite in binary32, got {value!r}"
                 )
-            if key != "alpha_bias_scale" and value < 0:
+        for key in ("alpha", "gamma", "init_scale"):
+            if getattr(self, key) < 0:
                 raise ConfigurationError(f"{key} must be >= 0")
 
 

@@ -101,6 +101,13 @@ def test_random_net_bit_identical_to_simulator():
         net.tick(clamp)
         ds = oracle_tick(ds, clamp)
         assert compare_to_network(net, ds) is None
+    # per-tick step-size overrides, more distinct ones than the network
+    # keeps configs for, interleaved with the built-in step sizes
+    for t in range(24):
+        steps = {} if t % 3 == 0 else {"alpha": 0.001 * t, "gamma": 0.1 - 0.002 * t}
+        net.tick(clamp, **steps)
+        ds = oracle_tick(ds, clamp, **steps)
+        assert compare_to_network(net, ds) is None
 
 
 def test_equivalence_suite_small():

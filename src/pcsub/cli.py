@@ -32,7 +32,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_DIVERGED = 2
 
-THREADS_HELP = (
+_THREADS_HELP = (
     "accepted for compatibility, ignored: cores run in one thread (a thread "
     "pool was about 2x slower under the GIL); scheduling never changes a bit"
 )
@@ -48,13 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="train per a config file and write the curve CSV")
     p.add_argument("config", help="path to a key = value config file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     p = sub.add_parser("experiment", help="run a canned experiment")
     p.add_argument("name", choices=list(EXPERIMENTS))
     p.add_argument("--seed", type=int, default=None, help="override network seed")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     p = sub.add_parser("tick", help="advance a checkpointed network, no clamping")
     p.add_argument("checkpoint")

@@ -162,6 +162,28 @@ def test_snapshot_alpha_zero_preserves_weights():
         assert wa.tobytes() == wb.tobytes()
 
 
+def _snapshot_bytes(net) -> list:
+    snap = net.snapshot()
+    return [
+        a.tobytes()
+        for field in (snap.x, snap.eps, snap.theta, snap.states_in, snap.back_in)
+        for a in field
+    ]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e39])
+@pytest.mark.parametrize("key", ["alpha", "gamma"])
+def test_bad_step_override_rejected_network_untouched(key, value):
+    net = mknet([2, 4, 3], seed=19, alpha=0.01, gamma=0.05)
+    clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
+    for _ in range(3):
+        net.tick(clamp)
+    before = _snapshot_bytes(net)
+    with pytest.raises(ConfigurationError, match=key):
+        net.tick(clamp, **{key: value})
+    assert _snapshot_bytes(net) == before
+
+
 def test_snapshot_shapes():
     net = mknet([4, 6, 2], seed=2)
     net.tick()

@@ -14,8 +14,6 @@ from .core import (
     ClampSignal,
     CoreConfig,
     CoreState,
-    CoreTickInput,
-    CoreTickOutput,
     core_new,
     core_tick,
     effective_state,
@@ -62,8 +60,6 @@ __all__ = [
     "ConfigurationError",
     "CoreConfig",
     "CoreState",
-    "CoreTickInput",
-    "CoreTickOutput",
     "Dataset",
     "DenseState",
     "EXPERIMENTS",

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CheckpointError
-from .network import Network, NetworkConfig, build_network
+from .network import Network, NetworkConfig, build_network, layer_wiring
 
 MAGIC = "PCSUB1"
 
@@ -69,9 +69,8 @@ def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
             f"checkpoint dimensions {sizes} do not match config {tuple(cfg.layer_sizes)}"
         )
 
-    n_weights = sum(
-        n * ((sizes[s - 1] if s else 0) + 1) for s, n in enumerate(sizes)
-    )
+    lanes = [n_presyn + 1 for _, n_presyn, _, _ in layer_wiring(sizes)]
+    n_weights = sum(n * k for n, k in zip(sizes, lanes))
     n_states = sum(sizes)
     expected = nl + 1 + 4 * (n_weights + n_states)
     if len(blob) != expected:
@@ -83,9 +82,8 @@ def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
     net = build_network(cfg)
     pos = 0
     for s, layer in enumerate(net.layers):
-        lanes = (sizes[s - 1] if s else 0) + 1
-        w = payload[pos : pos + sizes[s] * lanes].reshape(sizes[s], lanes)
-        pos += sizes[s] * lanes
+        w = payload[pos : pos + sizes[s] * lanes[s]].reshape(sizes[s], lanes[s])
+        pos += sizes[s] * lanes[s]
         for i, core in enumerate(layer.cores):
             core.theta[:] = w[i]
     for s, layer in enumerate(net.layers):

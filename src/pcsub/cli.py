@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .core import tick_cycles
 from .errors import CheckpointError, ConfigParseError, ConfigurationError
 from .harness import (
     EXPERIMENTS,
@@ -25,17 +24,14 @@ from .harness import (
     train_network,
     write_curve_csv,
 )
-from .network import build_network
+from .network import build_network, layer_wiring
 from .oracle import run_equivalence_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_DIVERGED = 2
 
-_THREADS_HELP = (
-    "accepted for compatibility, ignored: cores run in one thread (a thread "
-    "pool was about 2x slower under the GIL); scheduling never changes a bit"
-)
+_THREADS_HELP = "accepted for compatibility and ignored: cores run in one thread"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +72,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     ds = dataset_for(cfg)
     net = build_network(cfg.to_network_config())
-    curve = train_network(net, ds, protocol_for(cfg), threads=args.threads)
+    curve = train_network(net, ds, protocol_for(cfg))
     if cfg.out_csv is not None:
         path = Path(cfg.out_csv)
     else:
@@ -91,9 +87,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    curve, path = run_experiment(
-        args.name, seed=args.seed, out_dir=args.out, threads=args.threads
-    )
+    curve, path = run_experiment(args.name, seed=args.seed, out_dir=args.out)
     print(f"wrote {path} ({len(curve)} epochs)")
     print(f"mse: {curve.mse[0]:.6f} -> {curve.mse[-1]:.6f}")
     if any(curve.diverged):
@@ -144,15 +138,10 @@ def _cmd_verify(_args) -> int:
 
 def _cmd_cycles(args) -> int:
     cfg = load_config(args.config).to_network_config()
-    sizes = cfg.layer_sizes
-    latency = 0
-    for s, n in enumerate(sizes):
-        n_pre = sizes[s - 1] if s > 0 else 0
-        m_back = sizes[s + 1] if s < len(sizes) - 1 else 0
-        cycles = tick_cycles(n_pre, m_back, has_upper=s > 0)
-        latency = max(latency, cycles)
+    wiring = layer_wiring(cfg.layer_sizes)
+    for s, (n, n_pre, m_back, cycles) in enumerate(wiring):
         print(f"layer {s}: {n} cores, N={n_pre}, M={m_back}, {cycles} cycles/tick")
-    print(f"network tick latency: {latency}")
+    print(f"network tick latency: {max(w[3] for w in wiring)}")
     return EXIT_OK
 
 

@@ -1,12 +1,15 @@
-"""One neural core: local storage, six-stage tick schedule, cycle accounting.
+"""One neural core: local storage, six-stage tick schedule, cycle model.
 
 A core is a single scalar unit (i, layer). Per tick it runs
 
     PRED -> ERR -> BACKSUM -> BACKVEC -> WUP -> STATE
 
-entirely on locally stored values plus the latched neighbor inputs it is
-handed. All arithmetic is binary32 (see ``scalar32``). Operation order is
-pinned so an independent reference can match bit-for-bit:
+entirely on locally stored values plus the inputs it is handed for the
+tick: the step sizes alpha and gamma (supplied from outside, like the
+start pulse), f(presyn) of the latched upper-layer states, the latched
+back column from the layer below, and its clamp signal. All arithmetic
+is binary32 (see ``scalar32``). Operation order is pinned so an
+independent reference can match bit-for-bit:
 
   PRED    mu = sum_j theta[j]*f(presyn[j]) + theta[N]*1, accumulated in
           ascending j from acc=0, bias lane last, one MAC per lane.
@@ -22,10 +25,14 @@ pinned so an independent reference can match bit-for-bit:
           hard clamping the stored x is overwritten with x_obs instead.
           gamma == 0 leaves x bit-identical (same no-op rule as WUP).
 
+``core_tick`` returns the BACKVEC products; the state the core emits
+downward is the x it held at the start of the tick, which the network
+latches before ticking.
+
 Cycle cost per tick is 3N + M + 4 (N presyn lanes, M back inputs): N+1
 for PRED, 1 for ERR, M for BACKSUM, N for BACKVEC, N+1 for WUP, 1 for
 STATE. A topmost boundary core (no upper layer) drops PRED and WUP
-entirely, leaving M + 2.
+entirely, leaving M + 2. The count depends on the shape alone.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from .scalar32 import (
     ACTIVATION_KINDS,
     F32,
     activation_derivative,
-    apply_activation,
 )
 
 _ZERO = F32(0.0)
@@ -51,17 +57,13 @@ class CoreConfig:
     """Static per-core parameters (shared by all cores of a layer).
 
     ``activation`` is this core's own layer activation (used for f' in
-    STATE); ``presyn_activation`` is the upper layer's activation,
-    applied locally when received states are consumed. ``has_upper`` is
-    False only for topmost boundary cores (N must then be 0).
+    STATE). ``has_upper`` is False only for topmost boundary cores (N
+    must then be 0).
     """
 
     n_presyn: int
     m_back: int
     activation: str = "identity"
-    presyn_activation: str = "identity"
-    alpha: np.float32 = F32(0.0)
-    gamma: np.float32 = F32(0.0)
     alpha_bias_scale: np.float32 = F32(1.0)
     bias_frozen: bool = False
     has_upper: bool = True
@@ -73,14 +75,9 @@ class CoreConfig:
             )
         if not self.has_upper and self.n_presyn != 0:
             raise ConfigurationError("a core without an upper layer must have N=0")
-        for kind in (self.activation, self.presyn_activation):
-            if kind not in ACTIVATION_KINDS:
-                raise ConfigurationError(f"unknown activation kind: {kind!r}")
-        self.alpha = F32(self.alpha)
-        self.gamma = F32(self.gamma)
+        if self.activation not in ACTIVATION_KINDS:
+            raise ConfigurationError(f"unknown activation kind: {self.activation!r}")
         self.alpha_bias_scale = F32(self.alpha_bias_scale)
-        if not (np.isfinite(self.alpha) and np.isfinite(self.gamma)):
-            raise ConfigurationError("alpha and gamma must be finite")
 
 
 @dataclass
@@ -91,7 +88,6 @@ class CoreState:
     eps: np.float32
     theta: np.ndarray  # (n_presyn + 1,) float32, index N is the bias lane
     b: np.float32 = _ZERO
-    cycles_last_tick: int = 0
 
 
 @dataclass(frozen=True)
@@ -103,22 +99,6 @@ class ClampSignal:
 
 
 NO_CLAMP = ClampSignal()
-
-
-@dataclass
-class CoreTickInput:
-    presyn: np.ndarray  # (N,) raw upper-layer states
-    back: np.ndarray  # (M,) pre-multiplied theta*eps products from below
-    clamp: ClampSignal = NO_CLAMP
-    clamp_hard: bool = False
-
-
-@dataclass
-class CoreTickOutput:
-    x_out: np.float32  # state held at the start of the tick (registered)
-    backvec: np.ndarray  # (N,) theta[j]*eps products, bias lane excluded
-    eps_out: np.float32
-    cycles: int
 
 
 def tick_cycles(n_presyn: int, m_back: int, has_upper: bool = True) -> int:
@@ -143,13 +123,10 @@ def effective_state(state: CoreState, clamp: ClampSignal) -> np.float32:
     return F32(clamp.x_obs) if clamp.x_set_en else state.x
 
 
-def stage_pred(state: CoreState, presyn, cfg: CoreConfig, presyn_f=None) -> np.float32:
-    """Prediction mu: MAC over presyn lanes ascending, bias lane last."""
+def stage_pred(state: CoreState, presyn_f) -> np.float32:
+    """Prediction mu: MAC over the f(presyn) lanes ascending, bias lane last."""
     theta = state.theta
-    n = cfg.n_presyn
-    if presyn_f is None:
-        kind = cfg.presyn_activation
-        presyn_f = [apply_activation(kind, presyn[j]) for j in range(n)]
+    n = theta.shape[0] - 1
     acc = _ZERO
     for j in range(n):
         acc = theta[j] * presyn_f[j] + acc
@@ -175,17 +152,13 @@ def stage_backvec(state: CoreState) -> np.ndarray:
     return state.theta[:n] * state.eps
 
 
-def stage_wup(state: CoreState, presyn, cfg: CoreConfig, presyn_f=None) -> None:
+def stage_wup(state: CoreState, presyn_f, alpha, cfg: CoreConfig) -> None:
     """Hebbian weight update; numeric no-op when alpha == 0."""
-    alpha = cfg.alpha
     if alpha == _ZERO:
         return
     theta = state.theta
     eps = state.eps
-    n = cfg.n_presyn
-    if presyn_f is None:
-        kind = cfg.presyn_activation
-        presyn_f = [apply_activation(kind, presyn[j]) for j in range(n)]
+    n = theta.shape[0] - 1
     coeff = alpha * eps
     for j in range(n):
         theta[j] = coeff * presyn_f[j] + theta[j]
@@ -195,13 +168,13 @@ def stage_wup(state: CoreState, presyn, cfg: CoreConfig, presyn_f=None) -> None:
 
 
 def stage_state(
-    state: CoreState, x_eff, clamp: ClampSignal, clamp_hard: bool, cfg: CoreConfig
+    state: CoreState, x_eff, clamp: ClampSignal, clamp_hard: bool, gamma,
+    cfg: CoreConfig,
 ) -> None:
     """Explicit Euler state step, or stored-state overwrite on hard clamp."""
     if clamp_hard and clamp.x_set_en:
         state.x = F32(clamp.x_obs)
         return
-    gamma = cfg.gamma
     if gamma == _ZERO:
         return
     fprime = activation_derivative(cfg.activation, x_eff)
@@ -209,29 +182,29 @@ def stage_state(
 
 
 def core_tick(
-    state: CoreState, inp: CoreTickInput, cfg: CoreConfig, presyn_f=None
-) -> CoreTickOutput:
-    """Run the full six-stage schedule on this tick's latched inputs.
+    state: CoreState,
+    cfg: CoreConfig,
+    alpha: np.float32,
+    gamma: np.float32,
+    presyn_f,
+    back,
+    clamp: ClampSignal = NO_CLAMP,
+    clamp_hard: bool = False,
+) -> np.ndarray:
+    """Run the full six-stage schedule on this tick's inputs; returns the
+    BACKVEC products (theta[j]*eps, j < N) for the layer above.
 
-    ``presyn_f`` optionally carries precomputed f(presyn) values (they
-    are pure per-lane functions, so sharing them across the cores of a
-    layer changes nothing numerically).
+    ``alpha`` and ``gamma`` are the tick's binary32 step sizes,
+    ``presyn_f`` holds f(presyn) of the N latched upper-layer states
+    (a pure per-lane function, computed once per layer) and ``back`` the
+    M latched products from the layer below.
     """
-    x_start = state.x
-    clamp = inp.clamp
     x_eff = F32(clamp.x_obs) if clamp.x_set_en else state.x
-
-    if cfg.has_upper:
-        mu = stage_pred(state, inp.presyn, cfg, presyn_f=presyn_f)
-    else:
-        mu = _ZERO
-    eps = stage_err(state, x_eff, mu)
-    stage_backsum(state, inp.back)
+    mu = stage_pred(state, presyn_f) if cfg.has_upper else _ZERO
+    stage_err(state, x_eff, mu)
+    stage_backsum(state, back)
     backvec = stage_backvec(state)
     if cfg.has_upper:
-        stage_wup(state, inp.presyn, cfg, presyn_f=presyn_f)
-    stage_state(state, x_eff, clamp, inp.clamp_hard, cfg)
-
-    cycles = tick_cycles(cfg.n_presyn, cfg.m_back, cfg.has_upper)
-    state.cycles_last_tick = cycles
-    return CoreTickOutput(x_out=x_start, backvec=backvec, eps_out=eps, cycles=cycles)
+        stage_wup(state, presyn_f, alpha, cfg)
+    stage_state(state, x_eff, clamp, clamp_hard, gamma, cfg)
+    return backvec

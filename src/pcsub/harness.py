@@ -150,7 +150,7 @@ def _check_dims(net: Network, ds: Dataset) -> None:
         )
 
 
-def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int, threads: int = 1):
+def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int):
     """Inference-only pass over the dataset: (mse, diverged).
 
     Per sample: free states reset to zero, input hard-clamped, eval_ticks
@@ -167,7 +167,7 @@ def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int, threads: int = 
         net.reset_states()
         clamp = {0: clamp_layer(x)}
         for _ in range(eval_ticks):
-            report = net.tick(clamp, alpha=0.0, threads=threads)
+            report = net.tick(clamp, alpha=0.0)
             diverged = diverged or report.diverged
         out = net.layers[last].states().astype(np.float64)
         d = out - y.astype(np.float64)
@@ -175,20 +175,18 @@ def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int, threads: int = 
     return total / (len(ds) * ds.dims[1]), diverged
 
 
-def evaluate_mse(net: Network, ds: Dataset, eval_ticks: int, threads: int = 1) -> float:
+def evaluate_mse(net: Network, ds: Dataset, eval_ticks: int) -> float:
     """Inference-only MSE; weights are untouched (alpha = 0 throughout)."""
-    mse, _ = evaluate_dataset(net, ds, eval_ticks, threads)
+    mse, _ = evaluate_dataset(net, ds, eval_ticks)
     return mse
 
 
-def train_network(
-    net: Network, ds: Dataset, proto: TrainProtocol, threads: int = 1
-) -> LearningCurve:
+def train_network(net: Network, ds: Dataset, proto: TrainProtocol) -> LearningCurve:
     """Clamped supervised training on an existing network, in place."""
     _check_dims(net, ds)
     last = len(net.layers) - 1
     curve = LearningCurve()
-    mse0, div0 = evaluate_dataset(net, ds, proto.eval_ticks, threads)
+    mse0, div0 = evaluate_dataset(net, ds, proto.eval_ticks)
     curve.mse.append(mse0)
     curve.diverged.append(div0)
     for _ in range(proto.epochs):
@@ -198,22 +196,22 @@ def train_network(
                 net.reset_states()
             clamp = {0: clamp_layer(x), last: clamp_layer(y)}
             for _ in range(proto.infer_ticks):
-                report = net.tick(clamp, alpha=0.0, threads=threads)
+                report = net.tick(clamp, alpha=0.0)
                 epoch_div = epoch_div or report.diverged
             for _ in range(proto.learn_ticks):
-                report = net.tick(clamp, threads=threads)
+                report = net.tick(clamp)
                 epoch_div = epoch_div or report.diverged
-        mse, ediv = evaluate_dataset(net, ds, proto.eval_ticks, threads)
+        mse, ediv = evaluate_dataset(net, ds, proto.eval_ticks)
         curve.mse.append(mse)
         curve.diverged.append(epoch_div or ediv)
     return curve
 
 
 def train_supervised(
-    cfg: NetworkConfig, ds: Dataset, proto: TrainProtocol, threads: int = 1
+    cfg: NetworkConfig, ds: Dataset, proto: TrainProtocol
 ) -> LearningCurve:
     """Build a network from ``cfg`` and train it; returns the curve."""
-    return train_network(build_network(cfg), ds, proto, threads)
+    return train_network(build_network(cfg), ds, proto)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,6 @@ def run_experiment(
     overrides: Optional[dict] = None,
     seed: Optional[int] = None,
     out_dir: Optional[str] = None,
-    threads: int = 1,
 ):
     """Run one canned experiment; returns (curve, csv_path)."""
     cfg = experiment_config(name)
@@ -279,7 +276,7 @@ def run_experiment(
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     ds = dataset_for(cfg)
-    curve = train_supervised(cfg.to_network_config(), ds, protocol_for(cfg), threads)
+    curve = train_supervised(cfg.to_network_config(), ds, protocol_for(cfg))
     path = output_dir(out_dir) / f"{name}.csv"
     write_curve_csv(curve, path)
     return curve, path

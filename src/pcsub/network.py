@@ -1,17 +1,19 @@
-"""Layered composition of neural cores with a double-buffered tick scheduler.
+"""Layered composition of neural cores with a double-buffered tick.
 
 Layer 0 of ``layer_sizes`` is the topmost (input side); the last layer is
 the bottom (output side). Predictions flow downward: layer s predicts its
 own activity from f(states of layer s-1). Back-error products flow upward:
 layer s receives, at position k, the product emitted by core k of layer
-s+1 at presynaptic position i (transpose wiring).
+s+1 at presynaptic position i (transpose wiring). ``layer_wiring`` is the
+one derivation of each layer's fan-ins and cycle count from the sizes.
 
 Communication is registered: everything a core reads during tick t was
 latched at the end of tick t-1. A core's emitted state is the value held
 at the start of the tick; its emitted back products use the eps computed
 during the tick. Both become visible to neighbors one tick later, after
-an atomic bus swap. Because all cross-core reads hit latches, cores may
-execute in any order (or in parallel) with bit-identical results.
+an atomic bus swap. Because all cross-core reads hit latches, the order
+in which cores execute cannot change a bit. ``Network.tick`` runs every
+core once, layer by layer, in the calling thread.
 
 Weights are initialized i.i.d. uniform in [-init_scale, +init_scale] from
 a SplitMix64 stream seeded with ``seed``: draws proceed layer-major (top
@@ -22,7 +24,7 @@ like any other so the stream layout is uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -31,8 +33,6 @@ import numpy as np
 from .core import (
     ClampSignal,
     CoreConfig,
-    CoreState,
-    CoreTickInput,
     NO_CLAMP,
     core_new,
     core_tick,
@@ -50,9 +50,30 @@ from .scalar32 import (
 
 ClampMap = dict[int, Sequence[ClampSignal]]
 
-# Distinct (alpha, gamma) tick overrides whose layer configs are kept; the
-# training protocol uses two (inference at alpha = 0, learning at the default).
-_MAX_PHASES = 8
+
+def layer_wiring(layer_sizes) -> list:
+    """(n, N, M, cycles per tick) of each layer, top to bottom: n cores
+    with N presyn lanes from the layer above (0 at the top) and M back
+    inputs from the layer below (0 at the bottom)."""
+    last = len(layer_sizes) - 1
+    wiring = []
+    for s, n in enumerate(layer_sizes):
+        n_presyn = layer_sizes[s - 1] if s > 0 else 0
+        m_back = layer_sizes[s + 1] if s < last else 0
+        cycles = tick_cycles(n_presyn, m_back, has_upper=s > 0)
+        wiring.append((n, n_presyn, m_back, cycles))
+    return wiring
+
+
+def _binary32(key: str, value, nonneg: bool = True) -> np.float32:
+    """``value`` rounded to binary32, rejecting NaN, infinities, binary32
+    overflow and (when ``nonneg``) negatives: the one rule for configured
+    values and for per-tick step-size overrides."""
+    if not is_finite_f32(value):
+        raise ConfigurationError(f"{key} must be finite in binary32, got {value!r}")
+    if nonneg and value < 0:
+        raise ConfigurationError(f"{key} must be >= 0, got {value!r}")
+    return F32(value)
 
 
 @dataclass
@@ -82,15 +103,9 @@ class NetworkConfig:
         for kind in self.activations:
             if kind not in ACTIVATION_KINDS:
                 raise ConfigurationError(f"unknown activation kind: {kind!r}")
-        for key in ("alpha", "gamma", "init_scale", "alpha_bias_scale"):
-            value = getattr(self, key)
-            if not is_finite_f32(value):
-                raise ConfigurationError(
-                    f"{key} must be finite in binary32, got {value!r}"
-                )
         for key in ("alpha", "gamma", "init_scale"):
-            if getattr(self, key) < 0:
-                raise ConfigurationError(f"{key} must be >= 0")
+            _binary32(key, getattr(self, key))
+        _binary32("alpha_bias_scale", self.alpha_bias_scale, nonneg=False)
 
 
 @dataclass
@@ -144,23 +159,17 @@ class Network:
 
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
-        sizes = cfg.layer_sizes
         rng = Prng(cfg.seed)
         scale = float(cfg.init_scale)
         self.layers = []
         per_core_cycles = {}
-        for s, n in enumerate(sizes):
-            n_presyn = sizes[s - 1] if s > 0 else 0
-            m_back = sizes[s + 1] if s < len(sizes) - 1 else 0
-            cycles = tick_cycles(n_presyn, m_back, has_upper=s > 0)
+        wiring = layer_wiring(cfg.layer_sizes)
+        for s, (n, n_presyn, m_back, cycles) in enumerate(wiring):
             per_core_cycles.update(((s, i), cycles) for i in range(n))
             core_cfg = CoreConfig(
                 n_presyn=n_presyn,
                 m_back=m_back,
                 activation=cfg.activations[s],
-                presyn_activation=cfg.activations[s - 1] if s > 0 else "identity",
-                alpha=cfg.alpha,
-                gamma=cfg.gamma,
                 alpha_bias_scale=cfg.alpha_bias_scale,
                 bias_frozen=cfg.bias_frozen,
                 has_upper=s > 0,
@@ -178,14 +187,13 @@ class Network:
                     backvec_buf=np.zeros((n, n_presyn), dtype=np.float32),
                 )
             )
-        # the cycle model depends on the shape alone, so it is computed once
         self._per_core_cycles = MappingProxyType(per_core_cycles)
         self._network_cycles = max(per_core_cycles.values())
-        # (alpha, gamma) tick override -> per-layer CoreConfig list
-        self._phase_cfgs: dict = {}
+        self._alpha = F32(cfg.alpha)
+        self._gamma = F32(cfg.gamma)
 
     # ------------------------------------------------------------------
-    # tick scheduling
+    # tick
     # ------------------------------------------------------------------
 
     def tick(
@@ -193,55 +201,46 @@ class Network:
         clamp: Optional[ClampMap] = None,
         alpha: Optional[float] = None,
         gamma: Optional[float] = None,
-        reverse_order: bool = False,
-        threads: int = 1,
     ) -> TickReport:
         """Run every core once against the previous-tick latches, then swap.
 
         ``alpha``/``gamma`` override the built-in step sizes for this tick
-        (they are supplied externally in the same way the start pulse is).
-        ``reverse_order`` and ``threads`` are scheduling arguments that
-        cannot change a bit: every cross-core read hits a latch.
-        ``reverse_order`` runs the cores in reverse order. ``threads`` is
-        accepted for compatibility and ignored; the cores always run in
-        the calling thread, because a thread pool was about 2x slower
-        under the GIL.
+        (they are supplied externally in the same way the start pulse is)
+        and follow the configured values' rule: finite in binary32 and
+        >= 0. A rejected tick changes nothing.
         """
-        with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
-            return self._tick(clamp, alpha, gamma, reverse_order)
-
-    def _tick(self, clamp, alpha, gamma, reverse_order) -> TickReport:
         clamp = self._check_clamp(clamp)
-        cfgs = self._cfgs_for(alpha, gamma)
+        alpha = self._alpha if alpha is None else _binary32("alpha", alpha)
+        gamma = self._gamma if gamma is None else _binary32("gamma", gamma)
         hard = self.cfg.clamp_hard
+        activations = self.cfg.activations
         layers = self.layers
 
         # start-of-tick states: these are this tick's downward emissions
         pre_x = [layer.states() for layer in layers]
 
-        order = range(len(layers))
-        for s in reversed(order) if reverse_order else order:
-            layer = layers[s]
-            cfg = cfgs[s]
-            presyn = layer.states_in
-            presyn_f = (
-                apply_activation_vec(cfg.presyn_activation, presyn) if s > 0 else None
-            )
-            back_in = layer.back_in
-            backvec_buf = layer.backvec_buf if layer.backvec_buf.shape[1] else None
-            signals = clamp.get(s)
-            cores = layer.cores
-            indices = range(len(cores))
-            for i in reversed(indices) if reverse_order else indices:
-                inp = CoreTickInput(
-                    presyn=presyn,
-                    back=back_in[:, i],
-                    clamp=signals[i] if signals else NO_CLAMP,
-                    clamp_hard=hard,
+        with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
+            for s, layer in enumerate(layers):
+                cfg = layer.cfg
+                presyn_f = (
+                    apply_activation_vec(activations[s - 1], layer.states_in)
+                    if s > 0
+                    else layer.states_in
                 )
-                out = core_tick(cores[i], inp, cfg, presyn_f=presyn_f)
-                if backvec_buf is not None:
-                    backvec_buf[i, :] = out.backvec
+                back_in = layer.back_in
+                backvec_buf = layer.backvec_buf
+                signals = clamp.get(s)
+                for i, core in enumerate(layer.cores):
+                    backvec_buf[i] = core_tick(
+                        core,
+                        cfg,
+                        alpha,
+                        gamma,
+                        presyn_f,
+                        back_in[:, i],
+                        signals[i] if signals else NO_CLAMP,
+                        hard,
+                    )
 
         # atomic bus swap: new latches become visible only after all cores
         # have completed the tick
@@ -260,26 +259,6 @@ class Network:
             states=states,
             errors=errors,
         )
-
-    def _cfgs_for(self, alpha, gamma) -> list:
-        """Per-layer configs for one tick's step-size override, built once
-        per distinct override. Overrides that compare equal convert to the
-        same binary32 step (0.0 and -0.0 both disable the update)."""
-        key = (alpha, gamma)
-        cfgs = self._phase_cfgs.get(key)
-        if cfgs is None:
-            cfgs = [
-                replace(
-                    layer.cfg,
-                    alpha=layer.cfg.alpha if alpha is None else alpha,
-                    gamma=layer.cfg.gamma if gamma is None else gamma,
-                )
-                for layer in self.layers
-            ]
-            if len(self._phase_cfgs) >= _MAX_PHASES:  # a per-tick step-size schedule
-                self._phase_cfgs.clear()
-            self._phase_cfgs[key] = cfgs
-        return cfgs
 
     def _check_clamp(self, clamp: Optional[ClampMap]) -> ClampMap:
         if clamp is None:
@@ -315,12 +294,8 @@ class Network:
         for s in range(1, len(self.layers)):
             layer = self.layers[s]
             upper = self.layers[s - 1]
-            fx = np.array(
-                [
-                    activation64(layer.cfg.presyn_activation, float(v))
-                    for v in upper.states()
-                ]
-            )
+            kind = self.cfg.activations[s - 1]
+            fx = np.array([activation64(kind, float(v)) for v in upper.states()])
             w = layer.weights().astype(np.float64)
             mu = w[:, :-1] @ fx + w[:, -1]
             d = layer.states().astype(np.float64) - mu

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ClampSignal
 from .errors import ConfigurationError
-from .network import ClampMap, Network, NetworkConfig, build_network
+from .network import ClampMap, Network, NetworkConfig, build_network, layer_wiring
 from .scalar32 import (
     ACTIVATION_KINDS,
     F32,
@@ -58,10 +58,7 @@ class DenseState:
     bias_frozen: bool = False
 
     def __post_init__(self):
-        sizes = self.layer_sizes
-        for s, n in enumerate(sizes):
-            n_pre = sizes[s - 1] if s > 0 else 0
-            m_back = sizes[s + 1] if s < len(sizes) - 1 else 0
+        for s, (n, n_pre, m_back, _) in enumerate(layer_wiring(self.layer_sizes)):
             if self.x[s].shape != (n,) or self.eps[s].shape != (n,):
                 raise ConfigurationError(f"layer {s}: state shape mismatch")
             if self.theta[s].shape != (n, n_pre + 1):

@@ -22,7 +22,7 @@ _MIX2 = 0x94D049BB133111EB
 
 
 class Prng:
-    """SplitMix64 stream. Not shareable across threads."""
+    """SplitMix64 stream. Not thread-safe: one mutable u64 state."""
 
     __slots__ = ("state",)
 

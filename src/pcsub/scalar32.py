@@ -30,11 +30,15 @@ _ZERO = F32(0.0)
 _ONE = F32(1.0)
 
 
+# Smallest magnitude that rounds to infinity in binary32: halfway between
+# the largest finite binary32 and 2**128, where the tie goes to even (2**128).
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
 def is_finite_f32(value) -> bool:
     """True when ``value`` is finite and stays finite rounded to binary32:
     the rule for every configured value that is cast to binary32."""
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(F32(value)))
+    return abs(float(value)) < _F32_OVERFLOW
 
 
 def fp_mul_add(a, b, acc) -> np.float32:

@@ -17,12 +17,16 @@ from pcsub.scalar32 import (
 F32 = np.float32
 
 
-def reference_f64(x, theta, presyn, back, cfg, clamp, clamp_hard):
-    """One core tick from the component equations, evaluated in binary64."""
+def reference_f64(x, theta, presyn, back, cfg, presyn_kind, alpha, gamma, clamp,
+                  clamp_hard):
+    """One core tick from the component equations, evaluated in binary64.
+
+    ``presyn`` holds the raw upper-layer states; ``presyn_kind`` is their
+    activation, applied here."""
     x_eff = float(clamp.x_obs) if clamp.x_set_en else float(x)
     if cfg.has_upper:
         mu = sum(
-            float(theta[j]) * activation64(cfg.presyn_activation, float(presyn[j]))
+            float(theta[j]) * activation64(presyn_kind, float(presyn[j]))
             for j in range(cfg.n_presyn)
         ) + float(theta[cfg.n_presyn])
     else:
@@ -30,31 +34,29 @@ def reference_f64(x, theta, presyn, back, cfg, clamp, clamp_hard):
     eps = x_eff - mu
     b = sum(float(v) for v in back)
     theta_new = [float(t) for t in theta]
-    if cfg.has_upper and float(cfg.alpha) != 0.0:
+    if cfg.has_upper and float(alpha) != 0.0:
         for j in range(cfg.n_presyn):
             theta_new[j] += (
-                float(cfg.alpha)
-                * eps
-                * activation64(cfg.presyn_activation, float(presyn[j]))
+                float(alpha) * eps * activation64(presyn_kind, float(presyn[j]))
             )
         if not cfg.bias_frozen:
-            theta_new[cfg.n_presyn] += (
-                float(cfg.alpha) * float(cfg.alpha_bias_scale) * eps
-            )
+            theta_new[cfg.n_presyn] += float(alpha) * float(cfg.alpha_bias_scale) * eps
     if clamp_hard and clamp.x_set_en:
         x_new = float(clamp.x_obs)
     else:
-        x_new = float(x) + float(cfg.gamma) * (
+        x_new = float(x) + float(gamma) * (
             derivative64(cfg.activation, x_eff) * b - eps
         )
     return x_new, theta_new, eps
 
 
-def reference_bit32(x, theta, presyn, back, cfg, clamp, clamp_hard):
+def reference_bit32(x, theta, presyn, back, cfg, presyn_kind, alpha, gamma, clamp,
+                    clamp_hard):
     """Second binary32 implementation with the same pinned order."""
+    alpha, gamma = F32(alpha), F32(gamma)
     x = F32(x)
     x_eff = F32(clamp.x_obs) if clamp.x_set_en else x
-    fpre = [apply_activation(cfg.presyn_activation, v) for v in presyn]
+    fpre = [apply_activation(presyn_kind, v) for v in presyn]
     mu = F32(0.0)
     if cfg.has_upper:
         for j in range(cfg.n_presyn):
@@ -65,20 +67,20 @@ def reference_bit32(x, theta, presyn, back, cfg, clamp, clamp_hard):
     for v in back:
         b = F32(b + F32(v))
     theta_new = np.array(theta, dtype=np.float32).copy()
-    if cfg.has_upper and cfg.alpha != 0:
-        coeff = F32(cfg.alpha * eps)
+    if cfg.has_upper and alpha != 0:
+        coeff = F32(alpha * eps)
         for j in range(cfg.n_presyn):
             theta_new[j] = F32(F32(coeff * fpre[j]) + theta_new[j])
         if not cfg.bias_frozen:
-            cb = F32(F32(cfg.alpha * cfg.alpha_bias_scale) * eps)
+            cb = F32(F32(alpha * cfg.alpha_bias_scale) * eps)
             theta_new[cfg.n_presyn] = F32(F32(cb * F32(1.0)) + theta_new[cfg.n_presyn])
     if clamp_hard and clamp.x_set_en:
         x_new = F32(clamp.x_obs)
-    elif cfg.gamma == 0:
+    elif gamma == 0:
         x_new = x
     else:
         fp = activation_derivative(cfg.activation, x_eff)
-        x_new = F32(x + F32(cfg.gamma * F32(F32(fp * b) - eps)))
+        x_new = F32(x + F32(gamma * F32(F32(fp * b) - eps)))
     return x_new, theta_new, eps
 
 
@@ -97,7 +99,7 @@ def local_energy(x_i, i, mu_i, x_layer, x_low, theta_low, kind):
 
 def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
     """FD check of the state increment against -(gamma/2) dE/dx."""
-    from pcsub.core import CoreConfig, CoreTickInput, core_new, core_tick
+    from pcsub.core import CoreConfig, core_new, core_tick
 
     h = 1e-4
     kinds = ["identity", "relu", "tanh"]
@@ -126,19 +128,13 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
             dtype=np.float32,
         )
 
-        cfg = CoreConfig(
-            n_presyn=1, m_back=m, activation=kind, gamma=gamma, alpha=0.0
-        )
+        cfg = CoreConfig(n_presyn=1, m_back=m, activation=kind)
         st_ = core_new(cfg, [0.0, F32(mu_i)], float(x_layer[i]))
         x0 = float(st_.x)
         fb = derivative64(kind, x0) * float(sum(float(v) for v in back))
         if abs(fb - (x0 - mu_i)) < 0.01:
             continue
-        core_tick(
-            st_,
-            CoreTickInput(presyn=np.zeros(1, np.float32), back=back),
-            cfg,
-        )
+        core_tick(st_, cfg, F32(0.0), F32(gamma), np.zeros(1, np.float32), back)
         got = float(st_.x) - x0
 
         e_plus = local_energy(x0 + h, i, mu_i, x_layer, x_low, theta_low, kind)
@@ -151,7 +147,7 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
 
 def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
     """FD check of weight increments against -(alpha/2) dE/dtheta."""
-    from pcsub.core import CoreConfig, CoreTickInput, core_new, core_tick
+    from pcsub.core import CoreConfig, core_new, core_tick
 
     h = 1e-4
     kinds = ["identity", "relu", "tanh"]
@@ -162,14 +158,11 @@ def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
         theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
         presyn = rng.uniform(-1, 1, n).astype(np.float32)
         x = float(rng.uniform(-1, 1))
-        cfg = CoreConfig(
-            n_presyn=n, m_back=0, presyn_activation=kind, alpha=alpha, gamma=0.0
-        )
+        cfg = CoreConfig(n_presyn=n, m_back=0)
         st_ = core_new(cfg, theta, x)
+        presyn_f = np.array([apply_activation(kind, v) for v in presyn])
         core_tick(
-            st_,
-            CoreTickInput(presyn=presyn, back=np.zeros(0, np.float32)),
-            cfg,
+            st_, cfg, F32(alpha), F32(0.0), presyn_f, np.zeros(0, np.float32)
         )
         mu64 = sum(
             float(theta[j]) * activation64(kind, float(presyn[j])) for j in range(n)

@@ -6,6 +6,8 @@ Each test prints one ``[PASS]``/``[FAIL]`` line (visible with ``-s``):
 """
 
 import contextlib
+import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -14,15 +16,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcsub.core import ClampSignal, CoreConfig, CoreTickInput, core_new, core_tick
+import pcsub
+from pcsub.cli import main as cli_main
+from pcsub.core import ClampSignal, CoreConfig, core_new, core_tick, tick_cycles
 from pcsub.harness import run_experiment
 from pcsub.network import NetworkConfig, build_network, clamp_layer
 from pcsub.oracle import run_equivalence_suite
 from pcsub.prng import Prng
+from pcsub.scalar32 import apply_activation_vec
 
 from refimpl import check_state_gradient, check_weight_gradient, reference_bit32
 
 F32 = np.float32
+GOLDEN = Path(__file__).parent / "data" / "golden.json"
 
 
 @contextlib.contextmanager
@@ -47,32 +53,34 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_cycle_model():
     with criterion(2, "per-core cycles = 3N+M+4 (boundary-adjusted), latency = max"):
+        alpha, gamma = F32(0.01), F32(0.05)
         for n in range(17):
             for m in range(17):
-                cfg = CoreConfig(n_presyn=n, m_back=m, alpha=0.01, gamma=0.05)
+                cfg = CoreConfig(n_presyn=n, m_back=m)
                 st_ = core_new(cfg, np.zeros(n + 1, np.float32), 0.0)
                 out = core_tick(
-                    st_,
-                    CoreTickInput(
-                        presyn=np.zeros(n, np.float32),
-                        back=np.zeros(m, np.float32),
-                    ),
-                    cfg,
+                    st_, cfg, alpha, gamma,
+                    np.zeros(n, np.float32), np.zeros(m, np.float32),
                 )
-                assert out.cycles == 3 * n + m + 4
+                assert out.shape == (n,)
+                assert tick_cycles(n, m) == 3 * n + m + 4
         for m in range(17):
-            cfg = CoreConfig(
-                n_presyn=0, m_back=m, has_upper=False, alpha=0.01, gamma=0.05
-            )
+            cfg = CoreConfig(n_presyn=0, m_back=m, has_upper=False)
             st_ = core_new(cfg, np.zeros(1, np.float32), 0.0)
-            out = core_tick(
-                st_,
-                CoreTickInput(
-                    presyn=np.zeros(0, np.float32), back=np.zeros(m, np.float32)
-                ),
-                cfg,
+            core_tick(
+                st_, cfg, alpha, gamma,
+                np.zeros(0, np.float32), np.zeros(m, np.float32),
             )
-            assert out.cycles == m + 2
+            assert tick_cycles(0, m, has_upper=False) == m + 2
+        # a ticked network reports the model for every N, M in 1..16 (its
+        # hidden layer), the boundary layers and the slowest core as latency
+        for n in range(1, 17):
+            for m in range(1, 17):
+                net = build_network(NetworkConfig([n, 1, m], seed=1))
+                cycles = net.tick().per_core_cycles
+                assert cycles[(0, 0)] == 1 + 2
+                assert cycles[(1, 0)] == 3 * n + m + 4
+                assert cycles[(2, m - 1)] == 3 * 1 + 0 + 4
         # network latency equals the slowest core
         for sizes, want in [([2, 4, 3], 16), ([8, 16, 8], 52), ([1, 1], 7)]:
             net = build_network(NetworkConfig(sizes, seed=1))
@@ -95,40 +103,32 @@ def test_criterion_4_clamp_semantics():
             m = int(rng.integers(0, 5))
             kinds = ["identity", "relu", "tanh"]
             cfg = CoreConfig(
-                n_presyn=n,
-                m_back=m,
-                activation=kinds[rng.integers(0, 3)],
-                presyn_activation=kinds[rng.integers(0, 3)],
-                alpha=0.01,
-                gamma=0.1,
+                n_presyn=n, m_back=m, activation=kinds[rng.integers(0, 3)]
             )
+            presyn_kind = kinds[rng.integers(0, 3)]
+            alpha, gamma = F32(0.01), F32(0.1)
             theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
             presyn = rng.uniform(-1, 1, n).astype(np.float32)
+            presyn_f = apply_activation_vec(presyn_kind, presyn)
             back = rng.uniform(-1, 1, m).astype(np.float32)
             x0 = float(rng.uniform(-1, 1))
             obs = float(rng.uniform(-1, 1))
+            clamp = ClampSignal(True, obs)
 
             # hard clamp: stored state is exactly the observation
             st_ = core_new(cfg, theta, x0)
-            core_tick(
-                st_,
-                CoreTickInput(presyn, back, ClampSignal(True, obs), clamp_hard=True),
-                cfg,
-            )
+            core_tick(st_, cfg, alpha, gamma, presyn_f, back, clamp, True)
             assert st_.x.tobytes() == F32(obs).tobytes()
 
             # soft clamp: eps from the observation, state update from the
             # stored x; both must match the independent binary32 path
             st_ = core_new(cfg, theta, x0)
             ref_x, ref_theta, ref_eps = reference_bit32(
-                F32(x0), theta, presyn, back, cfg, ClampSignal(True, obs), False
+                F32(x0), theta, presyn, back, cfg, presyn_kind, alpha, gamma,
+                clamp, False,
             )
-            out = core_tick(
-                st_,
-                CoreTickInput(presyn, back, ClampSignal(True, obs), clamp_hard=False),
-                cfg,
-            )
-            assert out.eps_out.tobytes() == ref_eps.tobytes()
+            core_tick(st_, cfg, alpha, gamma, presyn_f, back, clamp, False)
+            assert st_.eps.tobytes() == ref_eps.tobytes()
             assert st_.x.tobytes() == ref_x.tobytes()
             assert st_.theta.tobytes() == ref_theta.tobytes()
 
@@ -137,6 +137,12 @@ def _read_curve(path: Path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,mse"
     return [float(line.split(",")[1]) for line in lines[1:]]
+
+
+def _assert_golden_curve(name: str, path: Path) -> None:
+    """The full CSV is byte-identical to the one pinned in golden.json."""
+    want = json.loads(GOLDEN.read_text())["curve_csv_sha256"][name]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want, name
 
 
 def test_criterion_5_relu_teacher_student(tmp_path):
@@ -156,28 +162,31 @@ def test_criterion_5_relu_teacher_student(tmp_path):
         assert mse[25] < 0.05, mse
         assert mse[25] <= 0.1 * mse[0], mse
         assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 120s"
+        _assert_golden_curve("relu_ts", csv)
 
 
 def test_criterion_6_tanh_teacher_student(tmp_path):
     with criterion(6, "tanh_ts: >= 2 orders below post-spike peak by epoch 6"):
-        curve, _ = run_experiment("tanh_ts", out_dir=tmp_path)
+        curve, path = run_experiment("tanh_ts", out_dir=tmp_path)
         m = curve.mse
         assert len(m) == 26
         collapsed = any(m[e] <= max(m[: e + 1]) / 100.0 for e in range(1, 7))
         assert collapsed, m[:7]
         assert m[25] < 0.05, m[25]
+        _assert_golden_curve("tanh_ts", path)
 
 
 def test_criterion_7_scaling_sweep(tmp_path):
     with criterion(7, "scaling sweep: >= 50% drop by epoch 1, epoch-25 <= 0.05"):
         floors = {}
         for name in ("scale_small", "scale_medium", "scale_large"):
-            curve, _ = run_experiment(name, out_dir=tmp_path)
+            curve, path = run_experiment(name, out_dir=tmp_path)
             m = curve.mse
             assert not any(curve.diverged), name
             assert m[1] <= 0.5 * m[0], (name, m[0], m[1])
             assert m[25] <= 0.05, (name, m[25])
             assert m[25] < m[0], name
+            _assert_golden_curve(name, path)
             floors[name] = m[25]
         # the residual-floor-vs-size trend is reported, not asserted
         print(
@@ -187,16 +196,23 @@ def test_criterion_7_scaling_sweep(tmp_path):
 
 
 def test_criterion_8_determinism(tmp_path):
-    with criterion(8, "fixed-seed CSV byte-identical across runs and thread counts"):
-        overrides = dict(epochs=3, n_samples=16, eval_ticks=50)
+    with criterion(8, "fixed-seed CSV byte-identical across runs and --threads"):
+        src = Path(pcsub.__file__).parent / "configs" / "relu_ts.cfg"
+        cfg = tmp_path / "relu_short.cfg"
+        overrides = {"epochs": "3", "n_samples": "16", "eval_ticks": "50"}
+        lines = []
+        for line in src.read_text().splitlines():
+            key = line.split("=")[0].strip()
+            lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
+        cfg.write_text("\n".join(lines) + "\n")
         blobs = []
         for run in range(2):
-            for threads in (1, 3):
+            for threads in ("1", "3"):
                 out = tmp_path / f"r{run}t{threads}"
-                _, path = run_experiment(
-                    "relu_ts", overrides, out_dir=out, threads=threads
-                )
-                blobs.append(path.read_bytes())
+                argv = ["run", str(cfg), "--out", str(out), "--threads", threads]
+                assert cli_main(argv) == 0
+                blobs.append((out / "relu_short.csv").read_bytes())
+        assert len(blobs[0].splitlines()) == 1 + 4
         assert all(b == blobs[0] for b in blobs)
 
 

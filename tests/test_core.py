@@ -6,7 +6,7 @@ update evaluated in binary64 straight from the component equations
 same pinned accumulation order (bit-exactness).
 """
 
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from pcsub.core import (
     ClampSignal,
     CoreConfig,
-    CoreState,
-    CoreTickInput,
     NO_CLAMP,
     core_new,
     core_tick,
@@ -31,6 +29,7 @@ from pcsub.core import (
     tick_cycles,
 )
 from pcsub.errors import ConfigurationError
+from pcsub.scalar32 import apply_activation_vec
 
 from refimpl import (
     check_state_gradient,
@@ -44,8 +43,11 @@ F32 = np.float32
 
 def mkcfg(n, m, **kw):
     kw.setdefault("activation", "identity")
-    kw.setdefault("presyn_activation", "identity")
     return CoreConfig(n_presyn=n, m_back=m, **kw)
+
+
+def f32s(*values):
+    return np.array(values, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +58,6 @@ def mkcfg(n, m, **kw):
 def test_core_new_zeros():
     st_ = core_new(mkcfg(2, 0), [0.0, 0.0, 0.0], 0.0)
     assert st_.x == 0.0 and st_.eps == 0.0 and st_.b == 0.0
-    assert st_.cycles_last_tick == 0
     assert st_.theta.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -90,10 +91,10 @@ def test_effective_state():
 
 
 def test_stage_pred_derived():
-    cfg = mkcfg(2, 0, presyn_activation="relu")
+    cfg = mkcfg(2, 0)
     st_ = core_new(cfg, [0.5, -1.0, 0.25], 0.0)
-    presyn = np.array([2.0, 3.0], dtype=np.float32)
-    mu = stage_pred(st_, presyn, cfg)
+    presyn_f = apply_activation_vec("relu", f32s(2.0, 3.0))
+    mu = stage_pred(st_, presyn_f)
     # binary64 reference: 0.5*2 - 1*3 + 0.25 (exact in binary32)
     assert mu == F32(-1.75)
 
@@ -101,13 +102,13 @@ def test_stage_pred_derived():
 def test_stage_pred_zero_weights():
     cfg = mkcfg(3, 0)
     st_ = core_new(cfg, [0.0] * 4, 0.0)
-    assert stage_pred(st_, np.array([1.0, -2.0, 0.5], np.float32), cfg) == 0.0
+    assert stage_pred(st_, f32s(1.0, -2.0, 0.5)) == 0.0
 
 
 def test_stage_pred_bias_only():
     cfg = mkcfg(0, 0)
     st_ = core_new(cfg, [0.25], 0.0)
-    assert stage_pred(st_, np.zeros(0, np.float32), cfg) == F32(0.25)
+    assert stage_pred(st_, f32s()) == F32(0.25)
 
 
 def test_stage_err_cases():
@@ -148,71 +149,73 @@ def test_stage_backvec():
 
 
 def test_stage_wup_derived_delta():
-    cfg = mkcfg(1, 0, alpha=0.1)
+    cfg = mkcfg(1, 0)
     st_ = core_new(cfg, [0.0, 0.0], 0.0)
     st_.eps = F32(2.0)
-    stage_wup(st_, np.array([0.5], np.float32), cfg)
+    stage_wup(st_, f32s(0.5), F32(0.1), cfg)
     assert st_.theta[0] == F32(0.1)  # alpha*eps*f = 0.1*2*0.5, exact
     assert st_.theta[1] == F32(0.2)  # bias: alpha*eps*1
 
 
 def test_stage_wup_alpha_zero_bit_identical():
-    cfg = mkcfg(2, 0, alpha=0.0)
+    cfg = mkcfg(2, 0)
     weights = np.array([0.3, -0.7, float("nan")], dtype=np.float32)
     st_ = core_new(cfg, weights, 0.0)
     st_.eps = F32(5.0)
-    presyn = np.array([float("inf"), 1.0], np.float32)
-    stage_wup(st_, presyn, cfg)
+    stage_wup(st_, f32s(float("inf"), 1.0), F32(0.0), cfg)
     assert st_.theta.tobytes() == weights.astype(np.float32).tobytes()
 
 
 def test_stage_wup_bias_frozen():
-    cfg = mkcfg(1, 0, alpha=0.1, bias_frozen=True)
+    cfg = mkcfg(1, 0, bias_frozen=True)
     st_ = core_new(cfg, [0.0, 0.5], 0.0)
     st_.eps = F32(2.0)
-    stage_wup(st_, np.array([0.5], np.float32), cfg)
+    stage_wup(st_, f32s(0.5), F32(0.1), cfg)
     assert st_.theta[0] == F32(0.1)
     assert st_.theta[1] == F32(0.5)
 
 
 def test_stage_wup_bias_scale():
-    cfg = mkcfg(0, 0, alpha=0.1, alpha_bias_scale=0.5)
+    cfg = mkcfg(0, 0, alpha_bias_scale=0.5)
     st_ = core_new(cfg, [0.0], 0.0)
     st_.eps = F32(2.0)
-    stage_wup(st_, np.zeros(0, np.float32), cfg)
+    stage_wup(st_, f32s(), F32(0.1), cfg)
     assert st_.theta[0] == (F32(0.1) * F32(0.5)) * F32(2.0)
 
 
 def test_stage_state_derived():
-    cfg = mkcfg(0, 1, gamma=0.05, has_upper=False)
+    cfg = mkcfg(0, 1, has_upper=False)
     st_ = core_new(cfg, [0.0], 1.0)
     st_.eps = F32(0.1)
     st_.b = F32(0.2)
-    stage_state(st_, F32(1.0), NO_CLAMP, False, cfg)
+    stage_state(st_, F32(1.0), NO_CLAMP, False, F32(0.05), cfg)
     # binary64 reference 1.005; frozen binary32 path value
     assert st_.x.tobytes() == F32(1.005).tobytes()
     assert abs(float(st_.x) - 1.005) < 1e-8
 
 
 def test_stage_state_hard_clamp_overrides():
-    cfg = mkcfg(0, 0, gamma=0.5, has_upper=False)
+    cfg = mkcfg(0, 0, has_upper=False)
     st_ = core_new(cfg, [0.0], 1.0)
     st_.eps = F32(123.0)
     st_.b = F32(-55.0)
-    stage_state(st_, F32(0.7), ClampSignal(True, 0.7), True, cfg)
+    stage_state(st_, F32(0.7), ClampSignal(True, 0.7), True, F32(0.5), cfg)
     assert st_.x.tobytes() == F32(0.7).tobytes()
 
 
 def test_stage_state_fixed_point():
-    cfg = mkcfg(0, 0, gamma=0.25, has_upper=False)
+    cfg = mkcfg(0, 0, has_upper=False)
     st_ = core_new(cfg, [0.0], 0.875)
-    stage_state(st_, st_.x, NO_CLAMP, False, cfg)
+    stage_state(st_, st_.x, NO_CLAMP, False, F32(0.25), cfg)
     assert st_.x == F32(0.875)
 
 
 # ---------------------------------------------------------------------------
 # full tick: cycle accounting and trivial behavior
 # ---------------------------------------------------------------------------
+
+
+A01, G05 = F32(0.01), F32(0.05)
 
 
 @pytest.mark.parametrize("n,m,expected", [(3, 5, 18), (2, 0, 10), (0, 0, 4)])
@@ -226,40 +229,29 @@ def test_tick_cycles_boundary():
 
 
 def test_cycles_formula_sweep():
+    # every fan-in pair ticks, emits N products, and costs 3N+M+4 (M+2 at
+    # the top); the count is a function of the shape alone
     for n in range(17):
         for m in range(17):
-            cfg = mkcfg(n, m, alpha=0.01, gamma=0.05)
+            cfg = mkcfg(n, m)
             st_ = core_new(cfg, np.zeros(n + 1, np.float32), 0.0)
-            out = core_tick(
-                st_,
-                CoreTickInput(
-                    presyn=np.zeros(n, np.float32), back=np.zeros(m, np.float32)
-                ),
-                cfg,
-            )
-            assert out.cycles == 3 * n + m + 4
-            assert st_.cycles_last_tick == out.cycles
+            zeros = np.zeros(n, np.float32)
+            out = core_tick(st_, cfg, A01, G05, zeros, np.zeros(m, np.float32))
+            assert out.shape == (n,)
+            assert tick_cycles(n, m) == 3 * n + m + 4
     for m in range(17):
-        cfg = mkcfg(0, m, alpha=0.01, gamma=0.05, has_upper=False)
+        cfg = mkcfg(0, m, has_upper=False)
         st_ = core_new(cfg, np.zeros(1, np.float32), 0.0)
-        out = core_tick(
-            st_,
-            CoreTickInput(presyn=np.zeros(0, np.float32), back=np.zeros(m, np.float32)),
-            cfg,
-        )
-        assert out.cycles == m + 2
+        core_tick(st_, cfg, A01, G05, f32s(), np.zeros(m, np.float32))
+        assert tick_cycles(0, m, has_upper=False) == m + 2
 
 
 def test_tick_all_zero_is_identity():
-    cfg = mkcfg(2, 3, alpha=0.01, gamma=0.05)
+    cfg = mkcfg(2, 3)
     st_ = core_new(cfg, [0.0, 0.0, 0.0], 0.25)
-    out = core_tick(
-        st_,
-        CoreTickInput(presyn=np.zeros(2, np.float32), back=np.zeros(3, np.float32)),
-        cfg,
-    )
-    assert out.x_out == F32(0.25)
-    assert out.eps_out == F32(0.25)  # mu = 0, eps = x_start
+    out = core_tick(st_, cfg, A01, G05, f32s(0.0, 0.0), np.zeros(3, np.float32))
+    assert st_.eps == F32(0.25)  # mu = 0, eps = x_start
+    assert out.tolist() == [0.0, 0.0]  # products of the zero weights
     # zero f(presyn) makes every weight delta alpha*eps*0 = 0
     assert st_.theta[:2].tolist() == [0.0, 0.0]
     # bias lane does move: alpha*eps*1
@@ -269,15 +261,15 @@ def test_tick_all_zero_is_identity():
 
 
 def test_tick_registered_output_is_pre_tick_state():
-    cfg = mkcfg(0, 0, gamma=0.5, has_upper=False)
-    st_ = core_new(cfg, [0.0], 0.5)
-    out = core_tick(
-        st_,
-        CoreTickInput(presyn=np.zeros(0, np.float32), back=np.zeros(0, np.float32)),
-        cfg,
-    )
-    assert out.x_out == F32(0.5)
-    assert st_.x != F32(0.5)  # state stepped, emission did not
+    # the emitted products use the weights held at the start of the tick,
+    # while the core's own weights and state move
+    cfg = mkcfg(1, 0)
+    st_ = core_new(cfg, [0.5, 0.0], 1.0)
+    out = core_tick(st_, cfg, F32(0.1), F32(0.5), f32s(1.0), f32s())
+    assert st_.eps == F32(0.5)  # mu = 0.5*1 + 0
+    assert out.tolist() == [0.25]  # 0.5 * eps, pre-update theta
+    assert st_.theta[0] == F32(0.55)  # 0.5 + 0.1*0.5*1
+    assert st_.x == F32(0.75)  # 1 + 0.5*(0 - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +277,44 @@ def test_tick_registered_output_is_pre_tick_state():
 # ---------------------------------------------------------------------------
 
 
+class Case(NamedTuple):
+    state: object
+    cfg: CoreConfig
+    presyn_kind: str
+    alpha: np.float32
+    gamma: np.float32
+    presyn: np.ndarray
+    back: np.ndarray
+    clamp: ClampSignal
+    hard: bool
+
+    def tick(self, **change):
+        c = self._replace(**change)
+        presyn_f = apply_activation_vec(c.presyn_kind, c.presyn)
+        return core_tick(
+            c.state, c.cfg, c.alpha, c.gamma, presyn_f, c.back, c.clamp, c.hard
+        )
+
+    def reference(self, ref, **change):
+        c = self._replace(**change)
+        return ref(
+            c.state.x, c.state.theta.copy(), c.presyn, c.back, c.cfg,
+            c.presyn_kind, c.alpha, c.gamma, c.clamp, c.hard,
+        )
+
+
 def _random_case(rng, force_clamp=None):
     n = int(rng.integers(0, 7))
     m = int(rng.integers(0, 7))
     kinds = ["identity", "relu", "tanh"]
+    activation = kinds[rng.integers(0, 3)]
+    presyn_kind = kinds[rng.integers(0, 3)]
+    alpha = F32(rng.choice([0.0, 0.01, 0.1]))
+    gamma = F32(rng.choice([0.0, 0.05, 0.2]))
     cfg = mkcfg(
         n,
         m,
-        activation=kinds[rng.integers(0, 3)],
-        presyn_activation=kinds[rng.integers(0, 3)],
-        alpha=float(rng.choice([0.0, 0.01, 0.1])),
-        gamma=float(rng.choice([0.0, 0.05, 0.2])),
+        activation=activation,
         alpha_bias_scale=float(rng.choice([1.0, 0.5])),
         bias_frozen=bool(rng.integers(0, 2)),
     )
@@ -311,29 +330,23 @@ def _random_case(rng, force_clamp=None):
         ClampSignal(True, float(rng.uniform(-1, 1))) if clamped else NO_CLAMP
     )
     hard = bool(rng.integers(0, 2))
-    return st_, cfg, presyn, back, clamp, hard
+    return Case(st_, cfg, presyn_kind, alpha, gamma, presyn, back, clamp, hard)
 
 
 def test_stage_equivalence_1000_random_cores():
     rng = np.random.default_rng(1234)
     for _ in range(1000):
-        st_, cfg, presyn, back, clamp, hard = _random_case(rng)
-        x0, theta0 = st_.x, st_.theta.copy()
-        ref64_x, ref64_theta, _ = reference_f64(
-            x0, theta0, presyn, back, cfg, clamp, hard
-        )
-        ref32_x, ref32_theta, ref32_eps = reference_bit32(
-            x0, theta0, presyn, back, cfg, clamp, hard
-        )
-        out = core_tick(
-            st_, CoreTickInput(presyn, back, clamp, hard), cfg
-        )
+        case = _random_case(rng)
+        st_ = case.state
+        ref64_x, ref64_theta, _ = case.reference(reference_f64)
+        ref32_x, ref32_theta, ref32_eps = case.reference(reference_bit32)
+        case.tick()
         assert abs(float(st_.x) - ref64_x) < 1e-5
-        for j in range(cfg.n_presyn + 1):
+        for j in range(case.cfg.n_presyn + 1):
             assert abs(float(st_.theta[j]) - ref64_theta[j]) < 1e-5
         assert st_.x.tobytes() == ref32_x.tobytes()
         assert st_.theta.tobytes() == ref32_theta.tobytes()
-        assert out.eps_out.tobytes() == ref32_eps.tobytes()
+        assert st_.eps.tobytes() == ref32_eps.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -361,60 +374,47 @@ def test_weight_increment_matches_energy_gradient():
 )
 @settings(max_examples=100)
 def test_hard_clamp_absorption(obs, x0):
-    cfg = mkcfg(1, 1, alpha=0.1, gamma=0.3)
+    cfg = mkcfg(1, 1)
     st_ = core_new(cfg, [0.5, -0.25], x0)
-    out = core_tick(
-        st_,
-        CoreTickInput(
-            presyn=np.array([0.3], np.float32),
-            back=np.array([0.9], np.float32),
-            clamp=ClampSignal(True, obs),
-            clamp_hard=True,
-        ),
-        cfg,
+    clamp = ClampSignal(True, obs)
+    _, _, ref_eps = reference_bit32(
+        F32(x0), st_.theta.copy(), f32s(0.3), f32s(0.9), cfg,
+        "identity", F32(0.1), F32(0.3), clamp, True,
     )
+    core_tick(st_, cfg, F32(0.1), F32(0.3), f32s(0.3), f32s(0.9), clamp, True)
     assert st_.x.tobytes() == F32(obs).tobytes()
-    assert out.x_out.tobytes() == F32(x0).tobytes()
+    # the tick's error is computed from the observation
+    assert st_.eps.tobytes() == ref_eps.tobytes()
 
 
 def test_soft_clamp_effect():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        st_, cfg, presyn, back, _, _ = _random_case(rng, force_clamp=False)
-        if cfg.gamma == 0:
+        case = _random_case(rng, force_clamp=False)
+        if case.gamma == 0:
             continue
-        obs = float(rng.uniform(-1, 1))
-        x_pre = st_.x
-        theta_pre = st_.theta.copy()
-        ref_x, _, ref_eps = reference_bit32(
-            x_pre, theta_pre, presyn, back, cfg, ClampSignal(True, obs), False
-        )
-        out = core_tick(
-            st_,
-            CoreTickInput(presyn, back, ClampSignal(True, obs), clamp_hard=False),
-            cfg,
-        )
+        soft = dict(clamp=ClampSignal(True, float(rng.uniform(-1, 1))), hard=False)
+        ref_x, _, ref_eps = case.reference(reference_bit32, **soft)
+        case.tick(**soft)
         # eps computed from the observation, not the stored state
-        assert out.eps_out.tobytes() == ref_eps.tobytes()
+        assert case.state.eps.tobytes() == ref_eps.tobytes()
         # but the stored state still integrates from the pre-tick x
-        assert st_.x.tobytes() == ref_x.tobytes()
+        assert case.state.x.tobytes() == ref_x.tobytes()
 
 
 def test_alpha_zero_tick_preserves_theta_bits():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        st_, cfg, presyn, back, clamp, hard = _random_case(rng)
-        cfg = replace(cfg, alpha=0.0)
-        theta_before = st_.theta.tobytes()
-        core_tick(st_, CoreTickInput(presyn, back, clamp, hard), cfg)
-        assert st_.theta.tobytes() == theta_before
+        case = _random_case(rng)
+        theta_before = case.state.theta.tobytes()
+        case.tick(alpha=F32(0.0))
+        assert case.state.theta.tobytes() == theta_before
 
 
 def test_gamma_zero_unclamped_tick_preserves_x_bits():
     rng = np.random.default_rng(18)
     for _ in range(50):
-        st_, cfg, presyn, back, _, _ = _random_case(rng, force_clamp=False)
-        cfg = replace(cfg, gamma=0.0)
-        x_before = st_.x.tobytes()
-        core_tick(st_, CoreTickInput(presyn, back, NO_CLAMP, False), cfg)
-        assert st_.x.tobytes() == x_before
+        case = _random_case(rng, force_clamp=False)
+        x_before = case.state.x.tobytes()
+        case.tick(gamma=F32(0.0), clamp=NO_CLAMP, hard=False)
+        assert case.state.x.tobytes() == x_before

@@ -1,11 +1,18 @@
-"""Golden bits: tick digests, epoch-0 MSEs and full learning curves.
+"""Golden bits: tick digests and epoch-0 MSEs; the table of curve hashes.
 
 Every value in ``tests/data/golden.json`` was recorded from the per-core
 engine before any scheduler change and must stay byte-identical through
 every refactor. The tick cases together cover every activation, hard,
 soft and absent clamping, alpha in {0, 0.01} x gamma in {0, 0.05},
-per-tick alpha/gamma overrides, ``bias_frozen``, ``alpha_bias_scale != 1``
-and the scheduling arguments ``reverse_order`` and ``threads``.
+per-tick alpha/gamma overrides, ``bias_frozen`` and
+``alpha_bias_scale != 1``. ``deep_reverse_gamma_override`` and
+``relu_soft_threads3`` were recorded with the scheduling arguments
+``reverse_order=True`` and ``threads=3`` of an earlier ``Network.tick``;
+those arguments are gone, and the cases keep their names and digests as
+proof that they never changed a bit.
+
+The sha256 of each canned experiment's full 25-epoch CSV is checked where
+that CSV is produced anyway: acceptance criteria 5, 6 and 7.
 
 Regenerate (only when a change is meant to alter the bits, and say so):
 
@@ -33,7 +40,7 @@ from pcsub.prng import Prng
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 N_TICKS = 50
 
-# name -> (NetworkConfig kwargs, clamp mode, tick schedule, scheduling kwargs)
+# name -> (NetworkConfig kwargs, clamp mode, tick schedule)
 # clamp mode: "hard"/"soft" clamp top and bottom layers, "none" clamps nothing.
 # schedule: "plain" ticks with the built-in step sizes; "harness" alternates
 # 3 ticks at an alpha = 0 override with 2 at the built-in alpha; "gamma"
@@ -41,47 +48,47 @@ N_TICKS = 50
 TICK_CASES = {
     "identity_hard_a01_g05": (
         dict(layer_sizes=(2, 4, 3), alpha=0.01, gamma=0.05, seed=3),
-        "hard", "plain", {},
+        "hard", "plain",
     ),
     "relu_soft_a01_g05_bias_scale": (
         dict(layer_sizes=(3, 5, 2), activations=("identity", "relu", "identity"),
              alpha=0.01, gamma=0.05, alpha_bias_scale=0.5, seed=4),
-        "soft", "plain", {},
+        "soft", "plain",
     ),
     "tanh_hard_harness_bias_frozen": (
         dict(layer_sizes=(2, 3, 1), activations=("identity", "tanh", "identity"),
              alpha=0.01, gamma=0.05, bias_frozen=True, seed=5),
-        "hard", "harness", {},
+        "hard", "harness",
     ),
     "tanh_all_noclamp_a01_g05": (
         dict(layer_sizes=(2, 4, 3), activations=("tanh", "tanh", "tanh"),
              alpha=0.01, gamma=0.05, seed=6, init_scale=0.9),
-        "none", "plain", {},
+        "none", "plain",
     ),
     "relu_hard_a0_g0": (
         dict(layer_sizes=(4, 3, 2), activations=("relu", "relu", "identity"),
              alpha=0.0, gamma=0.0, seed=7),
-        "hard", "plain", {},
+        "hard", "plain",
     ),
     "mixed_soft_a0_g05": (
         dict(layer_sizes=(2, 4, 3), activations=("identity", "relu", "tanh"),
              alpha=0.0, gamma=0.05, seed=8),
-        "soft", "plain", {},
+        "soft", "plain",
     ),
     "deep_hard_a01_g0": (
         dict(layer_sizes=(3, 3, 3, 3), activations=("identity", "tanh", "relu", "identity"),
              alpha=0.01, gamma=0.0, seed=9),
-        "hard", "plain", {},
+        "hard", "plain",
     ),
     "deep_reverse_gamma_override": (
         dict(layer_sizes=(2, 5, 4, 2), activations=("tanh", "relu", "tanh", "identity"),
              alpha=0.01, gamma=0.1, alpha_bias_scale=2.0, seed=10),
-        "hard", "gamma", {"reverse_order": True},
+        "hard", "gamma",
     ),
     "relu_soft_threads3": (
         dict(layer_sizes=(2, 4, 3), activations=("identity", "relu", "identity"),
              alpha=0.01, gamma=0.05, seed=12),
-        "soft", "harness", {"threads": 3},
+        "soft", "harness",
     ),
 }
 
@@ -105,7 +112,7 @@ def _tick_overrides(schedule: str, t: int) -> dict:
 def tick_digest(name: str) -> dict:
     """Run one case for N_TICKS ticks; sha256 of x/eps/theta and of the
     per-tick reports (cycles, divergence flag, post-tick states/errors)."""
-    kwargs, mode, schedule, sched_kwargs = TICK_CASES[name]
+    kwargs, mode, schedule = TICK_CASES[name]
     if mode == "soft":
         kwargs = dict(kwargs, clamp_hard=False)
     cfg = NetworkConfig(**kwargs)
@@ -120,7 +127,7 @@ def tick_digest(name: str) -> dict:
         }
     reports = hashlib.sha256()
     for t in range(N_TICKS):
-        report = net.tick(clamp, **_tick_overrides(schedule, t), **sched_kwargs)
+        report = net.tick(clamp, **_tick_overrides(schedule, t))
         reports.update(b"%d %d " % (report.network_cycles, report.diverged))
         reports.update(_f32_bytes(report.states) + _f32_bytes(report.errors))
     snap = net.snapshot()
@@ -158,12 +165,6 @@ def test_epoch0_mse(name):
     mse = epoch0_mse(name)
     assert mse.hex() == want["hex"]
     assert f"{mse:.6f}" == want["csv"]
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("name", EXPERIMENTS)
-def test_full_curve_csv(name, tmp_path):
-    assert curve_sha(name, tmp_path) == _golden()["curve_csv_sha256"][name]
 
 
 def _write(path: Path) -> None:

@@ -5,11 +5,11 @@ import threading
 import numpy as np
 import pytest
 
-from pcsub.core import ClampSignal
+from pcsub.core import NO_CLAMP, ClampSignal, core_tick
 from pcsub.errors import ConfigurationError
 from pcsub.network import NetworkConfig, build_network, clamp_layer
 from pcsub.prng import Prng
-from pcsub.scalar32 import activation64
+from pcsub.scalar32 import activation64, apply_activation_vec
 
 F32 = np.float32
 
@@ -171,7 +171,9 @@ def _snapshot_bytes(net) -> list:
     ]
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e39])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), 1e39, -0.01]
+)
 @pytest.mark.parametrize("key", ["alpha", "gamma"])
 def test_bad_step_override_rejected_network_untouched(key, value):
     net = mknet([2, 4, 3], seed=19, alpha=0.01, gamma=0.05)
@@ -197,33 +199,68 @@ def test_snapshot_shapes():
 # ---------------------------------------------------------------------------
 
 
-def _run_ticks(net, n, clamp, reverse=False, threads=1):
+def _run_ticks(net, n, clamp):
     for _ in range(n):
-        net.tick(clamp, reverse_order=reverse, threads=threads)
+        net.tick(clamp)
     return net.snapshot()
+
+
+def _tick_bottom_up_reversed(net, clamp):
+    """One tick that runs the layers bottom-up and the cores of each layer
+    last-to-first, against the same latches, then swaps the buses."""
+    layers = net.layers
+    cfg = net.cfg
+    alpha, gamma = F32(cfg.alpha), F32(cfg.gamma)
+    pre_x = [layer.states() for layer in layers]
+    emitted = {}
+    for s in reversed(range(len(layers))):
+        layer = layers[s]
+        kind = cfg.activations[s - 1] if s else "identity"
+        presyn_f = apply_activation_vec(kind, layer.states_in)
+        signals = clamp.get(s)
+        rows = [None] * layer.size
+        for i in reversed(range(layer.size)):
+            rows[i] = core_tick(
+                layer.cores[i], layer.cfg, alpha, gamma, presyn_f,
+                layer.back_in[:, i], signals[i] if signals else NO_CLAMP,
+                cfg.clamp_hard,
+            )
+        emitted[s] = np.array(rows, dtype=np.float32).reshape(layer.size, -1)
+    for s, layer in enumerate(layers):
+        if s > 0:
+            layer.states_in = pre_x[s - 1]
+        if s < len(layers) - 1:
+            layer.back_in = emitted[s + 1]
 
 
 def test_core_order_does_not_matter():
     clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
     a = _run_ticks(mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 20, clamp)
-    b = _run_ticks(
-        mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 20, clamp, reverse=True
-    )
-    for xa, xb in zip(a.x, b.x):
-        assert xa.tobytes() == xb.tobytes()
-    for ta, tb in zip(a.theta, b.theta):
-        assert ta.tobytes() == tb.tobytes()
+    net = mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1)
+    for _ in range(20):
+        _tick_bottom_up_reversed(net, clamp)
+    b = net.snapshot()
+    for field in ("x", "eps", "theta", "states_in", "back_in"):
+        for fa, fb in zip(getattr(a, field), getattr(b, field)):
+            assert fa.tobytes() == fb.tobytes(), field
 
 
 def test_thread_count_does_not_matter():
+    # tick starts no thread, and a network ticked from another thread
+    # ends with the same bits as one ticked from this one
     clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
-    a = _run_ticks(mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 10, clamp)
     before = threading.active_count()
-    b = _run_ticks(
-        mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 10, clamp, threads=4
+    a = _run_ticks(mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 10, clamp)
+    assert threading.active_count() == before
+    result = {}
+    worker = threading.Thread(
+        target=lambda: result.update(
+            b=_run_ticks(mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 10, clamp)
+        )
     )
-    mknet([2, 4, 3]).tick(clamp, threads=3)
-    assert threading.active_count() == before  # threads starts no thread
+    worker.start()
+    worker.join()
+    b = result["b"]
     for xa, xb in zip(a.x, b.x):
         assert xa.tobytes() == xb.tobytes()
     for ta, tb in zip(a.theta, b.theta):

@@ -101,8 +101,8 @@ def test_random_net_bit_identical_to_simulator():
         net.tick(clamp)
         ds = oracle_tick(ds, clamp)
         assert compare_to_network(net, ds) is None
-    # per-tick step-size overrides, more distinct ones than the network
-    # keeps configs for, interleaved with the built-in step sizes
+    # 16 distinct per-tick step-size overrides, interleaved with the
+    # built-in step sizes
     for t in range(24):
         steps = {} if t % 3 == 0 else {"alpha": 0.001 * t, "gamma": 0.1 - 0.002 * t}
         net.tick(clamp, **steps)

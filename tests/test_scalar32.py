@@ -14,6 +14,7 @@ from pcsub.scalar32 import (
     apply_activation,
     apply_activation_vec,
     fp_mul_add,
+    is_finite_f32,
 )
 
 F32 = np.float32
@@ -129,3 +130,28 @@ def test_vector_forms_match_scalar_bitwise():
         for i, x in enumerate(xs):
             assert va[i].tobytes() == apply_activation(kind, x).tobytes()
             assert vd[i].tobytes() == activation_derivative(kind, x).tobytes()
+
+
+def _numpy_finite_f32(v) -> bool:
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(F32(v)))
+
+
+def test_is_finite_f32_boundary_matches_numpy_rounding():
+    top = float(np.finfo(np.float32).max)
+    limit = 2.0**128 - 2.0**103  # the binary32 rounding midpoint above top
+    values = [
+        0.0, -0.0, 5e-324, 1.0, top, limit, 2.0**128, 1e39, 1e308,
+        math.nextafter(limit, 0.0), math.nextafter(limit, math.inf),
+        math.nextafter(top, math.inf),
+        float("nan"), float("inf"),
+    ]
+    for v in values + [-v for v in values]:
+        assert is_finite_f32(v) == _numpy_finite_f32(v), v
+    assert is_finite_f32(top) and not is_finite_f32(limit)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@settings(max_examples=300)
+def test_is_finite_f32_matches_numpy_rounding(v):
+    assert is_finite_f32(v) == _numpy_finite_f32(v)

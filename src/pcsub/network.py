@@ -116,7 +116,6 @@ class Layer:
     cores: list
     states_in: np.ndarray  # (N,) latched x from the layer above
     back_in: np.ndarray  # (M, n) latched products from the layer below
-    backvec_buf: np.ndarray  # (n, N) products emitted this tick
 
     @property
     def size(self) -> int:
@@ -184,9 +183,9 @@ class Network:
                     cores=cores,
                     states_in=np.zeros(n_presyn, dtype=np.float32),
                     back_in=np.zeros((m_back, n), dtype=np.float32),
-                    backvec_buf=np.zeros((n, n_presyn), dtype=np.float32),
                 )
             )
+        # the cycle model depends on the shape alone, so it is computed once
         self._per_core_cycles = MappingProxyType(per_core_cycles)
         self._network_cycles = max(per_core_cycles.values())
         self._alpha = F32(cfg.alpha)
@@ -218,6 +217,8 @@ class Network:
 
         # start-of-tick states: these are this tick's downward emissions
         pre_x = [layer.states() for layer in layers]
+        # (n, N) products each layer emits upward this tick
+        emitted = []
 
         with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
             for s, layer in enumerate(layers):
@@ -228,10 +229,9 @@ class Network:
                     else layer.states_in
                 )
                 back_in = layer.back_in
-                backvec_buf = layer.backvec_buf
                 signals = clamp.get(s)
-                for i, core in enumerate(layer.cores):
-                    backvec_buf[i] = core_tick(
+                products = [
+                    core_tick(
                         core,
                         cfg,
                         alpha,
@@ -241,6 +241,9 @@ class Network:
                         signals[i] if signals else NO_CLAMP,
                         hard,
                     )
+                    for i, core in enumerate(layer.cores)
+                ]
+                emitted.append(np.array(products, dtype=np.float32))
 
         # atomic bus swap: new latches become visible only after all cores
         # have completed the tick
@@ -248,7 +251,7 @@ class Network:
             if s > 0:
                 layer.states_in = pre_x[s - 1]
             if s < len(layers) - 1:
-                layer.back_in = layers[s + 1].backvec_buf.copy()
+                layer.back_in = emitted[s + 1]
 
         states = [layer.states() for layer in layers]
         errors = [layer.errors() for layer in layers]
@@ -311,7 +314,6 @@ class Network:
                 c.b = F32(0.0)
             layer.states_in = np.zeros_like(layer.states_in)
             layer.back_in = np.zeros_like(layer.back_in)
-            layer.backvec_buf = np.zeros_like(layer.backvec_buf)
 
     def tick_latency(self) -> int:
         """Network tick latency: the slowest core's cycle count."""

@@ -6,8 +6,6 @@ Each test prints one ``[PASS]``/``[FAIL]`` line (visible with ``-s``):
 """
 
 import contextlib
-import hashlib
-import json
 import subprocess
 import sys
 import time
@@ -19,7 +17,6 @@ import pytest
 import pcsub
 from pcsub.cli import main as cli_main
 from pcsub.core import ClampSignal, CoreConfig, core_new, core_tick, tick_cycles
-from pcsub.harness import run_experiment
 from pcsub.network import NetworkConfig, build_network, clamp_layer
 from pcsub.oracle import run_equivalence_suite
 from pcsub.prng import Prng
@@ -28,7 +25,6 @@ from pcsub.scalar32 import apply_activation_vec
 from refimpl import check_state_gradient, check_weight_gradient, reference_bit32
 
 F32 = np.float32
-GOLDEN = Path(__file__).parent / "data" / "golden.json"
 
 
 @contextlib.contextmanager
@@ -139,54 +135,48 @@ def _read_curve(path: Path):
     return [float(line.split(",")[1]) for line in lines[1:]]
 
 
-def _assert_golden_curve(name: str, path: Path) -> None:
-    """The full CSV is byte-identical to the one pinned in golden.json."""
-    want = json.loads(GOLDEN.read_text())["curve_csv_sha256"][name]
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == want, name
-
-
-def test_criterion_5_relu_teacher_student(tmp_path):
+def test_criterion_5_relu_teacher_student(canned_curves):
     with criterion(5, "relu_ts: epoch-25 MSE < 0.05 and >= 90% below epoch 0"):
         t0 = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "pcsub", "experiment", "relu_ts",
-             "--out", str(tmp_path)],
+             "--out", str(canned_curves.out_dir)],
             capture_output=True,
             text=True,
         )
         elapsed = time.perf_counter() - t0
         assert proc.returncode == 0, proc.stderr
-        csv = tmp_path / "relu_ts.csv"
+        csv = canned_curves.out_dir / "relu_ts.csv"
         mse = _read_curve(csv)
         assert len(mse) == 26
         assert mse[25] < 0.05, mse
         assert mse[25] <= 0.1 * mse[0], mse
         assert elapsed < 120.0, f"took {elapsed:.1f}s, budget 120s"
-        _assert_golden_curve("relu_ts", csv)
+        canned_curves.assert_golden("relu_ts")
 
 
-def test_criterion_6_tanh_teacher_student(tmp_path):
+def test_criterion_6_tanh_teacher_student(canned_curves):
     with criterion(6, "tanh_ts: >= 2 orders below post-spike peak by epoch 6"):
-        curve, path = run_experiment("tanh_ts", out_dir=tmp_path)
+        curve, _ = canned_curves.run("tanh_ts")
         m = curve.mse
         assert len(m) == 26
         collapsed = any(m[e] <= max(m[: e + 1]) / 100.0 for e in range(1, 7))
         assert collapsed, m[:7]
         assert m[25] < 0.05, m[25]
-        _assert_golden_curve("tanh_ts", path)
+        canned_curves.assert_golden("tanh_ts")
 
 
-def test_criterion_7_scaling_sweep(tmp_path):
+def test_criterion_7_scaling_sweep(canned_curves):
     with criterion(7, "scaling sweep: >= 50% drop by epoch 1, epoch-25 <= 0.05"):
         floors = {}
         for name in ("scale_small", "scale_medium", "scale_large"):
-            curve, path = run_experiment(name, out_dir=tmp_path)
+            curve, _ = canned_curves.run(name)
             m = curve.mse
             assert not any(curve.diverged), name
             assert m[1] <= 0.5 * m[0], (name, m[0], m[1])
             assert m[25] <= 0.05, (name, m[25])
             assert m[25] < m[0], name
-            _assert_golden_curve(name, path)
+            canned_curves.assert_golden(name)
             floors[name] = m[25]
         # the residual-floor-vs-size trend is reported, not asserted
         print(

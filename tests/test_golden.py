@@ -1,4 +1,4 @@
-"""Golden bits: tick digests and epoch-0 MSEs; the table of curve hashes.
+"""Golden bits: tick digests, epoch-0 MSEs and full-curve CSV hashes.
 
 Every value in ``tests/data/golden.json`` was recorded from the per-core
 engine before any scheduler change and must stay byte-identical through
@@ -11,8 +11,10 @@ per-tick alpha/gamma overrides, ``bias_frozen`` and
 those arguments are gone, and the cases keep their names and digests as
 proof that they never changed a bit.
 
-The sha256 of each canned experiment's full 25-epoch CSV is checked where
-that CSV is produced anyway: acceptance criteria 5, 6 and 7.
+The sha256 of each canned experiment's full 25-epoch CSV is checked on
+the CSV of the session-wide ``canned_curves`` fixture (``conftest.py``),
+which acceptance criteria 5, 6 and 7 also read, so in a full run each
+curve is computed once.
 
 Regenerate (only when a change is meant to alter the bits, and say so):
 
@@ -165,6 +167,11 @@ def test_epoch0_mse(name):
     mse = epoch0_mse(name)
     assert mse.hex() == want["hex"]
     assert f"{mse:.6f}" == want["csv"]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_full_curve_csv(name, canned_curves):
+    canned_curves.assert_golden(name)
 
 
 def _write(path: Path) -> None:

@@ -1,15 +1,19 @@
 """Network composition, tick scheduling, buses, energy, determinism."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsub.core import NO_CLAMP, ClampSignal, core_tick
 from pcsub.errors import ConfigurationError
 from pcsub.network import NetworkConfig, build_network, clamp_layer
+from pcsub.oracle import DenseState, oracle_tick
 from pcsub.prng import Prng
-from pcsub.scalar32 import activation64, apply_activation_vec
+from pcsub.scalar32 import ACTIVATION_KINDS, activation64, apply_activation_vec
 
 F32 = np.float32
 
@@ -192,6 +196,111 @@ def test_snapshot_shapes():
     snap = net.snapshot()
     assert [w.shape for w in snap.theta] == [(4, 1), (6, 5), (2, 7)]
     assert [x.shape for x in snap.x] == [(4,), (6,), (2,)]
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the dense bit32 oracle
+# ---------------------------------------------------------------------------
+
+# NaN, infinities, binary32 overflow, the smallest subnormal and -0.0
+SPECIAL_OBS = (float("nan"), float("inf"), -float("inf"), 1e39, 1e-45, -0.0)
+STEP_CORNERS = (0.0, 1e-40, 0.01, 0.5)
+
+
+def _same_bits_but_nan_payload(a, b) -> bool:
+    """NaN at the same places and every other element byte-identical.
+
+    NaN sign and payload are left out: numpy's scalar ``+`` (the per-core
+    engine) returns the second of two NaN operands and its array add (the
+    oracle) the first, so a sum of two differently signed NaNs differs.
+    """
+    a, b = np.asarray(a, np.float32), np.asarray(b, np.float32)
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan_a, nan_b)
+        and a[~nan_a].tobytes() == b[~nan_b].tobytes()
+    )
+
+
+def _assert_matches_oracle(net, state, where) -> None:
+    """x, eps, theta and both latches equal the oracle's bit for bit,
+    NaN payloads aside."""
+    snap = net.snapshot()
+    for field in ("x", "eps", "theta", "states_in", "back_in"):
+        for s, (a, b) in enumerate(zip(getattr(snap, field), getattr(state, field))):
+            assert _same_bits_but_nan_payload(a, b), (where, field, s)
+
+
+@pytest.mark.parametrize("clamp_hard", [True, False], ids=["hard", "soft"])
+def test_special_clamp_observations_match_oracle(clamp_hard):
+    # every observation is read inside the tick; a binary32 conversion that
+    # runs outside the tick's errstate raises here instead of warning
+    net = mknet(
+        [3, 4, 3],
+        seed=17,
+        activations=["tanh", "relu", "tanh"],
+        alpha=0.01,
+        gamma=0.05,
+        clamp_hard=clamp_hard,
+    )
+    state = DenseState.from_network(net)
+    k = len(SPECIAL_OBS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in range(2 * k):
+            # rotate the specials over the boundary neurons; a disabled
+            # signal carries one too and must never be read
+            clamp = {
+                0: [ClampSignal(i != 1 or t % 2 == 0, SPECIAL_OBS[(t + i) % k])
+                    for i in range(3)],
+                2: [ClampSignal(True, SPECIAL_OBS[(t + i + 3) % k])
+                    for i in range(3)],
+            }
+            net.tick(clamp)
+            state = oracle_tick(state, clamp, mode="bit32")
+            _assert_matches_oracle(net, state, t)
+
+
+_obs = st.one_of(
+    st.sampled_from(SPECIAL_OBS), st.floats(-2.0, 2.0, allow_subnormal=True)
+)
+
+
+@st.composite
+def _tick_cases(draw):
+    depth = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=depth, max_size=depth))
+    acts = draw(
+        st.lists(st.sampled_from(ACTIVATION_KINDS), min_size=depth, max_size=depth)
+    )
+    cfg = NetworkConfig(
+        layer_sizes=sizes,
+        activations=acts,
+        alpha=draw(st.sampled_from(STEP_CORNERS)),
+        gamma=draw(st.sampled_from(STEP_CORNERS)),
+        clamp_hard=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    clamp = {}
+    for s, n in enumerate(sizes):
+        if draw(st.booleans()):
+            clamp[s] = [ClampSignal(draw(st.booleans()), draw(_obs)) for _ in range(n)]
+    return cfg, clamp, draw(st.integers(1, 6))
+
+
+@given(case=_tick_cases())
+@settings(max_examples=300, deadline=None)
+def test_tick_matches_oracle_property(case):
+    cfg, clamp, n_ticks = case
+    net = build_network(cfg)
+    state = DenseState.from_network(net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in range(n_ticks):
+            net.tick(clamp)
+            state = oracle_tick(state, clamp, mode="bit32")
+            _assert_matches_oracle(net, state, t)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def save_checkpoint(net: Network, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for layer in net.layers:
-            fh.write(layer.weights().astype("<f4").tobytes())
+            fh.write(layer.theta.astype("<f4").tobytes())
         for layer in net.layers:
             fh.write(layer.states().astype("<f4").tobytes())
 
@@ -84,8 +84,7 @@ def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
     for s, layer in enumerate(net.layers):
         w = payload[pos : pos + sizes[s] * lanes[s]].reshape(sizes[s], lanes[s])
         pos += sizes[s] * lanes[s]
-        for i, core in enumerate(layer.cores):
-            core.theta[:] = w[i]
+        layer.theta[:] = w  # in place: the cores' rows stay views of it
     for s, layer in enumerate(net.layers):
         xs = payload[pos : pos + sizes[s]]
         pos += sizes[s]

@@ -8,8 +8,11 @@ entirely on locally stored values plus the inputs it is handed for the
 tick: the step sizes alpha and gamma (supplied from outside, like the
 start pulse), f(presyn) of the latched upper-layer states, the latched
 back column from the layer below, and its clamp signal. All arithmetic
-is binary32 (see ``scalar32``). Operation order is pinned so an
-independent reference can match bit-for-bit:
+is binary32 (see ``scalar32``). Every stage operand is already binary32:
+a value is rounded once, where it enters the datapath (``core_new``, the
+tick's read of a clamp observation, the step-size rule) or where a stage
+produces it, and never again where it is read. Operation order is pinned
+so an independent reference can match bit-for-bit:
 
   PRED    mu = sum_j theta[j]*f(presyn[j]) + theta[N]*1, accumulated in
           ascending j from acc=0, bias lane last, one MAC per lane.
@@ -33,6 +36,9 @@ Cycle cost per tick is 3N + M + 4 (N presyn lanes, M back inputs): N+1
 for PRED, 1 for ERR, M for BACKSUM, N for BACKVEC, N+1 for WUP, 1 for
 STATE. A topmost boundary core (no upper layer) drops PRED and WUP
 entirely, leaving M + 2. The count depends on the shape alone.
+
+Inside a network, ``CoreState.theta`` is a row view of its layer's
+(n, N+1) weight matrix, so WUP writes land in that matrix directly.
 """
 
 from __future__ import annotations
@@ -82,7 +88,11 @@ class CoreConfig:
 
 @dataclass
 class CoreState:
-    """Mutable local storage: activity, error, weights (bias last), b."""
+    """Mutable local storage: activity, error, weights (bias last), b.
+
+    Every field holds binary32 values. In a ``Network`` the weights are
+    row i of the layer's weight matrix, shared, not copied.
+    """
 
     x: np.float32
     eps: np.float32
@@ -134,14 +144,16 @@ def stage_pred(state: CoreState, presyn_f) -> np.float32:
 
 
 def stage_err(state: CoreState, x_eff, mu) -> np.float32:
-    state.eps = F32(x_eff) - F32(mu)
+    """eps = x_eff - mu on binary32 operands (one rounding)."""
+    state.eps = x_eff - mu
     return state.eps
 
 
 def stage_backsum(state: CoreState, back) -> np.float32:
+    """b = sum of the M back products, ascending k from +0.0."""
     acc = _ZERO
-    for v in back:
-        acc = acc + F32(v)
+    for v in np.asarray(back, dtype=np.float32):
+        acc = acc + v
     state.b = acc
     return acc
 
@@ -171,9 +183,10 @@ def stage_state(
     state: CoreState, x_eff, clamp: ClampSignal, clamp_hard: bool, gamma,
     cfg: CoreConfig,
 ) -> None:
-    """Explicit Euler state step, or stored-state overwrite on hard clamp."""
+    """Explicit Euler state step, or stored-state overwrite on hard clamp
+    (``x_eff`` is then the tick's rounded observation)."""
     if clamp_hard and clamp.x_set_en:
-        state.x = F32(clamp.x_obs)
+        state.x = x_eff
         return
     if gamma == _ZERO:
         return
@@ -197,7 +210,9 @@ def core_tick(
     ``alpha`` and ``gamma`` are the tick's binary32 step sizes,
     ``presyn_f`` holds f(presyn) of the N latched upper-layer states
     (a pure per-lane function, computed once per layer) and ``back`` the
-    M latched products from the layer below.
+    M latched products from the layer below. The clamp observation is the
+    one value rounded to binary32 here; the caller runs the tick under
+    ``np.errstate`` so that an overflowing observation becomes inf quietly.
     """
     x_eff = F32(clamp.x_obs) if clamp.x_set_en else state.x
     mu = stage_pred(state, presyn_f) if cfg.has_upper else _ZERO

@@ -15,6 +15,11 @@ an atomic bus swap. Because all cross-core reads hit latches, the order
 in which cores execute cannot change a bit. ``Network.tick`` runs every
 core once, layer by layer, in the calling thread.
 
+Each layer owns its weights as one (n, N+1) binary32 matrix, bias column
+last; core i's ``theta`` is row i of it, a view. Weight reads and writes
+outside the tick (``weights``, ``snapshot``, checkpoints, ``energy``) are
+one array operation per layer.
+
 Weights are initialized i.i.d. uniform in [-init_scale, +init_scale] from
 a SplitMix64 stream seeded with ``seed``: draws proceed layer-major (top
 to bottom), core-major within a layer, lane index ascending with the bias
@@ -33,8 +38,8 @@ import numpy as np
 from .core import (
     ClampSignal,
     CoreConfig,
+    CoreState,
     NO_CLAMP,
-    core_new,
     core_tick,
     tick_cycles,
 )
@@ -49,6 +54,8 @@ from .scalar32 import (
 )
 
 ClampMap = dict[int, Sequence[ClampSignal]]
+
+_ZERO = F32(0.0)
 
 
 def layer_wiring(layer_sizes) -> list:
@@ -110,9 +117,11 @@ class NetworkConfig:
 
 @dataclass
 class Layer:
-    """One layer: shared core config, core states, latched input buses."""
+    """One layer: shared core config, weight matrix, core states, latched
+    input buses."""
 
     cfg: CoreConfig
+    theta: np.ndarray  # (n, N+1) weights, bias column last; row i is cores[i].theta
     cores: list
     states_in: np.ndarray  # (N,) latched x from the layer above
     back_in: np.ndarray  # (M, n) latched products from the layer below
@@ -123,7 +132,7 @@ class Layer:
 
     def weights(self) -> np.ndarray:
         """(n, N+1) copy of the layer's weight matrix, bias column last."""
-        return np.stack([c.theta for c in self.cores])
+        return self.theta.copy()
 
     def states(self) -> np.ndarray:
         return np.array([c.x for c in self.cores], dtype=np.float32)
@@ -137,8 +146,8 @@ class TickReport:
     network_cycles: int  # max over cores; the tick's done latency
     per_core_cycles: Mapping  # read-only (layer, index) -> cycles
     diverged: bool  # any non-finite state or error after the tick
-    states: list  # post-tick x per layer (copies)
-    errors: list  # post-tick eps per layer (copies)
+    states: list  # post-tick x per layer (this report's own arrays)
+    errors: list  # post-tick eps per layer (this report's own arrays)
 
 
 @dataclass
@@ -173,14 +182,13 @@ class Network:
                 bias_frozen=cfg.bias_frozen,
                 has_upper=s > 0,
             )
-            cores = []
-            for _ in range(n):
-                weights = rng.fill_uniform(n_presyn + 1, -scale, scale)
-                cores.append(core_new(core_cfg, weights, 0.0))
+            # core-major, lane ascending: the PRNG stream order
+            theta = rng.fill_uniform((n, n_presyn + 1), -scale, scale)
             self.layers.append(
                 Layer(
                     cfg=core_cfg,
-                    cores=cores,
+                    theta=theta,
+                    cores=[CoreState(x=_ZERO, eps=_ZERO, theta=row) for row in theta],
                     states_in=np.zeros(n_presyn, dtype=np.float32),
                     back_in=np.zeros((m_back, n), dtype=np.float32),
                 )
@@ -217,8 +225,9 @@ class Network:
 
         # start-of-tick states: these are this tick's downward emissions
         pre_x = [layer.states() for layer in layers]
-        # (n, N) products each layer emits upward this tick
-        emitted = []
+        # this tick's fresh per-layer arrays: post-tick x and eps, and the
+        # (n, N) products each layer emits upward
+        states, errors, emitted = [], [], []
 
         with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
             for s, layer in enumerate(layers):
@@ -230,8 +239,11 @@ class Network:
                 )
                 back_in = layer.back_in
                 signals = clamp.get(s)
-                products = [
-                    core_tick(
+                x = np.empty(layer.size, dtype=np.float32)
+                eps = np.empty(layer.size, dtype=np.float32)
+                products = np.empty(layer.theta[:, :-1].shape, dtype=np.float32)
+                for i, core in enumerate(layer.cores):
+                    products[i] = core_tick(
                         core,
                         cfg,
                         alpha,
@@ -241,9 +253,11 @@ class Network:
                         signals[i] if signals else NO_CLAMP,
                         hard,
                     )
-                    for i, core in enumerate(layer.cores)
-                ]
-                emitted.append(np.array(products, dtype=np.float32))
+                    x[i] = core.x
+                    eps[i] = core.eps
+                states.append(x)
+                errors.append(eps)
+                emitted.append(products)
 
         # atomic bus swap: new latches become visible only after all cores
         # have completed the tick
@@ -253,8 +267,6 @@ class Network:
             if s < len(layers) - 1:
                 layer.back_in = emitted[s + 1]
 
-        states = [layer.states() for layer in layers]
-        errors = [layer.errors() for layer in layers]
         return TickReport(
             network_cycles=self._network_cycles,
             per_core_cycles=self._per_core_cycles,
@@ -299,7 +311,7 @@ class Network:
             upper = self.layers[s - 1]
             kind = self.cfg.activations[s - 1]
             fx = np.array([activation64(kind, float(v)) for v in upper.states()])
-            w = layer.weights().astype(np.float64)
+            w = layer.theta.astype(np.float64)
             mu = w[:, :-1] @ fx + w[:, -1]
             d = layer.states().astype(np.float64) - mu
             total += float(d @ d)
@@ -309,9 +321,9 @@ class Network:
         """Zero all activities, errors, and latched buses; weights kept."""
         for layer in self.layers:
             for c in layer.cores:
-                c.x = F32(0.0)
-                c.eps = F32(0.0)
-                c.b = F32(0.0)
+                c.x = _ZERO
+                c.eps = _ZERO
+                c.b = _ZERO
             layer.states_in = np.zeros_like(layer.states_in)
             layer.back_in = np.zeros_like(layer.back_in)
 

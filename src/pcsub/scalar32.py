@@ -2,8 +2,11 @@
 
 All datapath values are IEEE-754 binary32 (``np.float32``) with
 round-to-nearest-even, which numpy guarantees for same-dtype operands.
-Every arithmetic result is rounded to binary32 before reuse; NaN/Inf
-propagate and are detected downstream, never masked here.
+Every arithmetic result is rounded to binary32 where it is produced;
+NaN/Inf propagate and are detected downstream, never masked here. A value
+is rounded once, when it enters the datapath or is computed, and not
+again where it is read: re-rounding a binary32 value cannot change a bit,
+it only costs a conversion call.
 
 The MAC uses two roundings (multiply rounded, then add rounded) rather
 than a fused single rounding, so the same sequence is reproducible in
@@ -63,8 +66,11 @@ def activation_derivative(kind: str, x) -> np.float32:
 
     relu uses the subgradient 0 at exactly x == 0 (fixed for determinism);
     tanh computes 1 - tanh(x)^2 in binary64 with a single final rounding.
+    A binary32 ``x`` (every datapath operand) is used as is; anything else
+    is rounded to binary32 first.
     """
-    x = F32(x)
+    if type(x) is not F32:
+        x = F32(x)
     if kind == IDENTITY:
         return _ONE
     if kind == RELU:
@@ -106,8 +112,9 @@ def apply_activation_vec(kind: str, x: np.ndarray) -> np.ndarray:
     if kind == RELU:
         return np.maximum(x, _ZERO)
     if kind == TANH:
-        # scalar math.tanh per element: immune to SIMD libm divergence
-        return np.array([F32(math.tanh(float(v))) for v in x], dtype=np.float32)
+        # scalar math.tanh per element: immune to SIMD libm divergence; the
+        # binary64 results are rounded to binary32 once, by np.array
+        return np.array([math.tanh(v) for v in x.tolist()], dtype=np.float32)
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 

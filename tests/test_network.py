@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.core import NO_CLAMP, ClampSignal, core_tick
 from pcsub.errors import ConfigurationError
 from pcsub.network import NetworkConfig, build_network, clamp_layer
@@ -188,6 +189,68 @@ def test_bad_step_override_rejected_network_untouched(key, value):
     with pytest.raises(ConfigurationError, match=key):
         net.tick(clamp, **{key: value})
     assert _snapshot_bytes(net) == before
+
+
+def test_report_arrays_do_not_alias_the_network():
+    # a report's arrays are its own: writing into them changes neither the
+    # network nor a later report, and each report keeps its own tick
+    clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
+    nets = [mknet([2, 4, 3], seed=23, alpha=0.01, gamma=0.1) for _ in range(2)]
+    for _ in range(3):
+        for net in nets:
+            net.tick(clamp)
+    mutated, twin = nets
+    report = mutated.tick(clamp)
+    twin.tick(clamp)
+    for s in range(len(report.states)):
+        report.states[s][:] = F32(7.0)
+        report.errors[s][:] = F32(-7.0)
+    assert _snapshot_bytes(mutated) == _snapshot_bytes(twin)
+    got, want = mutated.tick(clamp), twin.tick(clamp)
+    assert _snapshot_bytes(mutated) == _snapshot_bytes(twin)
+    assert [a.tobytes() for a in got.states + got.errors] == [
+        a.tobytes() for a in want.states + want.errors
+    ]
+
+    first = twin.tick(clamp)
+    first_snap = twin.snapshot()
+    second = twin.tick(clamp)
+    second_snap = twin.snapshot()
+    for report, snap in ((first, first_snap), (second, second_snap)):
+        for s in range(len(snap.x)):
+            assert report.states[s].tobytes() == snap.x[s].tobytes()
+            assert report.errors[s].tobytes() == snap.eps[s].tobytes()
+    assert any(
+        a.tobytes() != b.tobytes() for a, b in zip(first.states, second.states)
+    )
+
+
+def test_cores_share_the_layer_weight_matrix(tmp_path):
+    cfg = NetworkConfig(layer_sizes=(2, 4, 3), seed=29, alpha=0.01, gamma=0.1)
+    built = build_network(cfg)
+    save_checkpoint(built, tmp_path / "built.ckpt")
+    loaded = load_checkpoint(tmp_path / "built.ckpt", cfg)
+    for name, net in (("built", built), ("loaded", loaded)):
+        net.tick({0: clamp_layer([0.3, -0.6])})
+        for layer in net.layers:
+            for core in layer.cores:
+                assert np.shares_memory(layer.theta, core.theta)
+        # a write through one core's theta shows in every layer-level view
+        core = net.layers[2].cores[1]
+        core.theta[3] = F32(0.125)
+        assert net.layers[2].weights()[1, 3] == F32(0.125)
+        assert net.snapshot().theta[2][1, 3] == F32(0.125)
+        path = tmp_path / f"{name}.written.ckpt"
+        save_checkpoint(net, path)
+        blob = path.read_bytes()
+        payload = np.frombuffer(blob, dtype="<f4", offset=blob.index(b"\n") + 1)
+        # weights are stored layer-major, row-major: layers 0 and 1 first
+        offset = sum(layer.theta.size for layer in net.layers[:2]) + 1 * 5 + 3
+        assert payload[offset] == F32(0.125)
+        stored = payload[: sum(layer.theta.size for layer in net.layers)]
+        assert stored.tobytes() == b"".join(
+            layer.theta.astype("<f4").tobytes() for layer in net.layers
+        )
 
 
 def test_snapshot_shapes():

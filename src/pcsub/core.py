@@ -211,8 +211,9 @@ def core_tick(
     ``presyn_f`` holds f(presyn) of the N latched upper-layer states
     (a pure per-lane function, computed once per layer) and ``back`` the
     M latched products from the layer below. The clamp observation is the
-    one value rounded to binary32 here; the caller runs the tick under
-    ``np.errstate`` so that an overflowing observation becomes inf quietly.
+    one value rounded to binary32 here; ``Network.tick`` runs this under
+    ``np.errstate``, so an observation past the binary32 range becomes inf
+    without a warning.
     """
     x_eff = F32(clamp.x_obs) if clamp.x_set_en else state.x
     mu = stage_pred(state, presyn_f) if cfg.has_upper else _ZERO

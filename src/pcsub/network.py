@@ -241,7 +241,7 @@ class Network:
                 signals = clamp.get(s)
                 x = np.empty(layer.size, dtype=np.float32)
                 eps = np.empty(layer.size, dtype=np.float32)
-                products = np.empty(layer.theta[:, :-1].shape, dtype=np.float32)
+                products = np.empty((layer.size, cfg.n_presyn), dtype=np.float32)
                 for i, core in enumerate(layer.cores):
                     products[i] = core_tick(
                         core,

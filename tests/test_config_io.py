@@ -1,6 +1,7 @@
 """PRNG golden vectors, config parsing, checkpoint round trips."""
 
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -234,3 +235,23 @@ def test_checkpoint_header_contents(tmp_path):
     save_checkpoint(net, path)
     header = path.read_bytes().split(b"\n", 1)[0]
     assert header == b"PCSUB1 2 2 4 3"
+
+
+@pytest.mark.parametrize("with_cfg", [False, True], ids=["no_cfg", "cfg"])
+def test_checkpoint_huge_header_rejected_before_allocation(tmp_path, with_cfg):
+    # 8e18 claimed bytes of payload: the size check must refuse the file
+    # before anything of that size is built
+    sizes = [1_000_000_000, 1_000_000_000, 1]
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(b"PCSUB1 2 1000000000 1000000000 1\n" + b"\x00" * 4)
+    cfg = NetworkConfig(layer_sizes=sizes) if with_cfg else None
+    expected = 4 * (sizes[0] + sizes[1] * (sizes[0] + 1) + sizes[2] * (sizes[1] + 1) + sum(sizes))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"expected {expected}" in str(exc.value)
+    assert peak < 1_000_000

@@ -366,6 +366,30 @@ def test_tick_matches_oracle_property(case):
             _assert_matches_oracle(net, state, t)
 
 
+def test_wide_net_matches_oracle_bytes():
+    # widths past the 8-lane point where a pairwise sum would change bits
+    net = mknet(
+        [64, 128, 64],
+        seed=5,
+        activations=["identity", "tanh", "identity"],
+        alpha=0.01,
+        gamma=0.05,
+    )
+    rng = Prng(77)
+    clamp = {
+        0: clamp_layer([rng.uniform(-1, 1) for _ in range(64)]),
+        2: clamp_layer([rng.uniform(-1, 1) for _ in range(64)]),
+    }
+    state = DenseState.from_network(net)
+    for t, alpha in enumerate([0.0] * 4 + [0.01] * 4):
+        net.tick(clamp, alpha=alpha)
+        state = oracle_tick(state, clamp, mode="bit32", alpha=alpha)
+        snap = net.snapshot()
+        for field in ("x", "eps", "theta", "states_in", "back_in"):
+            for s, (a, b) in enumerate(zip(getattr(snap, field), getattr(state, field))):
+                assert a.tobytes() == b.tobytes(), (t, field, s)
+
+
 # ---------------------------------------------------------------------------
 # schedule independence
 # ---------------------------------------------------------------------------

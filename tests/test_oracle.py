@@ -137,3 +137,65 @@ def test_f64_tracks_bit32_within_drift_bound():
             assert np.allclose(ds32.x[s], ds64.x[s], atol=1e-4)
             assert np.allclose(ds32.theta[s], ds64.theta[s], atol=1e-4)
             assert np.allclose(ds32.eps[s], ds64.eps[s], atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# lane order of the ordered sums
+# ---------------------------------------------------------------------------
+
+# Sequential binary32 addition absorbs every 1 into 2**24; a pairwise sum
+# (np.sum, np.add.reduce) adds the ones to each other first and ends higher.
+ABSORBING = [2.0**24] + [1.0] * 15
+
+
+def _ascending(values):
+    """Test-side sequential binary32 sum from +0.0, ascending lanes."""
+    acc = F32(0.0)
+    for v in np.asarray(values, np.float32):
+        acc = acc + v
+    return acc
+
+
+def _lane_state(sizes=(16, 1, 16)):
+    """Identity net whose layer 1 has one core with 16 presyn lanes and 16
+    back inputs, stored x = -0.0 and gamma = 1."""
+    ds = dense_zeros(sizes, gamma=F32(1.0), clamp_hard=False)
+    ds.x[1][0] = F32(-0.0)
+    return ds
+
+
+def _oracle_mu(lane_products, bias):
+    """mu of the layer-1 core, read back as -eps with x_eff = -0.0 (exact)."""
+    ds = _lane_state()
+    ds.theta[1][0, :16] = 1.0
+    ds.theta[1][0, 16] = bias
+    ds.states_in[1][:] = lane_products
+    return -oracle_tick(ds).eps[1][0]
+
+
+def _oracle_b(back_products):
+    """b of the layer-1 core: with zero weights and a soft clamp at +0.0,
+    eps = +0.0 and the stepped x is -0.0 + 1*(1*b - 0) = b, sign included."""
+    ds = _lane_state()
+    ds.back_in[1][:, 0] = back_products
+    return oracle_tick(ds, {1: clamp_layer([0.0])}).x[1][0]
+
+
+def test_oracle_sums_lanes_in_ascending_order():
+    products = np.array(ABSORBING, np.float32)
+    assert np.sum(products) != _ascending(products)  # the order is visible
+    mu = _oracle_mu(products, 0.0)
+    assert mu.tobytes() == (F32(0.0) * F32(1.0) + _ascending(products)).tobytes()
+    assert mu == F32(2.0**24)
+    b = _oracle_b(products)
+    assert b.tobytes() == _ascending(products).tobytes()
+    assert b == F32(2.0**24)
+
+
+def test_oracle_sums_start_from_positive_zero():
+    # -0.0 + -0.0 stays -0.0; only the +0.0 seed makes these sums +0.0
+    neg = np.full(16, -0.0, np.float32)
+    mu = _oracle_mu(neg, -0.0)
+    assert mu.tobytes() == F32(0.0).tobytes()
+    b = _oracle_b(neg)
+    assert b.tobytes() == F32(0.0).tobytes()

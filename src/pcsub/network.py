@@ -304,17 +304,19 @@ class Network:
 
     def energy(self) -> float:
         """Sum of squared prediction errors, recomputed densely in binary64
-        from the current states and weights (diagnostic only)."""
+        from the current states and weights (diagnostic only). A NaN or
+        infinite state or weight gives a non-finite energy, not a warning."""
         total = 0.0
-        for s in range(1, len(self.layers)):
-            layer = self.layers[s]
-            upper = self.layers[s - 1]
-            kind = self.cfg.activations[s - 1]
-            fx = np.array([activation64(kind, float(v)) for v in upper.states()])
-            w = layer.theta.astype(np.float64)
-            mu = w[:, :-1] @ fx + w[:, -1]
-            d = layer.states().astype(np.float64) - mu
-            total += float(d @ d)
+        with np.errstate(all="ignore"):
+            for s in range(1, len(self.layers)):
+                layer = self.layers[s]
+                upper = self.layers[s - 1]
+                kind = self.cfg.activations[s - 1]
+                fx = np.array([activation64(kind, float(v)) for v in upper.states()])
+                w = layer.theta.astype(np.float64)
+                mu = w[:, :-1] @ fx + w[:, -1]
+                d = layer.states().astype(np.float64) - mu
+                total += float(d @ d)
         return total
 
     def reset_states(self) -> None:

@@ -501,6 +501,16 @@ def test_energy_matches_dense_reference():
     assert got == pytest.approx(ref, rel=1e-12)
 
 
+def test_energy_of_diverged_network_is_non_finite_without_warning():
+    # the inf weight meets a zero state (inf * 0) in the binary64 matmul;
+    # pytest.ini turns a RuntimeWarning into an error, so a warning would
+    # fail this test
+    net = mknet([2, 3, 2], seed=6)
+    net.layers[1].cores[0].x = F32("nan")
+    net.layers[1].theta[0, 1] = F32("inf")
+    assert not np.isfinite(net.energy())
+
+
 def test_energy_descends_when_clamped_alpha_zero():
     # identity activations, both boundaries hard clamped, alpha=0,
     # gamma=0.01: energy after each tick is non-increasing over 200 ticks

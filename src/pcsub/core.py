@@ -28,9 +28,16 @@ so an independent reference can match bit-for-bit:
           hard clamping the stored x is overwritten with x_obs instead.
           gamma == 0 leaves x bit-identical (same no-op rule as WUP).
 
+Only PRED and BACKSUM have a lane order, so only they loop over lanes:
+one scalar MAC or add per lane, ascending, which is the sequential
+datapath itself. BACKVEC and WUP touch each lane independently and are
+one binary32 array operation each, with the same roundings per lane
+(WUP: multiply rounded, then add rounded).
+
 ``core_tick`` returns the BACKVEC products; the state the core emits
 downward is the x it held at the start of the tick, which the network
-latches before ticking.
+latches before ticking. A top core (no upper layer, N = 0) runs no PRED,
+BACKVEC or WUP and emits no products.
 
 Cycle cost per tick is 3N + M + 4 (N presyn lanes, M back inputs): N+1
 for PRED, 1 for ERR, M for BACKSUM, N for BACKVEC, N+1 for WUP, 1 for
@@ -56,6 +63,8 @@ from .scalar32 import (
 
 _ZERO = F32(0.0)
 _ONE = F32(1.0)
+_NO_PRODUCTS = np.empty(0, dtype=np.float32)  # what a top core emits
+_NO_PRODUCTS.flags.writeable = False
 
 
 @dataclass
@@ -172,8 +181,8 @@ def stage_wup(state: CoreState, presyn_f, alpha, cfg: CoreConfig) -> None:
     eps = state.eps
     n = theta.shape[0] - 1
     coeff = alpha * eps
-    for j in range(n):
-        theta[j] = coeff * presyn_f[j] + theta[j]
+    # lanes are independent: one array MAC, still two roundings per lane
+    theta[:n] = coeff * presyn_f + theta[:n]
     if not cfg.bias_frozen:
         coeff_b = (alpha * cfg.alpha_bias_scale) * eps
         theta[n] = coeff_b * _ONE + theta[n]
@@ -216,11 +225,12 @@ def core_tick(
     without a warning.
     """
     x_eff = F32(clamp.x_obs) if clamp.x_set_en else state.x
-    mu = stage_pred(state, presyn_f) if cfg.has_upper else _ZERO
+    top = not cfg.has_upper  # a top core runs no PRED, BACKVEC or WUP
+    mu = _ZERO if top else stage_pred(state, presyn_f)
     stage_err(state, x_eff, mu)
     stage_backsum(state, back)
-    backvec = stage_backvec(state)
-    if cfg.has_upper:
+    backvec = _NO_PRODUCTS if top else stage_backvec(state)
+    if not top:
         stage_wup(state, presyn_f, alpha, cfg)
     stage_state(state, x_eff, clamp, clamp_hard, gamma, cfg)
     return backvec

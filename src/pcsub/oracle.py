@@ -3,9 +3,15 @@
 Two modes:
 
 * ``bit32`` replicates the core datapath's exact accumulation order with
-  elementwise binary32 numpy operations (vectorized over the cores of a
-  layer, sequential over lanes), so its results must match the core-level
-  simulator bit for bit.
+  binary32 numpy array operations over whole layers, with no Python loop
+  over lanes. The two ordered sums (PRED's mu and BACKSUM's b) are
+  prefix sums, ``np.add.accumulate`` from a +0.0 seed on lane 0: lanes
+  ascending, one rounding per add. They are never ``np.sum`` or
+  ``np.add.reduce``, whose pairwise order changes bits from 8 lanes on.
+  Its results match the core-level simulator bit for bit, up to NaN sign
+  and payload: numpy's scalar and array operations pick different
+  operands when both are NaN, so tests compare NaN positions, not NaN
+  bytes.
 * ``f64`` evaluates the same update in binary64 throughout (dense dot
   products); it bounds the simulator's rounding drift rather than its
   bit pattern.
@@ -88,14 +94,15 @@ class DenseState:
 
 
 def _clamp_arrays(state: DenseState, clamp: Optional[ClampMap], s: int):
-    n = state.layer_sizes[s]
+    """(enable mask, binary32 observations) of layer s, or (None, None)
+    when the layer has no clamp."""
     if clamp is None or s not in clamp:
-        return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.float32)
+        return None, None
     signals = clamp[s]
-    if len(signals) != n:
+    if len(signals) != state.layer_sizes[s]:
         raise ConfigurationError(f"layer {s}: clamp length mismatch")
     en = np.array([sig.x_set_en for sig in signals], dtype=bool)
-    obs = np.array([F32(sig.x_obs) for sig in signals], dtype=np.float32)
+    obs = np.array([sig.x_obs for sig in signals], dtype=np.float32)
     return en, obs
 
 
@@ -117,6 +124,20 @@ def oracle_tick(
         return _tick_f64(state, clamp, av, gv)
 
 
+def _ascending_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of ``terms`` along ``axis``: lanes added in ascending order from
+    a +0.0 seed, one binary32 rounding per add, like the core's sequential
+    accumulator. ``terms`` must be a fresh array; it is overwritten.
+
+    ``np.add.accumulate`` adds in lane order; ``np.sum``/``np.add.reduce``
+    would sum pairwise, which changes bits from 8 lanes on.
+    """
+    seed_lane = terms[:, 0] if axis == 1 else terms[0]
+    seed_lane += _ZERO  # acc starts at +0.0, so all -0.0 lanes sum to +0.0
+    np.add.accumulate(terms, axis=axis, out=terms)
+    return terms[:, -1] if axis == 1 else terms[-1]
+
+
 def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
     sizes = state.layer_sizes
     last = len(sizes) - 1
@@ -125,49 +146,40 @@ def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
     for s, n in enumerate(sizes):
         x = state.x[s]
         theta = state.theta[s]
+        back = state.back_in[s]
         en, obs = _clamp_arrays(state, clamp, s)
-        x_eff = np.where(en, obs, x)
+        x_eff = x if en is None else np.where(en, obs, x)
 
         if s == 0:
             mu = np.zeros(n, dtype=np.float32)
-            fpre = None
         else:
-            n_pre = sizes[s - 1]
             fpre = apply_activation_vec(state.activations[s - 1], state.states_in[s])
-            acc = np.zeros(n, dtype=np.float32)
-            for j in range(n_pre):
-                acc = theta[:, j] * fpre[j] + acc
-            mu = theta[:, n_pre] * _ONE + acc
+            acc = _ascending_sum(theta[:, :-1] * fpre, axis=1)
+            mu = theta[:, -1] * _ONE + acc
 
         eps = x_eff - mu
 
-        b = np.zeros(n, dtype=np.float32)
-        for k in range(state.back_in[s].shape[0]):
-            b = b + state.back_in[s][k, :]
+        b = _ascending_sum(back.copy(), axis=0) if back.shape[0] else np.zeros(n, np.float32)
 
-        backvec = theta[:, :-1] * eps[:, None] if s > 0 else theta[:, :0].copy()
+        backvec = theta[:, :-1] * eps[:, None]
 
+        th = theta.copy()
         if s > 0 and alpha != _ZERO:
-            th = theta.copy()
-            coeff = alpha * eps
-            n_pre = sizes[s - 1]
-            for j in range(n_pre):
-                th[:, j] = coeff * fpre[j] + th[:, j]
+            th[:, :-1] = (alpha * eps)[:, None] * fpre + th[:, :-1]
             if not state.bias_frozen:
                 coeff_b = (alpha * state.alpha_bias_scale) * eps
-                th[:, n_pre] = coeff_b * _ONE + th[:, n_pre]
-        else:
-            th = theta.copy()
+                th[:, -1] = coeff_b * _ONE + th[:, -1]
 
         if gamma == _ZERO:
-            stepped = x
+            xn = x.copy()
         else:
             fprime = activation_derivative_vec(state.activations[s], x_eff)
-            stepped = x + gamma * (fprime * b - eps)
-        xn = np.where(en, obs, stepped) if state.clamp_hard else stepped.copy()
+            xn = x + gamma * (fprime * b - eps)
+        if en is not None and state.clamp_hard:
+            xn = np.where(en, obs, xn)
 
-        new_x.append(np.asarray(xn, dtype=np.float32))
-        new_eps.append(np.asarray(eps, dtype=np.float32))
+        new_x.append(xn)
+        new_eps.append(eps)
         new_theta.append(th)
         new_backvec.append(backvec)
 
@@ -203,7 +215,7 @@ def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
         x = state.x[s].astype(np.float64)
         theta = state.theta[s].astype(np.float64)
         en, obs = _clamp_arrays(state, clamp, s)
-        x_eff = np.where(en, obs.astype(np.float64), x)
+        x_eff = x if en is None else np.where(en, obs.astype(np.float64), x)
 
         if s == 0:
             mu = np.zeros(n)
@@ -234,8 +246,9 @@ def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
         fprime = np.array(
             [derivative64(state.activations[s], float(v)) for v in x_eff]
         )
-        stepped = x + g64 * (fprime * b - eps)
-        xn = np.where(en, obs.astype(np.float64), stepped) if state.clamp_hard else stepped
+        xn = x + g64 * (fprime * b - eps)
+        if en is not None and state.clamp_hard:
+            xn = np.where(en, obs.astype(np.float64), xn)
 
         new_x.append(xn)
         new_eps.append(eps)
@@ -271,12 +284,11 @@ def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
 
 def compare_to_network(net: Network, state: DenseState) -> Optional[str]:
     """Bitwise comparison of a network against a dense snapshot."""
-    snap = net.snapshot()
-    for s in range(len(net.layers)):
+    for s, layer in enumerate(net.layers):
         for name, a, b in (
-            ("x", snap.x[s], state.x[s]),
-            ("eps", snap.eps[s], state.eps[s]),
-            ("theta", snap.theta[s], state.theta[s]),
+            ("x", layer.states(), state.x[s]),
+            ("eps", layer.errors(), state.eps[s]),
+            ("theta", layer.theta, state.theta[s]),
         ):
             if a.tobytes() != np.asarray(b, dtype=np.float32).tobytes():
                 return f"layer {s} field {name}"

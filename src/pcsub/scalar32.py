@@ -126,7 +126,9 @@ def activation_derivative_vec(kind: str, x: np.ndarray) -> np.ndarray:
     if kind == RELU:
         return np.where(x > 0, _ONE, _ZERO).astype(np.float32)
     if kind == TANH:
+        # one math.tanh pass, as in apply_activation_vec; each binary64
+        # 1 - t*t is rounded to binary32 once, by np.array
         return np.array(
-            [activation_derivative(TANH, v) for v in x], dtype=np.float32
+            [1.0 - t * t for t in map(math.tanh, x.tolist())], dtype=np.float32
         )
     raise ValueError(f"unknown activation kind: {kind!r}")

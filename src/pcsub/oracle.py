@@ -159,9 +159,13 @@ def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
 
         eps = x_eff - mu
 
-        b = _ascending_sum(back.copy(), axis=0) if back.shape[0] else np.zeros(n, np.float32)
+        if back.shape[0]:
+            b = _ascending_sum(back.copy(), axis=0)
+        else:
+            b = np.zeros(n, dtype=np.float32)
 
-        backvec = theta[:, :-1] * eps[:, None]
+        # a top layer (s = 0) emits no products
+        backvec = theta[:, :-1] * eps[:, None] if s > 0 else None
 
         th = theta.copy()
         if s > 0 and alpha != _ZERO:

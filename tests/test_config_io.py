@@ -245,7 +245,8 @@ def test_checkpoint_huge_header_rejected_before_allocation(tmp_path, with_cfg):
     path = tmp_path / "huge.ckpt"
     path.write_bytes(b"PCSUB1 2 1000000000 1000000000 1\n" + b"\x00" * 4)
     cfg = NetworkConfig(layer_sizes=sizes) if with_cfg else None
-    expected = 4 * (sizes[0] + sizes[1] * (sizes[0] + 1) + sizes[2] * (sizes[1] + 1) + sum(sizes))
+    n_weights = sizes[0] + sizes[1] * (sizes[0] + 1) + sizes[2] * (sizes[1] + 1)
+    expected = 4 * (n_weights + sum(sizes))
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointError) as exc:

@@ -386,7 +386,8 @@ def test_wide_net_matches_oracle_bytes():
         state = oracle_tick(state, clamp, mode="bit32", alpha=alpha)
         snap = net.snapshot()
         for field in ("x", "eps", "theta", "states_in", "back_in"):
-            for s, (a, b) in enumerate(zip(getattr(snap, field), getattr(state, field))):
+            pairs = zip(getattr(snap, field), getattr(state, field))
+            for s, (a, b) in enumerate(pairs):
                 assert a.tobytes() == b.tobytes(), (t, field, s)
 
 

@@ -156,10 +156,10 @@ def _ascending(values):
     return acc
 
 
-def _lane_state(sizes=(16, 1, 16)):
+def _lane_state():
     """Identity net whose layer 1 has one core with 16 presyn lanes and 16
     back inputs, stored x = -0.0 and gamma = 1."""
-    ds = dense_zeros(sizes, gamma=F32(1.0), clamp_hard=False)
+    ds = dense_zeros((16, 1, 16), gamma=F32(1.0), clamp_hard=False)
     ds.x[1][0] = F32(-0.0)
     return ds
 
@@ -184,8 +184,8 @@ def _oracle_b(back_products):
 def test_oracle_sums_lanes_in_ascending_order():
     products = np.array(ABSORBING, np.float32)
     assert np.sum(products) != _ascending(products)  # the order is visible
-    mu = _oracle_mu(products, 0.0)
-    assert mu.tobytes() == (F32(0.0) * F32(1.0) + _ascending(products)).tobytes()
+    mu = _oracle_mu(products, 0.0)  # the bias lane adds 0.0*1
+    assert mu.tobytes() == _ascending(products).tobytes()
     assert mu == F32(2.0**24)
     b = _oracle_b(products)
     assert b.tobytes() == _ascending(products).tobytes()

@@ -10,7 +10,7 @@ binary64 and bounds the rounding drift instead.
 import numpy as np
 
 from pcsub import NetworkConfig, build_network, clamp_layer, oracle_tick
-from pcsub.oracle import DenseState, compare_to_network, run_equivalence_suite
+from pcsub.oracle import compare_to_network, run_equivalence_suite
 
 cfg = NetworkConfig(
     layer_sizes=[2, 4, 3],
@@ -20,8 +20,8 @@ cfg = NetworkConfig(
     seed=7,
 )
 net = build_network(cfg)
-dense32 = DenseState.from_network(net)
-dense64 = DenseState.from_network(net)
+dense32 = net.snapshot()  # a DenseState: the network's value snapshot
+dense64 = net.snapshot()
 
 clamp = {0: clamp_layer([0.4, -0.2]), 2: clamp_layer([0.1, 0.0, -0.5])}
 for t in range(50):

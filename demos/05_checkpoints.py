@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Save a network to the binary checkpoint format and restore it bit-exactly.
 
-Format: one ASCII header line ``PCSUB1 <L> <n_L> ... <n_0>``, then raw
-little-endian binary32 weights (layer-major, row-major, bias column
-last), then all states layer-major.
+Format: one ASCII header line ``PCSUB1 <L> <n_0> ... <n_L>`` (L is the
+index of the bottom layer, sizes top to bottom), then raw little-endian
+binary32 weights (layer-major, row-major, bias column last), then all
+states layer-major.
 """
 
 import tempfile
@@ -46,11 +47,10 @@ with tempfile.TemporaryDirectory() as tmp:
     # transient per-tick values (errors, bus latches) are not stored, so a
     # restored network starts from quiescent latches; zero the original's
     # transients too and both evolve identically from here
-    saved_x = [layer.states() for layer in net.layers]
+    saved_x = [layer.x for layer in net.layers]
     net.reset_states()
     for layer, xs in zip(net.layers, saved_x):
-        for core, x in zip(layer.cores, xs):
-            core.x = x
+        layer.x = xs
     r1 = net.tick({0: clamp_layer([0.6, -0.2])})
     r2 = restored.tick({0: clamp_layer([0.6, -0.2])})
     print(

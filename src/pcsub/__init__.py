@@ -10,15 +10,7 @@ reproduces teacher-student learning curves as CSV.
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigFile, load_config, parse_config
-from .core import (
-    ClampSignal,
-    CoreConfig,
-    CoreState,
-    core_new,
-    core_tick,
-    effective_state,
-    tick_cycles,
-)
+from .core import ClampSignal, CoreConfig, core_tick, tick_cycles
 from .errors import CheckpointError, ConfigParseError, ConfigurationError
 from .harness import (
     Dataset,
@@ -34,20 +26,16 @@ from .harness import (
     write_curve_csv,
 )
 from .network import (
+    DenseState,
     Network,
     NetworkConfig,
     TickReport,
     build_network,
     clamp_layer,
 )
-from .oracle import DenseState, oracle_tick, run_equivalence_suite
+from .oracle import oracle_tick, run_equivalence_suite
 from .prng import Prng
-from .scalar32 import (
-    ACTIVATION_KINDS,
-    activation_derivative,
-    apply_activation,
-    fp_mul_add,
-)
+from .scalar32 import ACTIVATION_KINDS, activation_derivative, apply_activation
 
 __version__ = "0.1.0"
 
@@ -59,7 +47,6 @@ __all__ = [
     "ConfigParseError",
     "ConfigurationError",
     "CoreConfig",
-    "CoreState",
     "Dataset",
     "DenseState",
     "EXPERIMENTS",
@@ -74,11 +61,8 @@ __all__ = [
     "apply_activation",
     "build_network",
     "clamp_layer",
-    "core_new",
     "core_tick",
-    "effective_state",
     "evaluate_mse",
-    "fp_mul_add",
     "generate_dataset",
     "load_checkpoint",
     "load_config",

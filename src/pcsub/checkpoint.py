@@ -1,10 +1,13 @@
 """Checkpoint serialization: bit-exact round trip of weights and states.
 
-Layout: one ASCII header line ``PCSUB1 <L> <n_L> ... <n_0>`` (L is the
-top layer index, sizes listed top to bottom), then raw little-endian
-binary32 payload: all weights layer-major, row-major within a layer
-(row = postsynaptic core, columns = presynaptic lanes then bias), then
-all states layer-major. NaN payloads survive the round trip untouched.
+Layout: one ASCII header line ``PCSUB1 <L> <n_0> ... <n_L>`` (L is the
+index of the bottom layer, sizes listed top to bottom, single spaces, no
+sign, padding or leading zeros), then raw little-endian binary32 payload:
+all weights layer-major, row-major within a layer (row = postsynaptic
+core, columns = presynaptic lanes then bias), then all states
+layer-major. NaN payloads survive the round trip untouched. The loader
+accepts only the header ``save_checkpoint`` writes, so every file it
+accepts is saved back byte for byte.
 
 Activities' companions (errors, bus latches) are transient per-tick
 values and are not stored; a loaded network starts from quiescent
@@ -23,15 +26,17 @@ from .network import Network, NetworkConfig, build_network, layer_wiring
 MAGIC = "PCSUB1"
 
 
+def _header(sizes) -> str:
+    return " ".join([MAGIC, str(len(sizes) - 1)] + [str(n) for n in sizes])
+
+
 def save_checkpoint(net: Network, path) -> None:
-    sizes = net.cfg.layer_sizes
-    header = " ".join([MAGIC, str(len(sizes) - 1)] + [str(n) for n in sizes])
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
+        fh.write(_header(net.cfg.layer_sizes).encode("ascii") + b"\n")
         for layer in net.layers:
             fh.write(layer.theta.astype("<f4").tobytes())
         for layer in net.layers:
-            fh.write(layer.states().astype("<f4").tobytes())
+            fh.write(layer.x.astype("<f4").tobytes())
 
 
 def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
@@ -55,12 +60,17 @@ def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
             f"bad magic {tokens[0] if tokens else ''!r}, expected {MAGIC!r}"
         )
     try:
-        top_index = int(tokens[1])
+        last = int(tokens[1])  # index of the bottom layer
         sizes = tuple(int(t) for t in tokens[2:])
     except (IndexError, ValueError):
         raise CheckpointError("malformed header counts")
-    if len(sizes) != top_index + 1 or len(sizes) < 2 or any(n < 1 for n in sizes):
+    if len(sizes) != last + 1 or len(sizes) < 2 or any(n < 1 for n in sizes):
         raise CheckpointError(f"inconsistent header dimensions {sizes}")
+    canonical = _header(sizes)
+    if blob[:nl] != canonical.encode("ascii"):
+        raise CheckpointError(
+            f"non-canonical header {blob[:nl]!r}, expected {canonical!r}"
+        )
 
     if cfg is None:
         cfg = NetworkConfig(layer_sizes=sizes, init_scale=0.0)
@@ -78,16 +88,15 @@ def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
             f"payload is {len(blob) - nl - 1} bytes, expected {expected - nl - 1}"
         )
 
+    # a read-only view of ``blob``; the network gets owned binary32 copies
     payload = np.frombuffer(blob, dtype="<f4", offset=nl + 1)
     net = build_network(cfg)
     pos = 0
     for s, layer in enumerate(net.layers):
         w = payload[pos : pos + sizes[s] * lanes[s]].reshape(sizes[s], lanes[s])
         pos += sizes[s] * lanes[s]
-        layer.theta[:] = w  # in place: the cores' rows stay views of it
+        layer.theta[:] = w
     for s, layer in enumerate(net.layers):
-        xs = payload[pos : pos + sizes[s]]
+        layer.x = payload[pos : pos + sizes[s]].astype(np.float32)
         pos += sizes[s]
-        for i, core in enumerate(layer.cores):
-            core.x = xs[i]
     return net

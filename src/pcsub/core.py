@@ -1,18 +1,25 @@
-"""One neural core: local storage, six-stage tick schedule, cycle model.
+"""One neural core: the six-stage tick schedule and the cycle model.
 
-A core is a single scalar unit (i, layer). Per tick it runs
+A core is a single scalar unit (i, layer). Its storage is row i of its
+layer's register file: the activity x, the error eps and the (N+1,)
+weight row theta, which the network keeps as per-layer binary32 arrays.
+``core_tick`` is a stateless step over that row. Per tick it runs
 
     PRED -> ERR -> BACKSUM -> BACKVEC -> WUP -> STATE
 
-entirely on locally stored values plus the inputs it is handed for the
-tick: the step sizes alpha and gamma (supplied from outside, like the
-start pulse), f(presyn) of the latched upper-layer states, the latched
-back column from the layer below, and its clamp signal. All arithmetic
-is binary32 (see ``scalar32``). Every stage operand is already binary32:
-a value is rounded once, where it enters the datapath (``core_new``, the
-tick's read of a clamp observation, the step-size rule) or where a stage
-produces it, and never again where it is read. Operation order is pinned
-so an independent reference can match bit-for-bit:
+on the row plus the inputs it is handed for the tick: the step sizes
+alpha and gamma (supplied from outside, like the start pulse), f(presyn)
+of the latched upper-layer states, the latched back column from the layer
+below, and its clamp signal. It returns the new x and eps and the BACKVEC
+products, and WUP updates theta in place. The bottom-up sum b is written
+by BACKSUM and read by STATE in the same tick, so it is not stored.
+
+All arithmetic is binary32 (see ``scalar32``). Every stage operand is
+already binary32: a value is rounded once, where it enters the datapath
+(network build, checkpoint load, the tick's read of a clamp observation,
+the step-size rule) or where a stage produces it, and never again where
+it is read. Operation order is pinned so an independent reference can
+match bit-for-bit:
 
   PRED    mu = sum_j theta[j]*f(presyn[j]) + theta[N]*1, accumulated in
           ascending j from acc=0, bias lane last, one MAC per lane.
@@ -34,18 +41,14 @@ datapath itself. BACKVEC and WUP touch each lane independently and are
 one binary32 array operation each, with the same roundings per lane
 (WUP: multiply rounded, then add rounded).
 
-``core_tick`` returns the BACKVEC products; the state the core emits
-downward is the x it held at the start of the tick, which the network
-latches before ticking. A top core (no upper layer, N = 0) runs no PRED,
-BACKVEC or WUP and emits no products.
+The state a core emits downward is the x it held at the start of the
+tick, which the network latches itself. A top core (no upper layer,
+N = 0) runs no PRED, BACKVEC or WUP and emits no products.
 
 Cycle cost per tick is 3N + M + 4 (N presyn lanes, M back inputs): N+1
 for PRED, 1 for ERR, M for BACKSUM, N for BACKVEC, N+1 for WUP, 1 for
 STATE. A topmost boundary core (no upper layer) drops PRED and WUP
 entirely, leaving M + 2. The count depends on the shape alone.
-
-Inside a network, ``CoreState.theta`` is a row view of its layer's
-(n, N+1) weight matrix, so WUP writes land in that matrix directly.
 """
 
 from __future__ import annotations
@@ -95,20 +98,6 @@ class CoreConfig:
         self.alpha_bias_scale = F32(self.alpha_bias_scale)
 
 
-@dataclass
-class CoreState:
-    """Mutable local storage: activity, error, weights (bias last), b.
-
-    Every field holds binary32 values. In a ``Network`` the weights are
-    row i of the layer's weight matrix, shared, not copied.
-    """
-
-    x: np.float32
-    eps: np.float32
-    theta: np.ndarray  # (n_presyn + 1,) float32, index N is the bias lane
-    b: np.float32 = _ZERO
-
-
 @dataclass(frozen=True)
 class ClampSignal:
     """Per-neuron external observation; x_obs is read only when enabled."""
@@ -127,24 +116,8 @@ def tick_cycles(n_presyn: int, m_back: int, has_upper: bool = True) -> int:
     return m_back + 2
 
 
-def core_new(cfg: CoreConfig, init_weights, init_x) -> CoreState:
-    """Fresh core state; weights are copied, eps and b start at zero."""
-    theta = np.array(init_weights, dtype=np.float32)
-    if theta.shape != (cfg.n_presyn + 1,):
-        raise ConfigurationError(
-            f"need {cfg.n_presyn + 1} weights (incl. bias), got {theta.shape}"
-        )
-    return CoreState(x=F32(init_x), eps=_ZERO, theta=theta)
-
-
-def effective_state(state: CoreState, clamp: ClampSignal) -> np.float32:
-    """State used during the current tick: x_obs when clamped, else x."""
-    return F32(clamp.x_obs) if clamp.x_set_en else state.x
-
-
-def stage_pred(state: CoreState, presyn_f) -> np.float32:
+def stage_pred(theta, presyn_f) -> np.float32:
     """Prediction mu: MAC over the f(presyn) lanes ascending, bias lane last."""
-    theta = state.theta
     n = theta.shape[0] - 1
     acc = _ZERO
     for j in range(n):
@@ -152,33 +125,30 @@ def stage_pred(state: CoreState, presyn_f) -> np.float32:
     return theta[n] * _ONE + acc
 
 
-def stage_err(state: CoreState, x_eff, mu) -> np.float32:
+def stage_err(x_eff, mu) -> np.float32:
     """eps = x_eff - mu on binary32 operands (one rounding)."""
-    state.eps = x_eff - mu
-    return state.eps
+    return x_eff - mu
 
 
-def stage_backsum(state: CoreState, back) -> np.float32:
+def stage_backsum(back) -> np.float32:
     """b = sum of the M back products, ascending k from +0.0."""
     acc = _ZERO
     for v in np.asarray(back, dtype=np.float32):
         acc = acc + v
-    state.b = acc
     return acc
 
 
-def stage_backvec(state: CoreState) -> np.ndarray:
+def stage_backvec(theta, eps) -> np.ndarray:
     """Products theta[j]*eps for the upper layer, from pre-update theta."""
-    n = state.theta.shape[0] - 1
-    return state.theta[:n] * state.eps
+    n = theta.shape[0] - 1
+    return theta[:n] * eps
 
 
-def stage_wup(state: CoreState, presyn_f, alpha, cfg: CoreConfig) -> None:
-    """Hebbian weight update; numeric no-op when alpha == 0."""
+def stage_wup(theta, presyn_f, eps, alpha, cfg: CoreConfig) -> None:
+    """Hebbian update of the weight row in place; numeric no-op when
+    alpha == 0."""
     if alpha == _ZERO:
         return
-    theta = state.theta
-    eps = state.eps
     n = theta.shape[0] - 1
     coeff = alpha * eps
     # lanes are independent: one array MAC, still two roundings per lane
@@ -189,22 +159,22 @@ def stage_wup(state: CoreState, presyn_f, alpha, cfg: CoreConfig) -> None:
 
 
 def stage_state(
-    state: CoreState, x_eff, clamp: ClampSignal, clamp_hard: bool, gamma,
+    x, x_eff, eps, b, clamp: ClampSignal, clamp_hard: bool, gamma,
     cfg: CoreConfig,
-) -> None:
-    """Explicit Euler state step, or stored-state overwrite on hard clamp
-    (``x_eff`` is then the tick's rounded observation)."""
+) -> np.float32:
+    """Next x: the explicit Euler step, or the tick's rounded observation
+    ``x_eff`` under a hard clamp."""
     if clamp_hard and clamp.x_set_en:
-        state.x = x_eff
-        return
+        return x_eff
     if gamma == _ZERO:
-        return
+        return x
     fprime = activation_derivative(cfg.activation, x_eff)
-    state.x = state.x + gamma * (fprime * state.b - state.eps)
+    return x + gamma * (fprime * b - eps)
 
 
 def core_tick(
-    state: CoreState,
+    x: np.float32,
+    theta: np.ndarray,
     cfg: CoreConfig,
     alpha: np.float32,
     gamma: np.float32,
@@ -212,25 +182,27 @@ def core_tick(
     back,
     clamp: ClampSignal = NO_CLAMP,
     clamp_hard: bool = False,
-) -> np.ndarray:
-    """Run the full six-stage schedule on this tick's inputs; returns the
+):
+    """Run the full six-stage schedule on one core's row; returns
+    ``(x, eps, products)``: the next state, this tick's error and the
     BACKVEC products (theta[j]*eps, j < N) for the layer above.
 
-    ``alpha`` and ``gamma`` are the tick's binary32 step sizes,
-    ``presyn_f`` holds f(presyn) of the N latched upper-layer states
-    (a pure per-lane function, computed once per layer) and ``back`` the
-    M latched products from the layer below. The clamp observation is the
-    one value rounded to binary32 here; ``Network.tick`` runs this under
-    ``np.errstate``, so an observation past the binary32 range becomes inf
-    without a warning.
+    ``x`` is the state held at the start of the tick and ``theta`` the
+    core's (N+1,) weight row, which WUP updates in place. ``alpha`` and
+    ``gamma`` are the tick's binary32 step sizes, ``presyn_f`` holds
+    f(presyn) of the N latched upper-layer states (a pure per-lane
+    function, computed once per layer) and ``back`` the M latched products
+    from the layer below. The clamp observation is the one value rounded
+    to binary32 here; ``Network.tick`` runs this under ``np.errstate``, so
+    an observation past the binary32 range becomes inf without a warning.
     """
-    x_eff = F32(clamp.x_obs) if clamp.x_set_en else state.x
+    x_eff = F32(clamp.x_obs) if clamp.x_set_en else x
     top = not cfg.has_upper  # a top core runs no PRED, BACKVEC or WUP
-    mu = _ZERO if top else stage_pred(state, presyn_f)
-    stage_err(state, x_eff, mu)
-    stage_backsum(state, back)
-    backvec = _NO_PRODUCTS if top else stage_backvec(state)
+    mu = _ZERO if top else stage_pred(theta, presyn_f)
+    eps = stage_err(x_eff, mu)
+    b = stage_backsum(back)
+    products = _NO_PRODUCTS if top else stage_backvec(theta, eps)
     if not top:
-        stage_wup(state, presyn_f, alpha, cfg)
-    stage_state(state, x_eff, clamp, clamp_hard, gamma, cfg)
-    return backvec
+        stage_wup(theta, presyn_f, eps, alpha, cfg)
+    x = stage_state(x, x_eff, eps, b, clamp, clamp_hard, gamma, cfg)
+    return x, eps, products

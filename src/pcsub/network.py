@@ -15,10 +15,15 @@ an atomic bus swap. Because all cross-core reads hit latches, the order
 in which cores execute cannot change a bit. ``Network.tick`` runs every
 core once, layer by layer, in the calling thread.
 
-Each layer owns its weights as one (n, N+1) binary32 matrix, bias column
-last; core i's ``theta`` is row i of it, a view. Weight reads and writes
-outside the tick (``weights``, ``snapshot``, checkpoints, ``energy``) are
-one array operation per layer.
+Per-layer binary32 arrays are the network's only state: each layer holds
+its activities x and errors eps, shape (n,), its weights theta, shape
+(n, N+1) with the bias column last, and its two bus latches. Core i is
+row i of them, and ``core_tick`` is a stateless step over that row. The
+tick fills fresh x and eps arrays and never writes the old ones in place:
+the old x array becomes the lower layer's ``states_in`` latch as it is,
+with no copy. ``reset_states`` and ``load_checkpoint`` also assign new
+arrays. ``DenseState`` is the one value snapshot of all of it, returned
+by ``Network.snapshot`` and ticked by the oracle.
 
 Weights are initialized i.i.d. uniform in [-init_scale, +init_scale] from
 a SplitMix64 stream seeded with ``seed``: draws proceed layer-major (top
@@ -38,7 +43,6 @@ import numpy as np
 from .core import (
     ClampSignal,
     CoreConfig,
-    CoreState,
     NO_CLAMP,
     core_tick,
     tick_cycles,
@@ -54,8 +58,6 @@ from .scalar32 import (
 )
 
 ClampMap = dict[int, Sequence[ClampSignal]]
-
-_ZERO = F32(0.0)
 
 
 def layer_wiring(layer_sizes) -> list:
@@ -117,28 +119,29 @@ class NetworkConfig:
 
 @dataclass
 class Layer:
-    """One layer: shared core config, weight matrix, core states, latched
-    input buses."""
+    """One layer's register file: shared core config, per-core arrays
+    (row i is core i) and latched input buses."""
 
     cfg: CoreConfig
-    theta: np.ndarray  # (n, N+1) weights, bias column last; row i is cores[i].theta
-    cores: list
+    x: np.ndarray  # (n,) activities
+    eps: np.ndarray  # (n,) prediction errors
+    theta: np.ndarray  # (n, N+1) weights, bias column last
     states_in: np.ndarray  # (N,) latched x from the layer above
     back_in: np.ndarray  # (M, n) latched products from the layer below
 
     @property
     def size(self) -> int:
-        return len(self.cores)
+        return self.x.shape[0]
 
     def weights(self) -> np.ndarray:
         """(n, N+1) copy of the layer's weight matrix, bias column last."""
         return self.theta.copy()
 
     def states(self) -> np.ndarray:
-        return np.array([c.x for c in self.cores], dtype=np.float32)
+        return self.x.copy()
 
     def errors(self) -> np.ndarray:
-        return np.array([c.eps for c in self.cores], dtype=np.float32)
+        return self.eps.copy()
 
 
 @dataclass
@@ -151,15 +154,40 @@ class TickReport:
 
 
 @dataclass
-class Snapshot:
-    """Read-only copy of everything a tick depends on."""
+class DenseState:
+    """Value snapshot of a whole network, bus latches included, with the
+    config it was built from: what the oracle ticks, the checks compare
+    and ``Network.snapshot`` returns. The arrays are the snapshot's own."""
 
-    layer_sizes: tuple
-    x: list
-    eps: list
-    theta: list
-    states_in: list
-    back_in: list
+    cfg: NetworkConfig
+    x: list  # per-layer (n,)
+    eps: list  # per-layer (n,)
+    theta: list  # per-layer (n, N+1), bias column last
+    states_in: list  # per-layer (N,) latched upper states
+    back_in: list  # per-layer (M, n) latched products
+
+    def __post_init__(self):
+        for s, (n, n_pre, m_back, _) in enumerate(layer_wiring(self.layer_sizes)):
+            if self.x[s].shape != (n,) or self.eps[s].shape != (n,):
+                raise ConfigurationError(f"layer {s}: state shape mismatch")
+            if self.theta[s].shape != (n, n_pre + 1):
+                raise ConfigurationError(f"layer {s}: weight shape mismatch")
+            if self.states_in[s].shape != (n_pre,):
+                raise ConfigurationError(f"layer {s}: states_in shape mismatch")
+            if self.back_in[s].shape != (m_back, n):
+                raise ConfigurationError(f"layer {s}: back_in shape mismatch")
+
+    @property
+    def layer_sizes(self) -> tuple:
+        return self.cfg.layer_sizes
+
+    @property
+    def activations(self) -> tuple:
+        return self.cfg.activations
+
+    @classmethod
+    def from_network(cls, net: Network) -> DenseState:
+        return net.snapshot()
 
 
 class Network:
@@ -182,13 +210,13 @@ class Network:
                 bias_frozen=cfg.bias_frozen,
                 has_upper=s > 0,
             )
-            # core-major, lane ascending: the PRNG stream order
-            theta = rng.fill_uniform((n, n_presyn + 1), -scale, scale)
             self.layers.append(
                 Layer(
                     cfg=core_cfg,
-                    theta=theta,
-                    cores=[CoreState(x=_ZERO, eps=_ZERO, theta=row) for row in theta],
+                    x=np.zeros(n, dtype=np.float32),
+                    eps=np.zeros(n, dtype=np.float32),
+                    # core-major, lane ascending: the PRNG stream order
+                    theta=rng.fill_uniform((n, n_presyn + 1), -scale, scale),
                     states_in=np.zeros(n_presyn, dtype=np.float32),
                     back_in=np.zeros((m_back, n), dtype=np.float32),
                 )
@@ -196,6 +224,10 @@ class Network:
         # the cycle model depends on the shape alone, so it is computed once
         self._per_core_cycles = MappingProxyType(per_core_cycles)
         self._network_cycles = max(per_core_cycles.values())
+        # where each layer's x, then each layer's eps, sits in a tick's one
+        # array of new values
+        ends = np.cumsum(cfg.layer_sizes * 2).tolist()
+        self._value_slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
         self._alpha = F32(cfg.alpha)
         self._gamma = F32(cfg.gamma)
 
@@ -222,11 +254,11 @@ class Network:
         hard = self.cfg.clamp_hard
         activations = self.cfg.activations
         layers = self.layers
-
-        # start-of-tick states: these are this tick's downward emissions
-        pre_x = [layer.states() for layer in layers]
-        # this tick's fresh per-layer arrays: post-tick x and eps, and the
-        # (n, N) products each layer emits upward
+        last = len(layers) - 1
+        # this tick's fresh arrays: every layer's post-tick x and eps as
+        # views of one array, and the (n, N) products each layer emits upward
+        spans = self._value_slices
+        values = np.empty(spans[-1].stop, dtype=np.float32)
         states, errors, emitted = [], [], []
 
         with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
@@ -239,12 +271,13 @@ class Network:
                 )
                 back_in = layer.back_in
                 signals = clamp.get(s)
-                x = np.empty(layer.size, dtype=np.float32)
-                eps = np.empty(layer.size, dtype=np.float32)
+                x = values[spans[s]]
+                eps = values[spans[last + 1 + s]]
                 products = np.empty((layer.size, cfg.n_presyn), dtype=np.float32)
-                for i, core in enumerate(layer.cores):
-                    products[i] = core_tick(
-                        core,
+                for i, (x_i, theta_i) in enumerate(zip(layer.x, layer.theta)):
+                    x[i], eps[i], products[i] = core_tick(
+                        x_i,
+                        theta_i,
                         cfg,
                         alpha,
                         gamma,
@@ -253,26 +286,28 @@ class Network:
                         signals[i] if signals else NO_CLAMP,
                         hard,
                     )
-                    x[i] = core.x
-                    eps[i] = core.eps
                 states.append(x)
                 errors.append(eps)
                 emitted.append(products)
 
         # atomic bus swap: new latches become visible only after all cores
-        # have completed the tick
+        # have completed the tick; a layer's start-of-tick x array is what
+        # it emitted downward this tick
         for s, layer in enumerate(layers):
-            if s > 0:
-                layer.states_in = pre_x[s - 1]
-            if s < len(layers) - 1:
+            if s < last:
+                layers[s + 1].states_in = layer.x
                 layer.back_in = emitted[s + 1]
+            layer.x = states[s]
+            layer.eps = errors[s]
 
+        reported = values.copy()  # the report's own arrays are views of it
+        views = [reported[span] for span in spans]
         return TickReport(
             network_cycles=self._network_cycles,
             per_core_cycles=self._per_core_cycles,
-            diverged=not np.isfinite(np.concatenate(states + errors)).all(),
-            states=states,
-            errors=errors,
+            diverged=not np.isfinite(values).all(),
+            states=views[: last + 1],
+            errors=views[last + 1 :],
         )
 
     def _check_clamp(self, clamp: Optional[ClampMap]) -> ClampMap:
@@ -292,12 +327,12 @@ class Network:
     # inspection
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> Snapshot:
-        return Snapshot(
-            layer_sizes=self.cfg.layer_sizes,
-            x=[layer.states() for layer in self.layers],
-            eps=[layer.errors() for layer in self.layers],
-            theta=[layer.weights() for layer in self.layers],
+    def snapshot(self) -> DenseState:
+        return DenseState(
+            cfg=self.cfg,
+            x=[layer.x.copy() for layer in self.layers],
+            eps=[layer.eps.copy() for layer in self.layers],
+            theta=[layer.theta.copy() for layer in self.layers],
             states_in=[layer.states_in.copy() for layer in self.layers],
             back_in=[layer.back_in.copy() for layer in self.layers],
         )
@@ -312,22 +347,20 @@ class Network:
                 layer = self.layers[s]
                 upper = self.layers[s - 1]
                 kind = self.cfg.activations[s - 1]
-                fx = np.array([activation64(kind, float(v)) for v in upper.states()])
+                fx = np.array([activation64(kind, float(v)) for v in upper.x])
                 w = layer.theta.astype(np.float64)
                 mu = w[:, :-1] @ fx + w[:, -1]
-                d = layer.states().astype(np.float64) - mu
+                d = layer.x.astype(np.float64) - mu
                 total += float(d @ d)
         return total
 
     def reset_states(self) -> None:
         """Zero all activities, errors, and latched buses; weights kept."""
         for layer in self.layers:
-            for c in layer.cores:
-                c.x = _ZERO
-                c.eps = _ZERO
-                c.b = _ZERO
-            layer.states_in = np.zeros_like(layer.states_in)
-            layer.back_in = np.zeros_like(layer.back_in)
+            layer.x = np.zeros(layer.size, dtype=np.float32)
+            layer.eps = np.zeros(layer.size, dtype=np.float32)
+            layer.states_in = np.zeros(layer.states_in.shape, dtype=np.float32)
+            layer.back_in = np.zeros(layer.back_in.shape, dtype=np.float32)
 
     def tick_latency(self) -> int:
         """Network tick latency: the slowest core's cycle count."""

@@ -16,23 +16,26 @@ Two modes:
   products); it bounds the simulator's rounding drift rather than its
   bit pattern.
 
-Both modes mirror the simulator's registered communication: predictions
-read states latched one tick ago, bottom-up sums read products latched
-one tick ago, and the latches are refreshed from this tick's values at
-the end. A Gauss-Seidel sweep with fresh errors would be a different
-dynamical system and is deliberately not implemented here.
+Both modes tick a ``DenseState`` (defined in ``network``: the network's
+value snapshot, with its config) and return a new one. The step sizes
+are the state's configured ones, or the per-tick overrides, rounded to
+binary32. Both modes mirror the simulator's registered communication:
+predictions read states latched one tick ago, bottom-up sums read
+products latched one tick ago, and the latches are refreshed from this
+tick's values at the end. A Gauss-Seidel sweep with fresh errors would
+be a different dynamical system and is deliberately not implemented
+here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import ClampSignal
 from .errors import ConfigurationError
-from .network import ClampMap, Network, NetworkConfig, build_network, layer_wiring
+from .network import ClampMap, DenseState, Network, NetworkConfig, build_network
 from .scalar32 import (
     ACTIVATION_KINDS,
     F32,
@@ -44,53 +47,6 @@ from .scalar32 import (
 
 _ZERO = F32(0.0)
 _ONE = F32(1.0)
-
-
-@dataclass
-class DenseState:
-    """Value snapshot of a whole network, including the bus latches."""
-
-    layer_sizes: tuple
-    activations: tuple
-    x: list  # per-layer (n,) float32
-    eps: list
-    theta: list  # per-layer (n, N+1) float32, bias column last
-    states_in: list  # per-layer (N,) latched upper states
-    back_in: list  # per-layer (M, n) latched products
-    alpha: np.float32 = _ZERO
-    gamma: np.float32 = _ZERO
-    clamp_hard: bool = True
-    alpha_bias_scale: np.float32 = _ONE
-    bias_frozen: bool = False
-
-    def __post_init__(self):
-        for s, (n, n_pre, m_back, _) in enumerate(layer_wiring(self.layer_sizes)):
-            if self.x[s].shape != (n,) or self.eps[s].shape != (n,):
-                raise ConfigurationError(f"layer {s}: state shape mismatch")
-            if self.theta[s].shape != (n, n_pre + 1):
-                raise ConfigurationError(f"layer {s}: weight shape mismatch")
-            if self.states_in[s].shape != (n_pre,):
-                raise ConfigurationError(f"layer {s}: states_in shape mismatch")
-            if self.back_in[s].shape != (m_back, n):
-                raise ConfigurationError(f"layer {s}: back_in shape mismatch")
-
-    @classmethod
-    def from_network(cls, net: Network) -> "DenseState":
-        snap = net.snapshot()
-        return cls(
-            layer_sizes=net.cfg.layer_sizes,
-            activations=net.cfg.activations,
-            x=snap.x,
-            eps=snap.eps,
-            theta=snap.theta,
-            states_in=snap.states_in,
-            back_in=snap.back_in,
-            alpha=F32(net.cfg.alpha),
-            gamma=F32(net.cfg.gamma),
-            clamp_hard=net.cfg.clamp_hard,
-            alpha_bias_scale=F32(net.cfg.alpha_bias_scale),
-            bias_frozen=net.cfg.bias_frozen,
-        )
 
 
 def _clamp_arrays(state: DenseState, clamp: Optional[ClampMap], s: int):
@@ -116,8 +72,8 @@ def oracle_tick(
     """Pure function: one tick applied to a dense snapshot."""
     if mode not in ("bit32", "f64"):
         raise ConfigurationError(f"unknown oracle mode: {mode!r}")
-    av = F32(state.alpha if alpha is None else alpha)
-    gv = F32(state.gamma if gamma is None else gamma)
+    av = F32(state.cfg.alpha if alpha is None else alpha)
+    gv = F32(state.cfg.gamma if gamma is None else gamma)
     with np.errstate(all="ignore"):
         if mode == "bit32":
             return _tick_bit32(state, clamp, av, gv)
@@ -139,7 +95,8 @@ def _ascending_sum(terms: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
-    sizes = state.layer_sizes
+    cfg = state.cfg
+    sizes = cfg.layer_sizes
     last = len(sizes) - 1
     new_x, new_eps, new_theta, new_backvec = [], [], [], []
 
@@ -153,7 +110,7 @@ def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
         if s == 0:
             mu = np.zeros(n, dtype=np.float32)
         else:
-            fpre = apply_activation_vec(state.activations[s - 1], state.states_in[s])
+            fpre = apply_activation_vec(cfg.activations[s - 1], state.states_in[s])
             acc = _ascending_sum(theta[:, :-1] * fpre, axis=1)
             mu = theta[:, -1] * _ONE + acc
 
@@ -170,16 +127,16 @@ def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
         th = theta.copy()
         if s > 0 and alpha != _ZERO:
             th[:, :-1] = (alpha * eps)[:, None] * fpre + th[:, :-1]
-            if not state.bias_frozen:
-                coeff_b = (alpha * state.alpha_bias_scale) * eps
+            if not cfg.bias_frozen:
+                coeff_b = (alpha * F32(cfg.alpha_bias_scale)) * eps
                 th[:, -1] = coeff_b * _ONE + th[:, -1]
 
         if gamma == _ZERO:
             xn = x.copy()
         else:
-            fprime = activation_derivative_vec(state.activations[s], x_eff)
+            fprime = activation_derivative_vec(cfg.activations[s], x_eff)
             xn = x + gamma * (fprime * b - eps)
-        if en is not None and state.clamp_hard:
+        if en is not None and cfg.clamp_hard:
             xn = np.where(en, obs, xn)
 
         new_x.append(xn)
@@ -188,8 +145,7 @@ def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
         new_backvec.append(backvec)
 
     return DenseState(
-        layer_sizes=sizes,
-        activations=state.activations,
+        cfg=cfg,
         x=new_x,
         eps=new_eps,
         theta=new_theta,
@@ -201,16 +157,12 @@ def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
             new_backvec[s + 1] if s < last else np.zeros((0, sizes[s]), np.float32)
             for s in range(len(sizes))
         ],
-        alpha=state.alpha,
-        gamma=state.gamma,
-        clamp_hard=state.clamp_hard,
-        alpha_bias_scale=state.alpha_bias_scale,
-        bias_frozen=state.bias_frozen,
     )
 
 
 def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
-    sizes = state.layer_sizes
+    cfg = state.cfg
+    sizes = cfg.layer_sizes
     last = len(sizes) - 1
     a64, g64 = float(alpha), float(gamma)
     new_x, new_eps, new_theta, new_backvec = [], [], [], []
@@ -227,7 +179,7 @@ def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
         else:
             fpre = np.array(
                 [
-                    activation64(state.activations[s - 1], float(v))
+                    activation64(cfg.activations[s - 1], float(v))
                     for v in state.states_in[s]
                 ]
             )
@@ -244,14 +196,14 @@ def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
         th = theta.copy()
         if s > 0 and a64 != 0.0:
             th[:, :-1] += a64 * eps[:, None] * fpre[None, :]
-            if not state.bias_frozen:
-                th[:, -1] += (a64 * float(state.alpha_bias_scale)) * eps
+            if not cfg.bias_frozen:
+                th[:, -1] += (a64 * float(F32(cfg.alpha_bias_scale))) * eps
 
         fprime = np.array(
-            [derivative64(state.activations[s], float(v)) for v in x_eff]
+            [derivative64(cfg.activations[s], float(v)) for v in x_eff]
         )
         xn = x + g64 * (fprime * b - eps)
-        if en is not None and state.clamp_hard:
+        if en is not None and cfg.clamp_hard:
             xn = np.where(en, obs.astype(np.float64), xn)
 
         new_x.append(xn)
@@ -260,8 +212,7 @@ def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
         new_backvec.append(backvec)
 
     return DenseState(
-        layer_sizes=sizes,
-        activations=state.activations,
+        cfg=cfg,
         x=new_x,
         eps=new_eps,
         theta=new_theta,
@@ -273,11 +224,6 @@ def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
             new_backvec[s + 1] if s < last else np.zeros((0, sizes[s]))
             for s in range(len(sizes))
         ],
-        alpha=state.alpha,
-        gamma=state.gamma,
-        clamp_hard=state.clamp_hard,
-        alpha_bias_scale=state.alpha_bias_scale,
-        bias_frozen=state.bias_frozen,
     )
 
 
@@ -290,8 +236,8 @@ def compare_to_network(net: Network, state: DenseState) -> Optional[str]:
     """Bitwise comparison of a network against a dense snapshot."""
     for s, layer in enumerate(net.layers):
         for name, a, b in (
-            ("x", layer.states(), state.x[s]),
-            ("eps", layer.errors(), state.eps[s]),
+            ("x", layer.x, state.x[s]),
+            ("eps", layer.eps, state.eps[s]),
             ("theta", layer.theta, state.theta[s]),
         ):
             if a.tobytes() != np.asarray(b, dtype=np.float32).tobytes():
@@ -339,7 +285,7 @@ def run_equivalence_suite(
                 ClampSignal(True, float(rng.uniform(-1, 1)))
                 for _ in range(sizes[-1])
             ]
-        state = DenseState.from_network(net)
+        state = net.snapshot()
         for t in range(n_ticks):
             net.tick(clamp)
             state = oracle_tick(state, clamp, mode="bit32")

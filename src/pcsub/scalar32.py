@@ -44,11 +44,6 @@ def is_finite_f32(value) -> bool:
     return abs(float(value)) < _F32_OVERFLOW
 
 
-def fp_mul_add(a, b, acc) -> np.float32:
-    """round32(round32(a*b) + acc): the sequential MAC step."""
-    return F32(a) * F32(b) + F32(acc)
-
-
 def apply_activation(kind: str, x) -> np.float32:
     """Elementwise activation, result rounded to binary32."""
     x = F32(x)

@@ -99,7 +99,7 @@ def local_energy(x_i, i, mu_i, x_layer, x_low, theta_low, kind):
 
 def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
     """FD check of the state increment against -(gamma/2) dE/dx."""
-    from pcsub.core import CoreConfig, core_new, core_tick
+    from pcsub.core import CoreConfig, core_tick
 
     h = 1e-4
     kinds = ["identity", "relu", "tanh"]
@@ -129,13 +129,16 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
         )
 
         cfg = CoreConfig(n_presyn=1, m_back=m, activation=kind)
-        st_ = core_new(cfg, [0.0, F32(mu_i)], float(x_layer[i]))
-        x0 = float(st_.x)
+        x_start = F32(x_layer[i])
+        x0 = float(x_start)
         fb = derivative64(kind, x0) * float(sum(float(v) for v in back))
         if abs(fb - (x0 - mu_i)) < 0.01:
             continue
-        core_tick(st_, cfg, F32(0.0), F32(gamma), np.zeros(1, np.float32), back)
-        got = float(st_.x) - x0
+        x_new, _, _ = core_tick(
+            x_start, np.array([0.0, F32(mu_i)], np.float32), cfg, F32(0.0),
+            F32(gamma), np.zeros(1, np.float32), back,
+        )
+        got = float(x_new) - x0
 
         e_plus = local_energy(x0 + h, i, mu_i, x_layer, x_low, theta_low, kind)
         e_minus = local_energy(x0 - h, i, mu_i, x_layer, x_low, theta_low, kind)
@@ -147,7 +150,7 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
 
 def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
     """FD check of weight increments against -(alpha/2) dE/dtheta."""
-    from pcsub.core import CoreConfig, core_new, core_tick
+    from pcsub.core import CoreConfig, core_tick
 
     h = 1e-4
     kinds = ["identity", "relu", "tanh"]
@@ -159,10 +162,11 @@ def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
         presyn = rng.uniform(-1, 1, n).astype(np.float32)
         x = float(rng.uniform(-1, 1))
         cfg = CoreConfig(n_presyn=n, m_back=0)
-        st_ = core_new(cfg, theta, x)
+        theta_new = theta.copy()
         presyn_f = np.array([apply_activation(kind, v) for v in presyn])
         core_tick(
-            st_, cfg, F32(alpha), F32(0.0), presyn_f, np.zeros(0, np.float32)
+            F32(x), theta_new, cfg, F32(alpha), F32(0.0), presyn_f,
+            np.zeros(0, np.float32),
         )
         mu64 = sum(
             float(theta[j]) * activation64(kind, float(presyn[j])) for j in range(n)
@@ -193,7 +197,7 @@ def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
                 * (energy(float(theta[j]) + h) - energy(float(theta[j]) - h))
                 / (2 * h)
             )
-            got = float(st_.theta[j]) - float(theta[j])
+            got = float(theta_new[j]) - float(theta[j])
             assert abs(got - want) <= tol * abs(want), (kind, j, got, want)
             lanes += 1
         if lanes:

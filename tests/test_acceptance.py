@@ -16,7 +16,7 @@ import pytest
 
 import pcsub
 from pcsub.cli import main as cli_main
-from pcsub.core import ClampSignal, CoreConfig, core_new, core_tick, tick_cycles
+from pcsub.core import ClampSignal, CoreConfig, core_tick, tick_cycles
 from pcsub.network import NetworkConfig, build_network, clamp_layer
 from pcsub.oracle import run_equivalence_suite
 from pcsub.prng import Prng
@@ -53,18 +53,16 @@ def test_criterion_2_cycle_model():
         for n in range(17):
             for m in range(17):
                 cfg = CoreConfig(n_presyn=n, m_back=m)
-                st_ = core_new(cfg, np.zeros(n + 1, np.float32), 0.0)
-                out = core_tick(
-                    st_, cfg, alpha, gamma,
+                _, _, out = core_tick(
+                    F32(0.0), np.zeros(n + 1, np.float32), cfg, alpha, gamma,
                     np.zeros(n, np.float32), np.zeros(m, np.float32),
                 )
                 assert out.shape == (n,)
                 assert tick_cycles(n, m) == 3 * n + m + 4
         for m in range(17):
             cfg = CoreConfig(n_presyn=0, m_back=m, has_upper=False)
-            st_ = core_new(cfg, np.zeros(1, np.float32), 0.0)
             core_tick(
-                st_, cfg, alpha, gamma,
+                F32(0.0), np.zeros(1, np.float32), cfg, alpha, gamma,
                 np.zeros(0, np.float32), np.zeros(m, np.float32),
             )
             assert tick_cycles(0, m, has_upper=False) == m + 2
@@ -112,21 +110,24 @@ def test_criterion_4_clamp_semantics():
             clamp = ClampSignal(True, obs)
 
             # hard clamp: stored state is exactly the observation
-            st_ = core_new(cfg, theta, x0)
-            core_tick(st_, cfg, alpha, gamma, presyn_f, back, clamp, True)
-            assert st_.x.tobytes() == F32(obs).tobytes()
+            x, _, _ = core_tick(
+                F32(x0), theta.copy(), cfg, alpha, gamma, presyn_f, back, clamp, True
+            )
+            assert x.tobytes() == F32(obs).tobytes()
 
             # soft clamp: eps from the observation, state update from the
             # stored x; both must match the independent binary32 path
-            st_ = core_new(cfg, theta, x0)
+            row = theta.copy()
             ref_x, ref_theta, ref_eps = reference_bit32(
                 F32(x0), theta, presyn, back, cfg, presyn_kind, alpha, gamma,
                 clamp, False,
             )
-            core_tick(st_, cfg, alpha, gamma, presyn_f, back, clamp, False)
-            assert st_.eps.tobytes() == ref_eps.tobytes()
-            assert st_.x.tobytes() == ref_x.tobytes()
-            assert st_.theta.tobytes() == ref_theta.tobytes()
+            x, eps, _ = core_tick(
+                F32(x0), row, cfg, alpha, gamma, presyn_f, back, clamp, False
+            )
+            assert eps.tobytes() == ref_eps.tobytes()
+            assert x.tobytes() == ref_x.tobytes()
+            assert row.tobytes() == ref_theta.tobytes()
 
 
 def _read_curve(path: Path):

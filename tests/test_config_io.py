@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.config import DEFAULTS, parse_config
@@ -192,15 +194,13 @@ def test_checkpoint_round_trip_nan_payload(tmp_path):
     net = _fresh_net()
     # a quiet NaN with a nonstandard payload
     weird = np.uint32(0x7FC00ABC).view(np.float32)
-    net.layers[1].cores[0].theta[1] = weird
-    net.layers[2].cores[2].x = weird
+    net.layers[1].theta[0, 1] = weird
+    net.layers[2].x = np.array([0.0, 0.0, weird], dtype=np.float32)
     path = tmp_path / "nan.ckpt"
     save_checkpoint(net, path)
     loaded = load_checkpoint(path)
-    assert (
-        loaded.layers[1].cores[0].theta[1].view(np.uint32) == np.uint32(0x7FC00ABC)
-    )
-    assert loaded.layers[2].cores[2].x.view(np.uint32) == np.uint32(0x7FC00ABC)
+    assert loaded.layers[1].theta[0, 1].view(np.uint32) == np.uint32(0x7FC00ABC)
+    assert loaded.layers[2].x[2].view(np.uint32) == np.uint32(0x7FC00ABC)
 
 
 def test_checkpoint_header_magic_error(tmp_path):
@@ -256,3 +256,86 @@ def test_checkpoint_huge_header_rejected_before_allocation(tmp_path, with_cfg):
         tracemalloc.stop()
     assert f"expected {expected}" in str(exc.value)
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"PCSUB1 1 +2 3",
+        b"PCSUB1 1 0_2 3",
+        b"PCSUB1 1 02 3",
+        b"PCSUB1\t1 2 3",
+        b"PCSUB1  1 2 3\r",
+    ],
+    ids=["sign", "underscore", "leading_zero", "tab", "double_space_cr"],
+)
+def test_checkpoint_non_canonical_header_rejected(tmp_path, header):
+    # each parses to sizes (2, 3) and has the right payload size, but only
+    # the canonical header would be saved back byte for byte
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(build_network(NetworkConfig(layer_sizes=[2, 3], seed=4)), path)
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(header + b"\n" + payload)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert "'PCSUB1 1 2 3'" in str(exc.value)
+
+
+def _replacement_tokens(old: bytes):
+    """Other numbers, junk, raw bytes, or ``old`` respelled with a sign,
+    leading zeros or extra whitespace."""
+    return st.one_of(
+        st.integers(-3, 10**12).map(lambda v: str(v).encode()),
+        st.text("0123456789+-_ \t\r\nx", max_size=6).map(str.encode),
+        st.binary(max_size=4),
+        st.tuples(
+            st.sampled_from([b"", b"+", b"0", b"00", b" ", b"\t"]),
+            st.sampled_from([b"", b" ", b"\r", b"\t"]),
+        ).map(lambda affixes: affixes[0] + old + affixes[1]),
+    )
+
+
+@st.composite
+def _damaged_checkpoints(draw, blob):
+    """``blob`` with one header token replaced, or truncated, or with some
+    payload bytes flipped."""
+    nl = blob.index(b"\n")
+    kind = draw(st.sampled_from(["token", "truncate", "flip"]))
+    if kind == "token":
+        tokens = blob[:nl].split(b" ")
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(_replacement_tokens(tokens[i]))
+        return b" ".join(tokens) + blob[nl:]
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    damaged = bytearray(blob)
+    for pos in draw(st.lists(st.integers(nl + 1, len(blob) - 1), min_size=1)):
+        damaged[pos] ^= draw(st.integers(1, 255))
+    return bytes(damaged)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding ``valid.ckpt``, a 2-4-3 network after 3 ticks."""
+    path = tmp_path_factory.mktemp("checkpoint_fuzz")
+    net = _fresh_net(seed=12)
+    for _ in range(3):
+        net.tick({0: clamp_layer([0.3, -0.8])})
+    save_checkpoint(net, path / "valid.ckpt")
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_checkpoint_fuzz_rejects_or_round_trips(fuzz_dir, data):
+    # every input is refused with CheckpointError, or loads into a network
+    # that saves back to the same bytes
+    blob = data.draw(_damaged_checkpoints((fuzz_dir / "valid.ckpt").read_bytes()))
+    path = fuzz_dir / "damaged.ckpt"
+    path.write_bytes(blob)
+    try:
+        net = load_checkpoint(path)
+    except CheckpointError:
+        return
+    save_checkpoint(net, fuzz_dir / "saved.ckpt")
+    assert (fuzz_dir / "saved.ckpt").read_bytes() == blob

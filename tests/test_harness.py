@@ -148,7 +148,7 @@ def test_evaluate_perfect_identity_chain():
     cfg = NetworkConfig([1, 1, 1], alpha=0.0, gamma=0.1, seed=0, init_scale=0.0)
     net = build_network(cfg)
     for layer in net.layers[1:]:
-        layer.cores[0].theta[0] = F32(1.0)  # unit weight, zero bias
+        layer.theta[0, 0] = F32(1.0)  # unit weight, zero bias
     xs = np.array([[0.9], [-0.4], [0.25], [0.65]], dtype=np.float32)
     ds = Dataset(inputs=xs, targets=xs.copy())
     assert evaluate_mse(net, ds, eval_ticks=400) < 1e-10

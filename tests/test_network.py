@@ -226,18 +226,19 @@ def test_report_arrays_do_not_alias_the_network():
 
 
 def test_cores_share_the_layer_weight_matrix(tmp_path):
+    # core i's weights are row i of its layer's matrix: a write to
+    # layer.theta is what weights(), snapshot() and a checkpoint read
     cfg = NetworkConfig(layer_sizes=(2, 4, 3), seed=29, alpha=0.01, gamma=0.1)
     built = build_network(cfg)
     save_checkpoint(built, tmp_path / "built.ckpt")
     loaded = load_checkpoint(tmp_path / "built.ckpt", cfg)
+    # a load assigns owned, writable arrays, not views of the file's bytes
+    for layer in loaded.layers:
+        for a in (layer.x, layer.theta):
+            assert a.flags.owndata and a.flags.writeable
     for name, net in (("built", built), ("loaded", loaded)):
         net.tick({0: clamp_layer([0.3, -0.6])})
-        for layer in net.layers:
-            for core in layer.cores:
-                assert np.shares_memory(layer.theta, core.theta)
-        # a write through one core's theta shows in every layer-level view
-        core = net.layers[2].cores[1]
-        core.theta[3] = F32(0.125)
+        net.layers[2].theta[1, 3] = F32(0.125)
         assert net.layers[2].weights()[1, 3] == F32(0.125)
         assert net.snapshot().theta[2][1, 3] == F32(0.125)
         path = tmp_path / f"{name}.written.ckpt"
@@ -251,6 +252,22 @@ def test_cores_share_the_layer_weight_matrix(tmp_path):
         assert stored.tobytes() == b"".join(
             layer.theta.astype("<f4").tobytes() for layer in net.layers
         )
+
+
+def test_start_of_tick_x_is_latched_without_copy():
+    # the tick replaces each layer's x array and never writes the old one,
+    # so the old array itself becomes the lower layer's states_in latch
+    net = mknet([2, 4, 3], seed=31, alpha=0.01, gamma=0.1)
+    clamp = {0: clamp_layer([0.3, -0.6])}
+    for _ in range(3):
+        before = [layer.x for layer in net.layers]
+        kept = [x.copy() for x in before]
+        net.tick(clamp)
+        for s in range(1, 3):
+            assert net.layers[s].states_in is before[s - 1]
+        for x, k in zip(before, kept):
+            assert x.tobytes() == k.tobytes()
+        assert all(x is not layer.x for x, layer in zip(before, net.layers))
 
 
 def test_snapshot_shapes():
@@ -404,30 +421,36 @@ def _run_ticks(net, n, clamp):
 
 def _tick_bottom_up_reversed(net, clamp):
     """One tick that runs the layers bottom-up and the cores of each layer
-    last-to-first, against the same latches, then swaps the buses."""
+    last-to-first, each a stateless ``core_tick`` on row i of its layer's
+    arrays against the same latches, then swaps the buses."""
     layers = net.layers
     cfg = net.cfg
     alpha, gamma = F32(cfg.alpha), F32(cfg.gamma)
-    pre_x = [layer.states() for layer in layers]
-    emitted = {}
+    new = {}
     for s in reversed(range(len(layers))):
         layer = layers[s]
         kind = cfg.activations[s - 1] if s else "identity"
         presyn_f = apply_activation_vec(kind, layer.states_in)
         signals = clamp.get(s)
-        rows = [None] * layer.size
+        x, eps, rows = [None] * layer.size, [None] * layer.size, [None] * layer.size
         for i in reversed(range(layer.size)):
-            rows[i] = core_tick(
-                layer.cores[i], layer.cfg, alpha, gamma, presyn_f,
+            x[i], eps[i], rows[i] = core_tick(
+                layer.x[i], layer.theta[i], layer.cfg, alpha, gamma, presyn_f,
                 layer.back_in[:, i], signals[i] if signals else NO_CLAMP,
                 cfg.clamp_hard,
             )
-        emitted[s] = np.array(rows, dtype=np.float32).reshape(layer.size, -1)
+        new[s] = (
+            np.array(x, dtype=np.float32),
+            np.array(eps, dtype=np.float32),
+            np.array(rows, dtype=np.float32).reshape(layer.size, -1),
+        )
+    pre_x = [layer.x for layer in layers]
     for s, layer in enumerate(layers):
         if s > 0:
             layer.states_in = pre_x[s - 1]
         if s < len(layers) - 1:
-            layer.back_in = emitted[s + 1]
+            layer.back_in = new[s + 1][2]
+        layer.x, layer.eps = new[s][0], new[s][1]
 
 
 def test_core_order_does_not_matter():
@@ -476,7 +499,7 @@ def test_energy_zero_network():
 
 def test_energy_single_nonzero_output():
     net = mknet([1, 1, 1], init_scale=0.0)
-    net.layers[2].cores[0].x = F32(0.5)
+    net.layers[2].x = np.array([0.5], dtype=np.float32)
     assert net.energy() == pytest.approx(0.25, abs=1e-12)
 
 
@@ -507,7 +530,7 @@ def test_energy_of_diverged_network_is_non_finite_without_warning():
     # pytest.ini turns a RuntimeWarning into an error, so a warning would
     # fail this test
     net = mknet([2, 3, 2], seed=6)
-    net.layers[1].cores[0].x = F32("nan")
+    net.layers[1].x = np.array([np.nan, 0.0, 0.0], dtype=np.float32)
     net.layers[1].theta[0, 1] = F32("inf")
     assert not np.isfinite(net.energy())
 

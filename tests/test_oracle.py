@@ -17,11 +17,11 @@ F32 = np.float32
 
 
 def dense_zeros(sizes, acts=None, **kw):
-    acts = acts or tuple("identity" for _ in sizes)
+    """All-zero state; step sizes default to 0 unless given in ``kw``."""
+    kw = {"alpha": 0.0, "gamma": 0.0, **kw}
     n = len(sizes)
     return DenseState(
-        layer_sizes=tuple(sizes),
-        activations=tuple(acts),
+        cfg=NetworkConfig(layer_sizes=sizes, activations=acts, **kw),
         x=[np.zeros(k, np.float32) for k in sizes],
         eps=[np.zeros(k, np.float32) for k in sizes],
         theta=[
@@ -35,7 +35,6 @@ def dense_zeros(sizes, acts=None, **kw):
             np.zeros((sizes[s + 1] if s < n - 1 else 0, k), np.float32)
             for s, k in enumerate(sizes)
         ],
-        **kw,
     )
 
 
@@ -76,8 +75,7 @@ def test_bad_mode_rejected():
 def test_shape_validation():
     with pytest.raises(ConfigurationError):
         DenseState(
-            layer_sizes=(2, 2),
-            activations=("identity", "identity"),
+            cfg=NetworkConfig(layer_sizes=(2, 2)),
             x=[np.zeros(2, np.float32), np.zeros(3, np.float32)],
             eps=[np.zeros(2, np.float32), np.zeros(2, np.float32)],
             theta=[np.zeros((2, 1), np.float32), np.zeros((2, 3), np.float32)],

@@ -7,54 +7,72 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcsub.core import CoreConfig, core_tick, stage_pred
+from pcsub.network import DenseState, NetworkConfig
+from pcsub.oracle import oracle_tick
 from pcsub.scalar32 import (
     activation64,
     activation_derivative,
     activation_derivative_vec,
     apply_activation,
     apply_activation_vec,
-    fp_mul_add,
     is_finite_f32,
 )
 
 F32 = np.float32
+
+
+def f32(*values):
+    return np.array(values, dtype=np.float32)
 
 finite32 = st.floats(
     allow_nan=False, allow_infinity=False, width=32, allow_subnormal=True
 )
 
 
-def test_mul_add_exact_case():
-    assert fp_mul_add(0.5, 2.0, 1.0) == F32(2.0)
-
-
 def test_mul_add_two_rounding_derived():
-    # product of f32(1.0000001) with itself, evaluated in binary64 and
-    # rounded once, happens to agree with the two-rounding path here
-    a = F32(1.0000001)
-    expected = F32(float(a) * float(a))
-    assert expected == F32(1.0000002)
-    assert fp_mul_add(a, a, 0.0) == expected
+    # PRED's MAC rounds the product, then the sum. Lane 1's product
+    # (1+2**-12)**2 = 1 + 2**-11 + 2**-24 is a tie that rounds to even,
+    # 1 + 2**-11, which cancels lane 0 exactly: mu = +0.0. A fused MAC
+    # would keep the 2**-24.
+    theta = np.array([-(1 + 2.0**-11), 1 + 2.0**-12, 0.0], dtype=np.float32)
+    presyn_f = np.array([1.0, 1 + 2.0**-12], dtype=np.float32)
+    fused = F32(float(theta[0]) * 1.0 + float(theta[1]) * float(presyn_f[1]))
+    assert fused == F32(2.0**-24)
+    zero = F32(0.0).tobytes()
 
+    assert stage_pred(theta, presyn_f).tobytes() == zero
+    # with x = +0.0 the tick's eps is -mu
+    cfg = CoreConfig(n_presyn=2, m_back=0)
+    _, eps, _ = core_tick(
+        F32(0.0), theta.copy(), cfg, F32(0.0), F32(0.0), presyn_f,
+        np.zeros(0, np.float32),
+    )
+    assert eps.tobytes() == zero
 
-@given(x=finite32, acc=finite32)
-def test_mul_add_zero_multiplicand(x, acc):
-    assert fp_mul_add(0.0, x, acc) == F32(acc)
-
-
-@given(a=finite32, b=finite32, acc=finite32)
-def test_mul_add_deterministic(a, b, acc):
-    with np.errstate(all="ignore"):
-        r1 = fp_mul_add(a, b, acc)
-        r2 = fp_mul_add(a, b, acc)
-    assert r1.tobytes() == r2.tobytes()
+    # the oracle, on a 2-1 identity net whose bottom core has these weights
+    state = DenseState(
+        cfg=NetworkConfig(layer_sizes=(2, 1), alpha=0.0, gamma=0.0),
+        x=[np.zeros(2, np.float32), np.zeros(1, np.float32)],
+        eps=[np.zeros(2, np.float32), np.zeros(1, np.float32)],
+        theta=[np.zeros((2, 1), np.float32), theta.reshape(1, 3)],
+        states_in=[np.zeros(0, np.float32), presyn_f],
+        back_in=[np.zeros((1, 2), np.float32), np.zeros((0, 1), np.float32)],
+    )
+    assert oracle_tick(state).eps[1].tobytes() == zero
 
 
 def test_mul_add_nan_inf_propagate():
+    # PRED's MAC masks no special value: a NaN lane, an overflowing
+    # product and inf + -inf all reach mu
     with np.errstate(all="ignore"):
-        assert np.isnan(fp_mul_add(float("nan"), 1.0, 0.0))
-        assert np.isinf(fp_mul_add(3.0e38, 2.0, 0.0))
-        assert np.isnan(fp_mul_add(float("inf"), 1.0, float("-inf")))
+        nan_lane = stage_pred(np.array([float("nan"), 0.0], np.float32), f32(1.0))
+        assert np.isnan(nan_lane)
+        assert np.isinf(stage_pred(np.array([3.0e38, 0.0], np.float32), f32(2.0)))
+        inf_minus_inf = stage_pred(
+            np.array([float("inf"), float("-inf")], np.float32), f32(1.0)
+        )
+        assert np.isnan(inf_minus_inf)
 
 
 @pytest.mark.parametrize(

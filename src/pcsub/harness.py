@@ -127,10 +127,10 @@ def generate_dataset(spec: TeacherSpec, n_samples: int) -> Dataset:
     rng = Prng(spec.seed)
     params = teacher_params(spec, rng)  # inputs continue the same stream
     d_in, _, d_out = spec.dims
-    inputs = np.empty((n_samples, d_in), dtype=np.float32)
+    inputs = rng.fill_uniform((n_samples, d_in), -1.0, 1.0)
     targets = np.empty((n_samples, d_out), dtype=np.float32)
     for i in range(n_samples):
-        inputs[i] = rng.fill_uniform(d_in, -1.0, 1.0)
+        # one sample at a time: a batched matmul may reorder its sums
         targets[i] = teacher_apply(spec.kind, params, inputs[i]).astype(np.float32)
     return Dataset(inputs=inputs, targets=targets)
 

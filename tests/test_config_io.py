@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
@@ -65,6 +65,69 @@ def test_prng_range():
 def test_prng_rejects_inverted_range():
     with pytest.raises(ValueError):
         Prng(0).uniform(1.0, 0.0)
+
+
+def test_prng_binary32_bounds_map_in_binary64():
+    lo, hi = F32(-0.3), F32(0.7)
+    a, b = Prng(7), Prng(7)
+    got = a.fill_uniform(2000, lo, hi)
+    assert got.tobytes() == b.fill_uniform(2000, float(lo), float(hi)).tobytes()
+    assert a.uniform(lo, hi) == b.uniform(float(lo), float(hi))
+
+
+def _scalar_fill(gen, shape, lo, hi):
+    """The scalar definition: one ``uniform`` call per element, C-order."""
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    for i in range(flat.size):
+        flat[i] = gen.uniform(lo, hi)
+    return out
+
+
+_SEEDS = st.integers(0, 2**64 - 1)
+# hypothesis favours small integers; the second range keeps draws of
+# 1,000-2,000 elements, where a defect may show only late, in play
+_LENGTHS = st.one_of(st.integers(0, 64), st.integers(1000, 2000))
+_SHAPES = st.one_of(
+    st.just(()),
+    st.tuples(_LENGTHS),
+    st.tuples(st.integers(0, 45), st.integers(0, 45)),
+)
+_BOUND = st.floats(-1e38, 1e38)
+_RANGES = st.one_of(
+    st.tuples(_BOUND, _BOUND).map(sorted),
+    st.one_of(st.sampled_from([0.0, -0.0]), _BOUND).map(lambda v: (v, v)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS, shape=_SHAPES, bounds=_RANGES)
+@example(seed=2**64 - 1, shape=(2000,), bounds=(-1.0, 1.0))
+@example(seed=12345678901234567, shape=(45, 45), bounds=(-1e30, 1e30))
+def test_fill_uniform_matches_scalar_stream(seed, shape, bounds):
+    lo, hi = bounds
+    fast, slow = Prng(seed), Prng(seed)
+    got = fast.fill_uniform(shape, lo, hi)
+    want = _scalar_fill(slow, shape, lo, hi)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert fast.state == slow.state
+    if lo == hi:
+        assert fast.state == seed  # no draw consumed
+    # a later scalar draw continues the same stream
+    assert fast.uniform(-1.0, 1.0).tobytes() == slow.uniform(-1.0, 1.0).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS, shape=_SHAPES, bounds=st.tuples(_BOUND, _BOUND))
+def test_fill_uniform_rejects_inverted_range_before_drawing(seed, shape, bounds):
+    hi, lo = sorted(bounds)
+    if lo == hi:
+        lo = np.nextafter(hi, np.inf)
+    gen = Prng(seed)
+    with pytest.raises(ValueError):
+        gen.fill_uniform(shape, lo, hi)
+    assert gen.state == seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Cross-check the core-level simulator against the dense oracle.
 
-The bit32 oracle recomputes every tick with vectorized binary32 numpy
-operations in the same pinned accumulation order; results must match the
-per-core simulator bit for bit. The f64 oracle runs the same update in
-binary64 and bounds the rounding drift instead.
+The oracle is one dense step over whole layers, in the same pinned
+accumulation order as the cores, run in one of two precisions. In bit32
+mode it computes in binary32 and must match the per-core simulator bit
+for bit. In f64 mode the same code computes in binary64, with f and f'
+evaluated per element in binary64, and bounds the rounding drift instead.
 """
 
 import numpy as np

@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import ConfigFile, load_config
 from .errors import ConfigurationError
-from .network import Network, NetworkConfig, build_network, clamp_layer
+from .network import Network, NetworkConfig, _binary32, build_network, clamp_layer
 from .prng import Prng
 
 EXPERIMENTS = ("relu_ts", "tanh_ts", "scale_small", "scale_medium", "scale_large")
@@ -54,6 +54,7 @@ class TeacherSpec:
             raise ConfigurationError(f"unknown teacher kind: {self.kind!r}")
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ConfigurationError(f"teacher dims must be 3 positive sizes: {self.dims}")
+        _binary32("weight_scale", self.weight_scale)  # teacher_weight_scale's rule
 
 
 @dataclass

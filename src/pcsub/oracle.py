@@ -1,30 +1,39 @@
 """Dense reference implementation of one network tick.
 
-Two modes:
+One step function, two precisions. The mode picks only the dtype the
+tick computes in and how the activation f and its derivative f' are
+evaluated; stage order, summation order and the structural no-op rules
+are the same code in both:
 
-* ``bit32`` replicates the core datapath's exact accumulation order with
-  binary32 numpy array operations over whole layers, with no Python loop
-  over lanes. The two ordered sums (PRED's mu and BACKSUM's b) are
-  prefix sums, ``np.add.accumulate`` from a +0.0 seed on lane 0: lanes
-  ascending, one rounding per add. They are never ``np.sum`` or
-  ``np.add.reduce``, whose pairwise order changes bits from 8 lanes on.
-  Its results match the core-level simulator bit for bit, up to NaN sign
-  and payload: numpy's scalar and array operations pick different
-  operands when both are NaN, so tests compare NaN positions, not NaN
-  bytes.
-* ``f64`` evaluates the same update in binary64 throughout (dense dot
-  products); it bounds the simulator's rounding drift rather than its
-  bit pattern.
+* ``bit32`` computes in binary32 with the datapath's vector f/f'
+  (``apply_activation_vec``, ``activation_derivative_vec``). Its results
+  match the core-level simulator bit for bit, up to NaN sign and payload:
+  numpy's scalar and array operations pick different operands when both
+  are NaN, so tests compare NaN positions, not NaN bytes.
+* ``f64`` computes in binary64 with f/f' evaluated per element by
+  ``activation64``/``derivative64``; it bounds the simulator's rounding
+  drift rather than its bit pattern.
+
+Whole layers are array operations, with no Python loop over lanes. The
+two ordered sums (PRED's mu and BACKSUM's b) are prefix sums,
+``np.add.accumulate`` from a +0.0 seed on lane 0: lanes ascending, one
+rounding per add. They are never ``np.sum``, ``np.add.reduce`` or ``@``,
+whose pairwise order changes bits from 8 lanes on. WUP is skipped when
+alpha == 0 and the state step when gamma == 0, so a NaN or infinite
+operand cannot reach a weight or a state through a zero step size. The
+bias update is ``(alpha * alpha_bias_scale) * eps``.
 
 Both modes tick a ``DenseState`` (defined in ``network``: the network's
-value snapshot, with its config) and return a new one. The step sizes
-are the state's configured ones, or the per-tick overrides, rounded to
-binary32. Both modes mirror the simulator's registered communication:
-predictions read states latched one tick ago, bottom-up sums read
-products latched one tick ago, and the latches are refreshed from this
-tick's values at the end. A Gauss-Seidel sweep with fresh errors would
-be a different dynamical system and is deliberately not implemented
-here.
+value snapshot, with its config) and return a new one whose arrays all
+have the mode's dtype. The step sizes are the state's configured ones,
+or the per-tick overrides, rounded to binary32. Step sizes and clamps
+that ``Network.tick`` rejects are rejected here too, with
+``ConfigurationError``, before anything is computed. Both modes mirror
+the simulator's registered communication: predictions read states
+latched one tick ago, bottom-up sums read products latched one tick
+ago, and the latches are refreshed from this tick's values at the end.
+A Gauss-Seidel sweep with fresh errors would be a different dynamical
+system and is deliberately not implemented here.
 """
 
 from __future__ import annotations
@@ -35,7 +44,14 @@ import numpy as np
 
 from .core import ClampSignal
 from .errors import ConfigurationError
-from .network import ClampMap, DenseState, Network, NetworkConfig, build_network
+from .network import (
+    ClampMap,
+    DenseState,
+    Network,
+    NetworkConfig,
+    _binary32,
+    build_network,
+)
 from .scalar32 import (
     ACTIVATION_KINDS,
     F32,
@@ -45,21 +61,32 @@ from .scalar32 import (
     derivative64,
 )
 
-_ZERO = F32(0.0)
-_ONE = F32(1.0)
+
+def _per_element(fn):
+    """Vector form of a binary64 scalar function ``fn(kind, x)``."""
+    return lambda kind, x: np.array([fn(kind, v) for v in x.tolist()])
 
 
-def _clamp_arrays(state: DenseState, clamp: Optional[ClampMap], s: int):
-    """(enable mask, binary32 observations) of layer s, or (None, None)
-    when the layer has no clamp."""
-    if clamp is None or s not in clamp:
-        return None, None
-    signals = clamp[s]
-    if len(signals) != state.layer_sizes[s]:
-        raise ConfigurationError(f"layer {s}: clamp length mismatch")
-    en = np.array([sig.x_set_en for sig in signals], dtype=bool)
-    obs = np.array([sig.x_obs for sig in signals], dtype=np.float32)
-    return en, obs
+# mode -> (dtype, f, f'), with f/f' taking (activation kind, array)
+_MODES = {
+    "bit32": (np.float32, apply_activation_vec, activation_derivative_vec),
+    "f64": (np.float64, _per_element(activation64), _per_element(derivative64)),
+}
+
+
+def _clamp_arrays(sizes, clamp: Optional[ClampMap]) -> list:
+    """Per layer, (enable mask, binary32 observations) or None without a
+    clamp. Rejects a clamp that ``Network.tick`` rejects."""
+    arrays = [None] * len(sizes)
+    for s, signals in (clamp or {}).items():
+        if s < 0 or s >= len(sizes):
+            raise ConfigurationError(f"clamp for nonexistent layer {s}")
+        if len(signals) != sizes[s]:
+            raise ConfigurationError(f"layer {s}: clamp length mismatch")
+        en = np.array([sig.x_set_en for sig in signals], dtype=bool)
+        obs = np.array([sig.x_obs for sig in signals], dtype=np.float32)
+        arrays[s] = en, obs
+    return arrays
 
 
 def oracle_tick(
@@ -70,160 +97,80 @@ def oracle_tick(
     gamma: Optional[float] = None,
 ) -> DenseState:
     """Pure function: one tick applied to a dense snapshot."""
-    if mode not in ("bit32", "f64"):
+    if mode not in _MODES:
         raise ConfigurationError(f"unknown oracle mode: {mode!r}")
-    av = F32(state.cfg.alpha if alpha is None else alpha)
-    gv = F32(state.cfg.gamma if gamma is None else gamma)
+    av = _binary32("alpha", state.cfg.alpha if alpha is None else alpha)
+    gv = _binary32("gamma", state.cfg.gamma if gamma is None else gamma)
     with np.errstate(all="ignore"):
-        if mode == "bit32":
-            return _tick_bit32(state, clamp, av, gv)
-        return _tick_f64(state, clamp, av, gv)
+        clamps = _clamp_arrays(state.layer_sizes, clamp)
+        return _step(state, clamps, av, gv, *_MODES[mode])
 
 
 def _ascending_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     """Sum of ``terms`` along ``axis``: lanes added in ascending order from
-    a +0.0 seed, one binary32 rounding per add, like the core's sequential
+    a +0.0 seed, one rounding per add, like the core's sequential
     accumulator. ``terms`` must be a fresh array; it is overwritten.
 
     ``np.add.accumulate`` adds in lane order; ``np.sum``/``np.add.reduce``
     would sum pairwise, which changes bits from 8 lanes on.
     """
     seed_lane = terms[:, 0] if axis == 1 else terms[0]
-    seed_lane += _ZERO  # acc starts at +0.0, so all -0.0 lanes sum to +0.0
+    seed_lane += 0.0  # acc starts at +0.0, so all -0.0 lanes sum to +0.0
     np.add.accumulate(terms, axis=axis, out=terms)
     return terms[:, -1] if axis == 1 else terms[-1]
 
 
-def _tick_bit32(state: DenseState, clamp, alpha, gamma) -> DenseState:
+def _step(state: DenseState, clamps, alpha, gamma, dtype, f, fprime):
+    """One tick of every layer in ``dtype``: PRED, ERR, BACKSUM, BACKVEC,
+    WUP and STATE, then the latch rebuild."""
     cfg = state.cfg
     sizes = cfg.layer_sizes
     last = len(sizes) - 1
+    alpha, gamma, one = dtype(alpha), dtype(gamma), dtype(1.0)
+    bias_scale = dtype(F32(cfg.alpha_bias_scale))
     new_x, new_eps, new_theta, new_backvec = [], [], [], []
 
     for s, n in enumerate(sizes):
-        x = state.x[s]
-        theta = state.theta[s]
-        back = state.back_in[s]
-        en, obs = _clamp_arrays(state, clamp, s)
-        x_eff = x if en is None else np.where(en, obs, x)
+        x = state.x[s].astype(dtype)
+        theta = state.theta[s].astype(dtype)  # own copy: WUP writes it
+        clamped = clamps[s]
+        x_eff = x if clamped is None else np.where(*clamped, x)
 
-        if s == 0:
-            mu = np.zeros(n, dtype=np.float32)
+        if s == 0:  # a top layer runs no PRED, BACKVEC or WUP
+            eps = x_eff - dtype(0.0)
         else:
-            fpre = apply_activation_vec(cfg.activations[s - 1], state.states_in[s])
+            fpre = f(cfg.activations[s - 1], state.states_in[s])
             acc = _ascending_sum(theta[:, :-1] * fpre, axis=1)
-            mu = theta[:, -1] * _ONE + acc
+            eps = x_eff - (theta[:, -1] * one + acc)
+            new_backvec.append(theta[:, :-1] * eps[:, None])
+            if alpha != 0:
+                theta[:, :-1] = (alpha * eps)[:, None] * fpre + theta[:, :-1]
+                if not cfg.bias_frozen:
+                    coeff_b = (alpha * bias_scale) * eps
+                    theta[:, -1] = coeff_b * one + theta[:, -1]
 
-        eps = x_eff - mu
+        if gamma != 0:  # BACKSUM and STATE: b is read only by STATE
+            back = state.back_in[s]
+            if back.shape[0]:
+                b = _ascending_sum(back.astype(dtype), axis=0)
+            else:
+                b = np.zeros(n, dtype)
+            x = x + gamma * (fprime(cfg.activations[s], x_eff) * b - eps)
+        if clamped is not None and cfg.clamp_hard:
+            x = np.where(*clamped, x)
 
-        if back.shape[0]:
-            b = _ascending_sum(back.copy(), axis=0)
-        else:
-            b = np.zeros(n, dtype=np.float32)
-
-        # a top layer (s = 0) emits no products
-        backvec = theta[:, :-1] * eps[:, None] if s > 0 else None
-
-        th = theta.copy()
-        if s > 0 and alpha != _ZERO:
-            th[:, :-1] = (alpha * eps)[:, None] * fpre + th[:, :-1]
-            if not cfg.bias_frozen:
-                coeff_b = (alpha * F32(cfg.alpha_bias_scale)) * eps
-                th[:, -1] = coeff_b * _ONE + th[:, -1]
-
-        if gamma == _ZERO:
-            xn = x.copy()
-        else:
-            fprime = activation_derivative_vec(cfg.activations[s], x_eff)
-            xn = x + gamma * (fprime * b - eps)
-        if en is not None and cfg.clamp_hard:
-            xn = np.where(en, obs, xn)
-
-        new_x.append(xn)
+        new_x.append(x)
         new_eps.append(eps)
-        new_theta.append(th)
-        new_backvec.append(backvec)
+        new_theta.append(theta)
 
     return DenseState(
         cfg=cfg,
         x=new_x,
         eps=new_eps,
         theta=new_theta,
-        states_in=[
-            state.x[s - 1].copy() if s > 0 else np.zeros(0, dtype=np.float32)
-            for s in range(len(sizes))
-        ],
-        back_in=[
-            new_backvec[s + 1] if s < last else np.zeros((0, sizes[s]), np.float32)
-            for s in range(len(sizes))
-        ],
-    )
-
-
-def _tick_f64(state: DenseState, clamp, alpha, gamma) -> DenseState:
-    cfg = state.cfg
-    sizes = cfg.layer_sizes
-    last = len(sizes) - 1
-    a64, g64 = float(alpha), float(gamma)
-    new_x, new_eps, new_theta, new_backvec = [], [], [], []
-
-    for s, n in enumerate(sizes):
-        x = state.x[s].astype(np.float64)
-        theta = state.theta[s].astype(np.float64)
-        en, obs = _clamp_arrays(state, clamp, s)
-        x_eff = x if en is None else np.where(en, obs.astype(np.float64), x)
-
-        if s == 0:
-            mu = np.zeros(n)
-            fpre = None
-        else:
-            fpre = np.array(
-                [
-                    activation64(cfg.activations[s - 1], float(v))
-                    for v in state.states_in[s]
-                ]
-            )
-            mu = theta[:, :-1] @ fpre + theta[:, -1]
-
-        eps = x_eff - mu
-        if state.back_in[s].shape[0]:
-            b = state.back_in[s].astype(np.float64).sum(axis=0)
-        else:
-            b = np.zeros(n)
-
-        backvec = theta[:, :-1] * eps[:, None] if s > 0 else np.zeros((n, 0))
-
-        th = theta.copy()
-        if s > 0 and a64 != 0.0:
-            th[:, :-1] += a64 * eps[:, None] * fpre[None, :]
-            if not cfg.bias_frozen:
-                th[:, -1] += (a64 * float(F32(cfg.alpha_bias_scale))) * eps
-
-        fprime = np.array(
-            [derivative64(cfg.activations[s], float(v)) for v in x_eff]
-        )
-        xn = x + g64 * (fprime * b - eps)
-        if en is not None and cfg.clamp_hard:
-            xn = np.where(en, obs.astype(np.float64), xn)
-
-        new_x.append(xn)
-        new_eps.append(eps)
-        new_theta.append(th)
-        new_backvec.append(backvec)
-
-    return DenseState(
-        cfg=cfg,
-        x=new_x,
-        eps=new_eps,
-        theta=new_theta,
-        states_in=[
-            state.x[s - 1].astype(np.float64) if s > 0 else np.zeros(0)
-            for s in range(len(sizes))
-        ],
-        back_in=[
-            new_backvec[s + 1] if s < last else np.zeros((0, sizes[s]))
-            for s in range(len(sizes))
-        ],
+        states_in=[np.zeros(0, dtype)]
+        + [state.x[s].astype(dtype) for s in range(last)],
+        back_in=new_backvec + [np.zeros((0, sizes[last]), dtype)],
     )
 
 

@@ -74,6 +74,16 @@ def test_teacher_kind_validation():
         TeacherSpec("relu_teacher", (2, 0, 1), 0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "scale", [float("nan"), float("inf"), -float("inf"), -0.5, 1e39]
+)
+def test_teacher_weight_scale_validation(scale):
+    # the config parser's rule for teacher_weight_scale: finite in
+    # binary32 and >= 0, rejected when the spec is built
+    with pytest.raises(ConfigurationError, match="weight_scale"):
+        TeacherSpec("relu_teacher", (2, 3, 1), 1, scale)
+
+
 # ---------------------------------------------------------------------------
 # training protocol
 # ---------------------------------------------------------------------------

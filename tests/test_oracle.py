@@ -72,6 +72,36 @@ def test_bad_mode_rejected():
         oracle_tick(ds, mode="f32")
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), 1e39, -0.01]
+)
+@pytest.mark.parametrize("key", ["alpha", "gamma"])
+def test_bad_step_override_rejected_like_network(key, value):
+    net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
+    ds = net.snapshot()
+    for tick in (net.tick, lambda **kw: oracle_tick(ds, **kw)):
+        with pytest.raises(ConfigurationError, match=key):
+            tick(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "clamp",
+    [
+        {5: clamp_layer([0.1, 0.2])},
+        {-1: clamp_layer([0.1, 0.2, 0.3])},
+        {2: clamp_layer([0.1])},
+        {1: clamp_layer([0.1, 0.2])},
+    ],
+)
+def test_bad_clamp_rejected_like_network(clamp):
+    net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
+    ds = net.snapshot()
+    with pytest.raises(ConfigurationError):
+        net.tick(clamp)
+    with pytest.raises(ConfigurationError):
+        oracle_tick(ds, clamp)
+
+
 def test_shape_validation():
     with pytest.raises(ConfigurationError):
         DenseState(
@@ -197,3 +227,61 @@ def test_oracle_sums_start_from_positive_zero():
     assert mu.tobytes() == F32(0.0).tobytes()
     b = _oracle_b(neg)
     assert b.tobytes() == F32(0.0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# structural no-ops, both precisions
+# ---------------------------------------------------------------------------
+
+MODE_DTYPES = [("bit32", np.float32), ("f64", np.float64)]
+FIELDS = ("x", "eps", "theta", "states_in", "back_in")
+
+
+def _state_in(dtype, **kw):
+    """Snapshot of a ticked random 2-3-2 net, every array cast to ``dtype``."""
+    cfg = NetworkConfig(
+        layer_sizes=[2, 3, 2],
+        activations=["tanh", "relu", "identity"],
+        seed=11,
+        **kw,
+    )
+    net = build_network(cfg)
+    for _ in range(3):
+        net.tick({0: clamp_layer([0.5, -0.25])}, alpha=0.01, gamma=0.05)
+    ds = net.snapshot()
+    for name in FIELDS:
+        setattr(ds, name, [a.astype(dtype) for a in getattr(ds, name)])
+    return ds
+
+
+def _assert_mode_dtype(ds, dtype):
+    for name in FIELDS:
+        for a in getattr(ds, name):
+            assert a.dtype == dtype, name
+
+
+@pytest.mark.parametrize("mode,dtype", MODE_DTYPES)
+def test_gamma_zero_keeps_non_finite_states(mode, dtype):
+    # gamma = 0 skips STATE: an inf or NaN x is not turned into
+    # x + 0*(...) = NaN
+    ds = _state_in(dtype, alpha=0.01, gamma=0.0)
+    ds.x[1][0] = np.inf
+    ds.x[1][2] = -np.inf
+    ds.x[2][1] = np.nan
+    out = oracle_tick(ds, mode=mode)
+    for s in range(3):
+        assert out.x[s].tobytes() == ds.x[s].tobytes()
+    _assert_mode_dtype(out, dtype)
+
+
+@pytest.mark.parametrize("mode,dtype", MODE_DTYPES)
+def test_alpha_zero_keeps_weights_under_nan_error(mode, dtype):
+    # alpha = 0 skips WUP: a NaN eps does not reach theta through 0*NaN
+    ds = _state_in(dtype, alpha=0.0, gamma=0.05)
+    ds.x[1][1] = np.nan
+    ds.x[2][0] = np.nan
+    out = oracle_tick(ds, mode=mode)
+    assert np.isnan(out.eps[1][1]) and np.isnan(out.eps[2][0])
+    for s in range(3):
+        assert out.theta[s].tobytes() == ds.theta[s].tobytes()
+    _assert_mode_dtype(out, dtype)

@@ -1,5 +1,12 @@
 """One neural core: the six-stage tick schedule and the cycle model.
 
+This module is the per-core reference of the tick. ``Network.tick`` does
+not call it: the engine runs the same stage rules with its own code,
+the lane-parallel stages a whole layer at a time, and the tests drive
+``core_tick`` over a network's latches to check the engine bit for bit.
+The cycle model (``tick_cycles``) and the per-core types (``CoreConfig``,
+``ClampSignal``) are the network's too.
+
 A core is a single scalar unit (i, layer). Its storage is row i of its
 layer's register file: the activity x, the error eps and the (N+1,)
 weight row theta, which the network keeps as per-layer binary32 arrays.
@@ -193,8 +200,9 @@ def core_tick(
     f(presyn) of the N latched upper-layer states (a pure per-lane
     function, computed once per layer) and ``back`` the M latched products
     from the layer below. The clamp observation is the one value rounded
-    to binary32 here; ``Network.tick`` runs this under ``np.errstate``, so
-    an observation past the binary32 range becomes inf without a warning.
+    to binary32 here. Run it under ``np.errstate(all="ignore")``, as the
+    engine runs its own stages, so that an observation past the binary32
+    range becomes inf without a warning.
     """
     x_eff = F32(clamp.x_obs) if clamp.x_set_en else x
     top = not cfg.has_upper  # a top core runs no PRED, BACKVEC or WUP

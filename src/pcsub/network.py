@@ -12,18 +12,31 @@ latched at the end of tick t-1. A core's emitted state is the value held
 at the start of the tick; its emitted back products use the eps computed
 during the tick. Both become visible to neighbors one tick later, after
 an atomic bus swap. Because all cross-core reads hit latches, the order
-in which cores execute cannot change a bit. ``Network.tick`` runs every
-core once, layer by layer, in the calling thread.
+in which cores execute cannot change a bit, and neither can running a
+stage for a whole layer at once.
 
 Per-layer binary32 arrays are the network's only state: each layer holds
 its activities x and errors eps, shape (n,), its weights theta, shape
 (n, N+1) with the bias column last, and its two bus latches. Core i is
-row i of them, and ``core_tick`` is a stateless step over that row. The
-tick fills fresh x and eps arrays and never writes the old ones in place:
-the old x array becomes the lower layer's ``states_in`` latch as it is,
-with no copy. ``reset_states`` and ``load_checkpoint`` also assign new
-arrays. ``DenseState`` is the one value snapshot of all of it, returned
-by ``Network.snapshot`` and ticked by the oracle.
+row i of them. ``Network.tick`` is the engine: in the calling thread it
+ticks the layers top to bottom, each in two passes over those arrays
+with the stage rules, operand order and roundings of ``core``:
+
+1. a per-core scalar loop for the stages with a lane order or a branch:
+   PRED (one MAC per lane, ascending from +0.0, bias lane last), ERR,
+   BACKSUM (one add per back input, ascending from +0.0) and STATE;
+2. one array operation per layer for the stages whose lanes are
+   independent: BACKVEC from the pre-update weights, then WUP and the
+   bias update (skipped at alpha == 0).
+
+``core.core_tick`` runs the same schedule one core at a time; it is the
+per-core reference the engine is tested against, and the engine calls
+none of it. The tick fills fresh x and eps arrays and never writes the
+old ones in place: the old x array becomes the lower layer's
+``states_in`` latch as it is, with no copy. ``reset_states`` and
+``load_checkpoint`` also assign new arrays. ``DenseState`` is the one
+value snapshot of all of it, returned by ``Network.snapshot`` and ticked
+by the oracle.
 
 Weights are initialized i.i.d. uniform in [-init_scale, +init_scale] from
 a SplitMix64 stream seeded with ``seed``: draws proceed layer-major (top
@@ -44,7 +57,6 @@ from .core import (
     ClampSignal,
     CoreConfig,
     NO_CLAMP,
-    core_tick,
     tick_cycles,
 )
 from .errors import ConfigurationError
@@ -53,11 +65,15 @@ from .scalar32 import (
     ACTIVATION_KINDS,
     F32,
     activation64,
+    activation_derivative,
     apply_activation_vec,
     is_finite_f32,
 )
 
 ClampMap = dict[int, Sequence[ClampSignal]]
+
+_ZERO = F32(0.0)
+_ONE = F32(1.0)
 
 
 def layer_wiring(layer_sizes) -> list:
@@ -83,6 +99,15 @@ def _binary32(key: str, value, nonneg: bool = True) -> np.float32:
     if nonneg and value < 0:
         raise ConfigurationError(f"{key} must be >= 0, got {value!r}")
     return F32(value)
+
+
+def _check_clamp_key(key, n_layers: int) -> None:
+    """Reject a clamp key that is not the index of a layer: only a Python
+    or numpy integer (not a bool) in [0, n_layers) names one."""
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+        raise ConfigurationError(f"clamp key must be a layer index, got {key!r}")
+    if key < 0 or key >= n_layers:
+        raise ConfigurationError(f"clamp for nonexistent layer {key}")
 
 
 @dataclass
@@ -157,7 +182,9 @@ class TickReport:
 class DenseState:
     """Value snapshot of a whole network, bus latches included, with the
     config it was built from: what the oracle ticks, the checks compare
-    and ``Network.snapshot`` returns. The arrays are the snapshot's own."""
+    and ``Network.snapshot`` returns. The arrays are the snapshot's own.
+    Building one checks nothing; ``oracle_tick`` checks the shapes of the
+    state it is given."""
 
     cfg: NetworkConfig
     x: list  # per-layer (n,)
@@ -165,17 +192,6 @@ class DenseState:
     theta: list  # per-layer (n, N+1), bias column last
     states_in: list  # per-layer (N,) latched upper states
     back_in: list  # per-layer (M, n) latched products
-
-    def __post_init__(self):
-        for s, (n, n_pre, m_back, _) in enumerate(layer_wiring(self.layer_sizes)):
-            if self.x[s].shape != (n,) or self.eps[s].shape != (n,):
-                raise ConfigurationError(f"layer {s}: state shape mismatch")
-            if self.theta[s].shape != (n, n_pre + 1):
-                raise ConfigurationError(f"layer {s}: weight shape mismatch")
-            if self.states_in[s].shape != (n_pre,):
-                raise ConfigurationError(f"layer {s}: states_in shape mismatch")
-            if self.back_in[s].shape != (m_back, n):
-                raise ConfigurationError(f"layer {s}: back_in shape mismatch")
 
     @property
     def layer_sizes(self) -> tuple:
@@ -243,6 +259,14 @@ class Network:
     ) -> TickReport:
         """Run every core once against the previous-tick latches, then swap.
 
+        Each layer, top to bottom, runs two passes (see the module
+        docstring): a loop over its cores for x_eff (the rounded clamp
+        observation, or x), PRED, ERR, BACKSUM and STATE; then BACKVEC,
+        WUP and the bias update as one array operation each over the
+        layer. BACKSUM runs on every core, as in the per-core schedule,
+        although STATE reads b only in its Euler step (not under a hard
+        clamp, not at gamma == 0).
+
         ``alpha``/``gamma`` override the built-in step sizes for this tick
         (they are supplied externally in the same way the start pulse is)
         and follow the configured values' rule: finite in binary32 and
@@ -256,39 +280,63 @@ class Network:
         layers = self.layers
         last = len(layers) - 1
         # this tick's fresh arrays: every layer's post-tick x and eps as
-        # views of one array, and the (n, N) products each layer emits upward
+        # views of one array, and the (n, N) products each layer below the
+        # top emits upward
         spans = self._value_slices
         values = np.empty(spans[-1].stop, dtype=np.float32)
-        states, errors, emitted = [], [], []
+        states, errors, emitted = [], [], [None]
 
         with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
             for s, layer in enumerate(layers):
                 cfg = layer.cfg
+                kind = cfg.activation
+                theta = layer.theta
+                n_pre = cfg.n_presyn
                 presyn_f = (
                     apply_activation_vec(activations[s - 1], layer.states_in)
                     if s > 0
                     else layer.states_in
                 )
-                back_in = layer.back_in
+                back = layer.back_in.T  # row i: core i's back column
                 signals = clamp.get(s)
                 x = values[spans[s]]
                 eps = values[spans[last + 1 + s]]
-                products = np.empty((layer.size, cfg.n_presyn), dtype=np.float32)
-                for i, (x_i, theta_i) in enumerate(zip(layer.x, layer.theta)):
-                    x[i], eps[i], products[i] = core_tick(
-                        x_i,
-                        theta_i,
-                        cfg,
-                        alpha,
-                        gamma,
-                        presyn_f,
-                        back_in[:, i],
-                        signals[i] if signals else NO_CLAMP,
-                        hard,
-                    )
+
+                # pass 1: the scalar stages, core by core
+                for i, x_i in enumerate(layer.x):
+                    signal = signals[i] if signals else NO_CLAMP
+                    clamped = signal.x_set_en
+                    x_eff = F32(signal.x_obs) if clamped else x_i
+                    mu = _ZERO  # a top core runs no PRED
+                    if s > 0:  # PRED: one MAC per lane, ascending, bias last
+                        row = theta[i]
+                        for j in range(n_pre):
+                            mu = row[j] * presyn_f[j] + mu
+                        mu = row[n_pre] * _ONE + mu
+                    e = x_eff - mu  # ERR
+                    eps[i] = e
+                    b = _ZERO  # BACKSUM, read only by the Euler step below
+                    for v in back[i]:
+                        b = b + v
+                    if hard and clamped:  # STATE
+                        x[i] = x_eff
+                    elif gamma == _ZERO:
+                        x[i] = x_i
+                    else:
+                        fprime = activation_derivative(kind, x_eff)
+                        x[i] = x_i + gamma * (fprime * b - e)
+
+                # pass 2: the lane-parallel stages, one array op per layer
+                if s > 0:
+                    w = theta[:, :-1]
+                    emitted.append(w * eps[:, None])  # BACKVEC, pre-update
+                    if alpha != _ZERO:  # WUP
+                        w[...] = (alpha * eps)[:, None] * presyn_f + w
+                        if not cfg.bias_frozen:
+                            coeff_b = (alpha * cfg.alpha_bias_scale) * eps
+                            theta[:, -1] = coeff_b * _ONE + theta[:, -1]
                 states.append(x)
                 errors.append(eps)
-                emitted.append(products)
 
         # atomic bus swap: new latches become visible only after all cores
         # have completed the tick; a layer's start-of-tick x array is what
@@ -314,8 +362,7 @@ class Network:
         if clamp is None:
             return {}
         for s, signals in clamp.items():
-            if s < 0 or s >= len(self.layers):
-                raise ConfigurationError(f"clamp for nonexistent layer {s}")
+            _check_clamp_key(s, len(self.layers))
             if len(signals) != self.layers[s].size:
                 raise ConfigurationError(
                     f"layer {s} clamp has {len(signals)} signals, "

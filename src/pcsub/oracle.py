@@ -7,9 +7,9 @@ are the same code in both:
 
 * ``bit32`` computes in binary32 with the datapath's vector f/f'
   (``apply_activation_vec``, ``activation_derivative_vec``). Its results
-  match the core-level simulator bit for bit, up to NaN sign and payload:
-  numpy's scalar and array operations pick different operands when both
-  are NaN, so tests compare NaN positions, not NaN bytes.
+  match the simulator (``Network.tick``) bit for bit, up to NaN sign and
+  payload: numpy's scalar and array operations pick different operands
+  when both are NaN, so tests compare NaN positions, not NaN bytes.
 * ``f64`` computes in binary64 with f/f' evaluated per element by
   ``activation64``/``derivative64``; it bounds the simulator's rounding
   drift rather than its bit pattern.
@@ -28,7 +28,8 @@ value snapshot, with its config) and return a new one whose arrays all
 have the mode's dtype. The step sizes are the state's configured ones,
 or the per-tick overrides, rounded to binary32. Step sizes and clamps
 that ``Network.tick`` rejects are rejected here too, with
-``ConfigurationError``, before anything is computed. Both modes mirror
+``ConfigurationError``, before anything is computed, and so is a state
+whose arrays do not have its config's shapes. Both modes mirror
 the simulator's registered communication: predictions read states
 latched one tick ago, bottom-up sums read products latched one tick
 ago, and the latches are refreshed from this tick's values at the end.
@@ -50,7 +51,9 @@ from .network import (
     Network,
     NetworkConfig,
     _binary32,
+    _check_clamp_key,
     build_network,
+    layer_wiring,
 )
 from .scalar32 import (
     ACTIVATION_KINDS,
@@ -79,8 +82,7 @@ def _clamp_arrays(sizes, clamp: Optional[ClampMap]) -> list:
     clamp. Rejects a clamp that ``Network.tick`` rejects."""
     arrays = [None] * len(sizes)
     for s, signals in (clamp or {}).items():
-        if s < 0 or s >= len(sizes):
-            raise ConfigurationError(f"clamp for nonexistent layer {s}")
+        _check_clamp_key(s, len(sizes))
         if len(signals) != sizes[s]:
             raise ConfigurationError(f"layer {s}: clamp length mismatch")
         en = np.array([sig.x_set_en for sig in signals], dtype=bool)
@@ -96,7 +98,32 @@ def oracle_tick(
     alpha: Optional[float] = None,
     gamma: Optional[float] = None,
 ) -> DenseState:
-    """Pure function: one tick applied to a dense snapshot."""
+    """Pure function: one tick applied to a dense snapshot. A state whose
+    arrays do not have its config's shapes raises ``ConfigurationError``."""
+    _check_shapes(state)
+    return _tick(state, clamp, mode, alpha, gamma)
+
+
+def _check_shapes(state: DenseState) -> None:
+    """Every layer array of ``state`` has the shape its config wires."""
+    wiring = layer_wiring(state.layer_sizes)
+    for name in ("x", "eps", "theta", "states_in", "back_in"):
+        if len(getattr(state, name)) != len(wiring):
+            raise ConfigurationError(f"{name}: one array per layer expected")
+    for s, (n, n_pre, m_back, _) in enumerate(wiring):
+        if state.x[s].shape != (n,) or state.eps[s].shape != (n,):
+            raise ConfigurationError(f"layer {s}: state shape mismatch")
+        if state.theta[s].shape != (n, n_pre + 1):
+            raise ConfigurationError(f"layer {s}: weight shape mismatch")
+        if state.states_in[s].shape != (n_pre,):
+            raise ConfigurationError(f"layer {s}: states_in shape mismatch")
+        if state.back_in[s].shape != (m_back, n):
+            raise ConfigurationError(f"layer {s}: back_in shape mismatch")
+
+
+def _tick(state: DenseState, clamp, mode, alpha, gamma) -> DenseState:
+    """``oracle_tick`` on a state whose shapes are known to be right: the
+    oracle's own results and snapshots of a network."""
     if mode not in _MODES:
         raise ConfigurationError(f"unknown oracle mode: {mode!r}")
     av = _binary32("alpha", state.cfg.alpha if alpha is None else alpha)
@@ -235,7 +262,7 @@ def run_equivalence_suite(
         state = net.snapshot()
         for t in range(n_ticks):
             net.tick(clamp)
-            state = oracle_tick(state, clamp, mode="bit32")
+            state = _tick(state, clamp, "bit32", None, None)
             total_ticks += 1
             bad = compare_to_network(net, state)
             if bad is not None:

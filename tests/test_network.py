@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcsub import core
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.core import NO_CLAMP, ClampSignal, core_tick
 from pcsub.errors import ConfigurationError
@@ -420,9 +421,9 @@ def _run_ticks(net, n, clamp):
 
 
 def _tick_bottom_up_reversed(net, clamp):
-    """One tick that runs the layers bottom-up and the cores of each layer
-    last-to-first, each a stateless ``core_tick`` on row i of its layer's
-    arrays against the same latches, then swaps the buses."""
+    """The per-core reference tick: the layers bottom-up and the cores of
+    each layer last-to-first, each a stateless ``core_tick`` on row i of
+    its layer's arrays against the same latches, then the bus swap."""
     layers = net.layers
     cfg = net.cfg
     alpha, gamma = F32(cfg.alpha), F32(cfg.gamma)
@@ -433,12 +434,13 @@ def _tick_bottom_up_reversed(net, clamp):
         presyn_f = apply_activation_vec(kind, layer.states_in)
         signals = clamp.get(s)
         x, eps, rows = [None] * layer.size, [None] * layer.size, [None] * layer.size
-        for i in reversed(range(layer.size)):
-            x[i], eps[i], rows[i] = core_tick(
-                layer.x[i], layer.theta[i], layer.cfg, alpha, gamma, presyn_f,
-                layer.back_in[:, i], signals[i] if signals else NO_CLAMP,
-                cfg.clamp_hard,
-            )
+        with np.errstate(all="ignore"):  # as in Network.tick
+            for i in reversed(range(layer.size)):
+                x[i], eps[i], rows[i] = core_tick(
+                    layer.x[i], layer.theta[i], layer.cfg, alpha, gamma,
+                    presyn_f, layer.back_in[:, i],
+                    signals[i] if signals else NO_CLAMP, cfg.clamp_hard,
+                )
         new[s] = (
             np.array(x, dtype=np.float32),
             np.array(eps, dtype=np.float32),
@@ -463,6 +465,52 @@ def test_core_order_does_not_matter():
     for field in ("x", "eps", "theta", "states_in", "back_in"):
         for fa, fb in zip(getattr(a, field), getattr(b, field)):
             assert fa.tobytes() == fb.tobytes(), field
+
+
+@given(case=_tick_cases())
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_per_core_reference(case):
+    """``Network.tick`` equals ``core_tick`` driven core by core over the
+    latches, on every field after every tick: NaN at the same places and
+    every other element byte-identical.
+
+    NaN sign and payload are left out. The engine's BACKVEC and bias update
+    are one array operation per layer, and an array operation can keep the
+    other of two NaN operands than the reference's per-core scalar one, so
+    theta and back_in can differ in NaN bytes on special-value ticks. One
+    NaN rule for every implementation is ROADMAP item 4.
+    """
+    cfg, clamp, n_ticks = case
+    engine, reference = build_network(cfg), build_network(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in range(n_ticks):
+            engine.tick(clamp)
+            _tick_bottom_up_reversed(reference, clamp)
+            a, b = engine.snapshot(), reference.snapshot()
+            for field in ("x", "eps", "theta", "states_in", "back_in"):
+                pairs = zip(getattr(a, field), getattr(b, field))
+                for s, (fa, fb) in enumerate(pairs):
+                    assert _same_bits_but_nan_payload(fa, fb), (t, field, s)
+
+
+def test_tick_calls_no_per_core_reference(monkeypatch):
+    # the engine runs its own stages: with core_tick and every stage_*
+    # function of core.py made to raise, a tick through every stage (soft
+    # clamp, alpha and gamma > 0) still equals the oracle's
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Network.tick called core.py")
+
+    for name in dir(core):
+        if name == "core_tick" or name.startswith("stage_"):
+            monkeypatch.setattr(core, name, unreachable)
+    net = mknet([2, 4, 3], seed=37, alpha=0.02, gamma=0.1, clamp_hard=False)
+    clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
+    state = net.snapshot()
+    for t in range(5):
+        net.tick(clamp)
+        state = oracle_tick(state, clamp)
+        _assert_matches_oracle(net, state, t)
 
 
 def test_thread_count_does_not_matter():

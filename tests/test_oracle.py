@@ -103,15 +103,62 @@ def test_bad_clamp_rejected_like_network(clamp):
 
 
 def test_shape_validation():
-    with pytest.raises(ConfigurationError):
-        DenseState(
-            cfg=NetworkConfig(layer_sizes=(2, 2)),
-            x=[np.zeros(2, np.float32), np.zeros(3, np.float32)],
-            eps=[np.zeros(2, np.float32), np.zeros(2, np.float32)],
-            theta=[np.zeros((2, 1), np.float32), np.zeros((2, 3), np.float32)],
-            states_in=[np.zeros(0, np.float32), np.zeros(2, np.float32)],
-            back_in=[np.zeros((2, 2), np.float32), np.zeros((0, 2), np.float32)],
-        )
+    # a state is checked where it enters oracle_tick, not where it is built
+    state = DenseState(
+        cfg=NetworkConfig(layer_sizes=(2, 2)),
+        x=[np.zeros(2, np.float32), np.zeros(3, np.float32)],
+        eps=[np.zeros(2, np.float32), np.zeros(2, np.float32)],
+        theta=[np.zeros((2, 1), np.float32), np.zeros((2, 3), np.float32)],
+        states_in=[np.zeros(0, np.float32), np.zeros(2, np.float32)],
+        back_in=[np.zeros((2, 2), np.float32), np.zeros((0, 2), np.float32)],
+    )
+    with pytest.raises(ConfigurationError, match="layer 1: state shape"):
+        oracle_tick(state)
+
+
+@pytest.mark.parametrize(
+    "field, layer, shape",
+    [
+        ("eps", 0, (3,)),
+        ("theta", 1, (3, 2)),
+        ("states_in", 1, (3,)),
+        ("back_in", 0, (2, 2)),
+    ],
+)
+def test_malformed_snapshot_rejected(field, layer, shape):
+    state = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5)).snapshot()
+    getattr(state, field)[layer] = np.zeros(shape, np.float32)
+    with pytest.raises(ConfigurationError, match=f"layer {layer}"):
+        oracle_tick(state)
+
+
+@pytest.mark.parametrize("field", ["x", "eps", "theta", "states_in", "back_in"])
+def test_snapshot_missing_a_layer_rejected(field):
+    state = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5)).snapshot()
+    getattr(state, field).pop()
+    with pytest.raises(ConfigurationError, match=field):
+        oracle_tick(state)
+
+
+@pytest.mark.parametrize(
+    "key", ["0", None, 1.0, True, np.bool_(True), np.float32(1.0)]
+)
+def test_non_integer_clamp_key_rejected(key):
+    net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
+    ds = net.snapshot()
+    clamp = {key: clamp_layer([0.1, 0.2, 0.3])}
+    for tick in (lambda: net.tick(clamp), lambda: oracle_tick(ds, clamp)):
+        with pytest.raises(ConfigurationError, match="layer index"):
+            tick()
+
+
+@pytest.mark.parametrize("key", [1, np.int64(1), np.uint8(1)])
+def test_integer_clamp_keys_accepted(key):
+    net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
+    ds = net.snapshot()
+    clamp = {key: clamp_layer([0.1, 0.2, 0.3])}
+    net.tick(clamp)
+    assert compare_to_network(net, oracle_tick(ds, clamp)) is None
 
 
 def test_random_net_bit_identical_to_simulator():

@@ -9,6 +9,7 @@ registered buses, so every core only ever reads last tick's values.
 import numpy as np
 
 from pcsub import NetworkConfig, build_network, clamp_layer
+from pcsub.network import layer_wiring
 
 cfg = NetworkConfig(
     layer_sizes=[2, 4, 3],
@@ -21,11 +22,11 @@ cfg = NetworkConfig(
 )
 net = build_network(cfg)
 
+# the cycle model depends on the wiring alone: 3N+M+4 per core, M+2 on top
 report = net.tick()
 print("per-core cycles per tick:")
-for s, layer in enumerate(net.layers):
-    c = report.per_core_cycles[(s, 0)]
-    print(f"  layer {s}: {layer.size} cores x {c} cycles")
+for s, (n, n_pre, m_back, cycles) in enumerate(layer_wiring(cfg.layer_sizes)):
+    print(f"  layer {s}: {n} cores x {cycles} cycles (N={n_pre}, M={m_back})")
 print(f"network tick latency (slowest core): {report.network_cycles}\n")
 
 # clamp input and output; the hidden layer settles between both constraints
@@ -45,4 +46,4 @@ print(f"hidden errors: {snap.eps[1]}")
 net.reset_states()
 for _ in range(100):
     net.tick({0: clamp_layer([0.8, -0.3])})
-print(f"\nfree output after 100 inference ticks: {net.layers[2].states()}")
+print(f"\nfree output after 100 inference ticks: {net.state.x[2]}")

@@ -21,7 +21,7 @@ cfg = NetworkConfig(
     seed=7,
 )
 net = build_network(cfg)
-dense32 = net.snapshot()  # a DenseState: the network's value snapshot
+dense32 = net.snapshot()  # a copy of net.state, a DenseState
 dense64 = net.snapshot()
 
 clamp = {0: clamp_layer([0.4, -0.2]), 2: clamp_layer([0.1, 0.0, -0.5])}

@@ -38,19 +38,19 @@ with tempfile.TemporaryDirectory() as tmp:
 
     restored = load_checkpoint(path, cfg)
     same = all(
-        a.weights().tobytes() == b.weights().tobytes()
-        and a.states().tobytes() == b.states().tobytes()
-        for a, b in zip(net.layers, restored.layers)
+        a.tobytes() == b.tobytes()
+        for a, b in zip(
+            net.state.theta + net.state.x, restored.state.theta + restored.state.x
+        )
     )
     print(f"weights and states bit-identical after reload: {same}")
 
     # transient per-tick values (errors, bus latches) are not stored, so a
     # restored network starts from quiescent latches; zero the original's
     # transients too and both evolve identically from here
-    saved_x = [layer.x for layer in net.layers]
+    saved_x = net.state.x
     net.reset_states()
-    for layer, xs in zip(net.layers, saved_x):
-        layer.x = xs
+    net.state.x = saved_x
     r1 = net.tick({0: clamp_layer([0.6, -0.2])})
     r2 = restored.tick({0: clamp_layer([0.6, -0.2])})
     print(

@@ -9,9 +9,10 @@ layer-major. NaN payloads survive the round trip untouched. The loader
 accepts only the header ``save_checkpoint`` writes, so every file it
 accepts is saved back byte for byte.
 
-Activities' companions (errors, bus latches) are transient per-tick
-values and are not stored; a loaded network starts from quiescent
-latches with the saved weights and states.
+The file holds the theta and x lists of ``Network.state``. Activities'
+companions (errors, bus latches) are transient per-tick values and are
+not stored; a loaded network starts from quiescent latches with the
+saved weights and states.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ def _header(sizes) -> str:
 def save_checkpoint(net: Network, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_header(net.cfg.layer_sizes).encode("ascii") + b"\n")
-        for layer in net.layers:
-            fh.write(layer.theta.astype("<f4").tobytes())
-        for layer in net.layers:
-            fh.write(layer.x.astype("<f4").tobytes())
+        for arr in net.state.theta + net.state.x:
+            fh.write(arr.astype("<f4").tobytes())
 
 
 def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
@@ -88,15 +87,15 @@ def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
             f"payload is {len(blob) - nl - 1} bytes, expected {expected - nl - 1}"
         )
 
-    # a read-only view of ``blob``; the network gets owned binary32 copies
+    # a read-only view of ``blob``; the state gets owned binary32 copies
     payload = np.frombuffer(blob, dtype="<f4", offset=nl + 1)
     net = build_network(cfg)
-    pos = 0
-    for s, layer in enumerate(net.layers):
-        w = payload[pos : pos + sizes[s] * lanes[s]].reshape(sizes[s], lanes[s])
-        pos += sizes[s] * lanes[s]
-        layer.theta[:] = w
-    for s, layer in enumerate(net.layers):
-        layer.x = payload[pos : pos + sizes[s]].astype(np.float32)
-        pos += sizes[s]
+    theta, x, pos = [], [], 0
+    for n, k in zip(sizes, lanes):
+        theta.append(payload[pos : pos + n * k].reshape(n, k).astype(np.float32))
+        pos += n * k
+    for n in sizes:
+        x.append(payload[pos : pos + n].astype(np.float32))
+        pos += n
+    net.state.theta, net.state.x = theta, x
     return net

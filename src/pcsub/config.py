@@ -13,8 +13,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigParseError
-from .network import NetworkConfig
+from .errors import ConfigParseError, ConfigurationError
+from .network import NetworkConfig, _seed
 from .scalar32 import ACTIVATION_KINDS, is_finite_f32
 
 log = logging.getLogger(__name__)
@@ -138,6 +138,11 @@ def _validate(values: dict, lines: dict, errors: list) -> None:
             bad(key, f"{key} must be >= 1")
     if values["learn_ticks"] < 0:
         bad("learn_ticks", "learn_ticks must be >= 0")
+    for key in ("seed", "teacher_seed"):
+        try:
+            _seed(key, values[key])
+        except ConfigurationError as exc:
+            bad(key, str(exc))
     if values["teacher_kind"] not in TEACHER_KINDS:
         bad("teacher_kind", f"teacher_kind must be one of {TEACHER_KINDS}")
 

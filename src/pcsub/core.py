@@ -4,13 +4,13 @@ This module is the per-core reference of the tick. ``Network.tick`` does
 not call it: the engine runs the same stage rules with its own code,
 the lane-parallel stages a whole layer at a time, and the tests drive
 ``core_tick`` over a network's latches to check the engine bit for bit.
-The cycle model (``tick_cycles``) and the per-core types (``CoreConfig``,
-``ClampSignal``) are the network's too.
+The cycle model (``tick_cycles``) and ``ClampSignal`` are the network's
+too; ``CoreConfig`` configures this reference alone.
 
 A core is a single scalar unit (i, layer). Its storage is row i of its
 layer's register file: the activity x, the error eps and the (N+1,)
-weight row theta, which the network keeps as per-layer binary32 arrays.
-``core_tick`` is a stateless step over that row. Per tick it runs
+weight row theta, which ``Network.state`` keeps as per-layer binary32
+arrays. ``core_tick`` is a stateless step over that row. Per tick it runs
 
     PRED -> ERR -> BACKSUM -> BACKVEC -> WUP -> STATE
 

@@ -34,7 +34,15 @@ import numpy as np
 
 from .config import ConfigFile, load_config
 from .errors import ConfigurationError
-from .network import Network, NetworkConfig, _binary32, build_network, clamp_layer
+from .network import (
+    Network,
+    NetworkConfig,
+    _binary32,
+    _integer,
+    _seed,
+    build_network,
+    clamp_layer,
+)
 from .prng import Prng
 
 EXPERIMENTS = ("relu_ts", "tanh_ts", "scale_small", "scale_medium", "scale_large")
@@ -55,6 +63,7 @@ class TeacherSpec:
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ConfigurationError(f"teacher dims must be 3 positive sizes: {self.dims}")
         _binary32("weight_scale", self.weight_scale)  # teacher_weight_scale's rule
+        _seed("seed", self.seed)  # teacher_seed's rule
 
 
 @dataclass
@@ -79,10 +88,10 @@ class TrainProtocol:
     reset_between_samples: bool = True
 
     def __post_init__(self):
-        if self.infer_ticks < 1 or self.epochs < 1 or self.eval_ticks < 1:
-            raise ConfigurationError("tick and epoch counts must be >= 1")
-        if self.learn_ticks < 0:
-            raise ConfigurationError("learn_ticks must be >= 0")
+        self.infer_ticks = _integer("infer_ticks", self.infer_ticks, 1)
+        self.learn_ticks = _integer("learn_ticks", self.learn_ticks, 0)
+        self.epochs = _integer("epochs", self.epochs, 1)
+        self.eval_ticks = _integer("eval_ticks", self.eval_ticks, 1)
 
 
 @dataclass
@@ -158,10 +167,10 @@ def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int):
     ticks at alpha = 0, output-layer states read; squared error is
     accumulated in binary64 over samples and output components.
     """
+    eval_ticks = _integer("eval_ticks", eval_ticks, 1)
     if len(ds) == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     _check_dims(net, ds)
-    last = len(net.layers) - 1
     total = 0.0
     diverged = False
     for x, y in zip(ds.inputs, ds.targets):
@@ -170,7 +179,7 @@ def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int):
         for _ in range(eval_ticks):
             report = net.tick(clamp, alpha=0.0)
             diverged = diverged or report.diverged
-        out = net.layers[last].states().astype(np.float64)
+        out = net.state.x[-1].astype(np.float64)
         d = out - y.astype(np.float64)
         total += float(d @ d)
     return total / (len(ds) * ds.dims[1]), diverged
@@ -185,7 +194,7 @@ def evaluate_mse(net: Network, ds: Dataset, eval_ticks: int) -> float:
 def train_network(net: Network, ds: Dataset, proto: TrainProtocol) -> LearningCurve:
     """Clamped supervised training on an existing network, in place."""
     _check_dims(net, ds)
-    last = len(net.layers) - 1
+    last = len(net.cfg.layer_sizes) - 1
     curve = LearningCurve()
     mse0, div0 = evaluate_dataset(net, ds, proto.eval_ticks)
     curve.mse.append(mse0)

@@ -15,12 +15,13 @@ an atomic bus swap. Because all cross-core reads hit latches, the order
 in which cores execute cannot change a bit, and neither can running a
 stage for a whole layer at once.
 
-Per-layer binary32 arrays are the network's only state: each layer holds
-its activities x and errors eps, shape (n,), its weights theta, shape
-(n, N+1) with the bias column last, and its two bus latches. Core i is
-row i of them. ``Network.tick`` is the engine: in the calling thread it
-ticks the layers top to bottom, each in two passes over those arrays
-with the stage rules, operand order and roundings of ``core``:
+``Network.state``, a ``DenseState``, is the network's only state: per
+layer, binary32 arrays of the activities x and errors eps, shape (n,),
+the weights theta, shape (n, N+1) with the bias column last, and the two
+bus latches. Core i is row i of them. ``Network.tick`` is the engine: in
+the calling thread it ticks the layers top to bottom, each in two passes
+over those arrays with the stage rules, operand order and roundings of
+``core``:
 
 1. a per-core scalar loop for the stages with a lane order or a branch:
    PRED (one MAC per lane, ascending from +0.0, bias lane last), ERR,
@@ -34,9 +35,8 @@ per-core reference the engine is tested against, and the engine calls
 none of it. The tick fills fresh x and eps arrays and never writes the
 old ones in place: the old x array becomes the lower layer's
 ``states_in`` latch as it is, with no copy. ``reset_states`` and
-``load_checkpoint`` also assign new arrays. ``DenseState`` is the one
-value snapshot of all of it, returned by ``Network.snapshot`` and ticked
-by the oracle.
+``load_checkpoint`` also assign new arrays. ``Network.snapshot`` returns
+a copy of the state, and the oracle ticks such copies.
 
 Weights are initialized i.i.d. uniform in [-init_scale, +init_scale] from
 a SplitMix64 stream seeded with ``seed``: draws proceed layer-major (top
@@ -48,17 +48,11 @@ like any other so the stream layout is uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ClampSignal,
-    CoreConfig,
-    NO_CLAMP,
-    tick_cycles,
-)
+from .core import ClampSignal, NO_CLAMP, tick_cycles
 from .errors import ConfigurationError
 from .prng import Prng
 from .scalar32 import (
@@ -74,6 +68,7 @@ ClampMap = dict[int, Sequence[ClampSignal]]
 
 _ZERO = F32(0.0)
 _ONE = F32(1.0)
+_SEED_END = 1 << 64  # SplitMix64 keeps one u64 of state
 
 
 def layer_wiring(layer_sizes) -> list:
@@ -101,13 +96,48 @@ def _binary32(key: str, value, nonneg: bool = True) -> np.float32:
     return F32(value)
 
 
-def _check_clamp_key(key, n_layers: int) -> None:
-    """Reject a clamp key that is not the index of a layer: only a Python
-    or numpy integer (not a bool) in [0, n_layers) names one."""
-    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
-        raise ConfigurationError(f"clamp key must be a layer index, got {key!r}")
-    if key < 0 or key >= n_layers:
-        raise ConfigurationError(f"clamp for nonexistent layer {key}")
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(key: str, value, lo: int) -> int:
+    """``value`` as an int, rejecting a bool, a non-integer (2.0 too) and a
+    value below ``lo``: the one rule for layer sizes, seeds and tick
+    counts."""
+    if not _is_integer(value):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    if value < lo:
+        raise ConfigurationError(f"{key} must be >= {lo}, got {value!r}")
+    return int(value)
+
+
+def _seed(key: str, value) -> int:
+    """A PRNG seed: an integer in [0, 2**64), so that no two seeds give
+    the same stream."""
+    value = _integer(key, value, 0)
+    if value >= _SEED_END:
+        raise ConfigurationError(f"{key} must be < 2**64, got {value!r}")
+    return value
+
+
+def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
+    """``clamp``, or an empty map for None, once every key is a layer index
+    (a Python or numpy integer, not a bool, in [0, layers)) and every
+    layer gets one signal per core: the one clamp rule of ``Network.tick``
+    and ``oracle_tick``."""
+    if clamp is None:
+        return {}
+    for s, signals in clamp.items():
+        if not _is_integer(s):
+            raise ConfigurationError(f"clamp key must be a layer index, got {s!r}")
+        if s < 0 or s >= len(sizes):
+            raise ConfigurationError(f"clamp for nonexistent layer {s}")
+        if len(signals) != sizes[s]:
+            raise ConfigurationError(
+                f"layer {s} clamp has {len(signals)} signals, expected {sizes[s]}"
+            )
+    return clamp
 
 
 @dataclass
@@ -123,11 +153,11 @@ class NetworkConfig:
     init_scale: float = 0.5
 
     def __post_init__(self):
-        self.layer_sizes = tuple(int(n) for n in self.layer_sizes)
+        self.layer_sizes = tuple(
+            _integer("layer size", n, 1) for n in self.layer_sizes
+        )
         if len(self.layer_sizes) < 2:
             raise ConfigurationError("need at least 2 layers")
-        if any(n < 1 for n in self.layer_sizes):
-            raise ConfigurationError("all layer sizes must be >= 1")
         if self.activations is None:
             self.activations = tuple("identity" for _ in self.layer_sizes)
         else:
@@ -140,39 +170,12 @@ class NetworkConfig:
         for key in ("alpha", "gamma", "init_scale"):
             _binary32(key, getattr(self, key))
         _binary32("alpha_bias_scale", self.alpha_bias_scale, nonneg=False)
-
-
-@dataclass
-class Layer:
-    """One layer's register file: shared core config, per-core arrays
-    (row i is core i) and latched input buses."""
-
-    cfg: CoreConfig
-    x: np.ndarray  # (n,) activities
-    eps: np.ndarray  # (n,) prediction errors
-    theta: np.ndarray  # (n, N+1) weights, bias column last
-    states_in: np.ndarray  # (N,) latched x from the layer above
-    back_in: np.ndarray  # (M, n) latched products from the layer below
-
-    @property
-    def size(self) -> int:
-        return self.x.shape[0]
-
-    def weights(self) -> np.ndarray:
-        """(n, N+1) copy of the layer's weight matrix, bias column last."""
-        return self.theta.copy()
-
-    def states(self) -> np.ndarray:
-        return self.x.copy()
-
-    def errors(self) -> np.ndarray:
-        return self.eps.copy()
+        self.seed = _seed("seed", self.seed)
 
 
 @dataclass
 class TickReport:
     network_cycles: int  # max over cores; the tick's done latency
-    per_core_cycles: Mapping  # read-only (layer, index) -> cycles
     diverged: bool  # any non-finite state or error after the tick
     states: list  # post-tick x per layer (this report's own arrays)
     errors: list  # post-tick eps per layer (this report's own arrays)
@@ -180,11 +183,11 @@ class TickReport:
 
 @dataclass
 class DenseState:
-    """Value snapshot of a whole network, bus latches included, with the
-    config it was built from: what the oracle ticks, the checks compare
-    and ``Network.snapshot`` returns. The arrays are the snapshot's own.
-    Building one checks nothing; ``oracle_tick`` checks the shapes of the
-    state it is given."""
+    """A whole network's state, bus latches included, with the config it
+    was built from: ``Network.state`` is one and ticks in place,
+    ``Network.snapshot`` returns a copy of it, and the oracle ticks one
+    into a new one. Building one checks nothing; ``oracle_tick`` checks
+    the shapes of the state it is given."""
 
     cfg: NetworkConfig
     x: list  # per-layer (n,)
@@ -206,46 +209,42 @@ class DenseState:
         return net.snapshot()
 
 
+def _quiescent(wiring) -> dict:
+    """Zero x, eps and bus latches of every layer of ``wiring``."""
+    return {
+        "x": [np.zeros(n, np.float32) for n, _, _, _ in wiring],
+        "eps": [np.zeros(n, np.float32) for n, _, _, _ in wiring],
+        "states_in": [np.zeros(n_pre, np.float32) for _, n_pre, _, _ in wiring],
+        "back_in": [np.zeros((m, n), np.float32) for n, _, m, _ in wiring],
+    }
+
+
 class Network:
-    """A chain of layers sharing one tick clock."""
+    """A chain of layers sharing one tick clock; ``state`` holds all of it."""
 
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
+        self._wiring = layer_wiring(cfg.layer_sizes)
         rng = Prng(cfg.seed)
         scale = float(cfg.init_scale)
-        self.layers = []
-        per_core_cycles = {}
-        wiring = layer_wiring(cfg.layer_sizes)
-        for s, (n, n_presyn, m_back, cycles) in enumerate(wiring):
-            per_core_cycles.update(((s, i), cycles) for i in range(n))
-            core_cfg = CoreConfig(
-                n_presyn=n_presyn,
-                m_back=m_back,
-                activation=cfg.activations[s],
-                alpha_bias_scale=cfg.alpha_bias_scale,
-                bias_frozen=cfg.bias_frozen,
-                has_upper=s > 0,
-            )
-            self.layers.append(
-                Layer(
-                    cfg=core_cfg,
-                    x=np.zeros(n, dtype=np.float32),
-                    eps=np.zeros(n, dtype=np.float32),
-                    # core-major, lane ascending: the PRNG stream order
-                    theta=rng.fill_uniform((n, n_presyn + 1), -scale, scale),
-                    states_in=np.zeros(n_presyn, dtype=np.float32),
-                    back_in=np.zeros((m_back, n), dtype=np.float32),
-                )
-            )
+        self.state = DenseState(
+            cfg=cfg,
+            # layer by layer, core-major, lane ascending: the PRNG stream order
+            theta=[
+                rng.fill_uniform((n, n_pre + 1), -scale, scale)
+                for n, n_pre, _, _ in self._wiring
+            ],
+            **_quiescent(self._wiring),
+        )
         # the cycle model depends on the shape alone, so it is computed once
-        self._per_core_cycles = MappingProxyType(per_core_cycles)
-        self._network_cycles = max(per_core_cycles.values())
+        self._network_cycles = max(cycles for _, _, _, cycles in self._wiring)
         # where each layer's x, then each layer's eps, sits in a tick's one
         # array of new values
         ends = np.cumsum(cfg.layer_sizes * 2).tolist()
         self._value_slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
         self._alpha = F32(cfg.alpha)
         self._gamma = F32(cfg.gamma)
+        self._bias_scale = F32(cfg.alpha_bias_scale)
 
     # ------------------------------------------------------------------
     # tick
@@ -272,13 +271,14 @@ class Network:
         and follow the configured values' rule: finite in binary32 and
         >= 0. A rejected tick changes nothing.
         """
-        clamp = self._check_clamp(clamp)
+        cfg = self.cfg
+        clamp = _check_clamp(clamp, cfg.layer_sizes)
         alpha = self._alpha if alpha is None else _binary32("alpha", alpha)
         gamma = self._gamma if gamma is None else _binary32("gamma", gamma)
-        hard = self.cfg.clamp_hard
-        activations = self.cfg.activations
-        layers = self.layers
-        last = len(layers) - 1
+        hard = cfg.clamp_hard
+        activations = cfg.activations
+        state = self.state
+        last = len(self._wiring) - 1
         # this tick's fresh arrays: every layer's post-tick x and eps as
         # views of one array, and the (n, N) products each layer below the
         # top emits upward
@@ -287,23 +287,21 @@ class Network:
         states, errors, emitted = [], [], [None]
 
         with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
-            for s, layer in enumerate(layers):
-                cfg = layer.cfg
-                kind = cfg.activation
-                theta = layer.theta
-                n_pre = cfg.n_presyn
+            for s, (_, n_pre, _, _) in enumerate(self._wiring):
+                kind = activations[s]
+                theta = state.theta[s]
                 presyn_f = (
-                    apply_activation_vec(activations[s - 1], layer.states_in)
+                    apply_activation_vec(activations[s - 1], state.states_in[s])
                     if s > 0
-                    else layer.states_in
+                    else state.states_in[s]
                 )
-                back = layer.back_in.T  # row i: core i's back column
+                back = state.back_in[s].T  # row i: core i's back column
                 signals = clamp.get(s)
                 x = values[spans[s]]
                 eps = values[spans[last + 1 + s]]
 
                 # pass 1: the scalar stages, core by core
-                for i, x_i in enumerate(layer.x):
+                for i, x_i in enumerate(state.x[s]):
                     signal = signals[i] if signals else NO_CLAMP
                     clamped = signal.x_set_en
                     x_eff = F32(signal.x_obs) if clamped else x_i
@@ -333,85 +331,64 @@ class Network:
                     if alpha != _ZERO:  # WUP
                         w[...] = (alpha * eps)[:, None] * presyn_f + w
                         if not cfg.bias_frozen:
-                            coeff_b = (alpha * cfg.alpha_bias_scale) * eps
+                            coeff_b = (alpha * self._bias_scale) * eps
                             theta[:, -1] = coeff_b * _ONE + theta[:, -1]
                 states.append(x)
                 errors.append(eps)
 
         # atomic bus swap: new latches become visible only after all cores
         # have completed the tick; a layer's start-of-tick x array is what
-        # it emitted downward this tick
-        for s, layer in enumerate(layers):
-            if s < last:
-                layers[s + 1].states_in = layer.x
-                layer.back_in = emitted[s + 1]
-            layer.x = states[s]
-            layer.eps = errors[s]
+        # it emitted downward this tick (the top layer latches no states,
+        # the bottom layer no products)
+        state.states_in = state.states_in[:1] + state.x[:-1]
+        state.back_in = emitted[1:] + state.back_in[-1:]
+        state.x = states
+        state.eps = errors
 
         reported = values.copy()  # the report's own arrays are views of it
         views = [reported[span] for span in spans]
         return TickReport(
             network_cycles=self._network_cycles,
-            per_core_cycles=self._per_core_cycles,
             diverged=not np.isfinite(values).all(),
             states=views[: last + 1],
             errors=views[last + 1 :],
         )
-
-    def _check_clamp(self, clamp: Optional[ClampMap]) -> ClampMap:
-        if clamp is None:
-            return {}
-        for s, signals in clamp.items():
-            _check_clamp_key(s, len(self.layers))
-            if len(signals) != self.layers[s].size:
-                raise ConfigurationError(
-                    f"layer {s} clamp has {len(signals)} signals, "
-                    f"expected {self.layers[s].size}"
-                )
-        return clamp
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
 
     def snapshot(self) -> DenseState:
+        """A copy of ``state`` whose arrays are its own."""
+        st = self.state
         return DenseState(
-            cfg=self.cfg,
-            x=[layer.x.copy() for layer in self.layers],
-            eps=[layer.eps.copy() for layer in self.layers],
-            theta=[layer.theta.copy() for layer in self.layers],
-            states_in=[layer.states_in.copy() for layer in self.layers],
-            back_in=[layer.back_in.copy() for layer in self.layers],
+            st.cfg,
+            *(
+                [a.copy() for a in arrays]
+                for arrays in (st.x, st.eps, st.theta, st.states_in, st.back_in)
+            ),
         )
 
     def energy(self) -> float:
         """Sum of squared prediction errors, recomputed densely in binary64
         from the current states and weights (diagnostic only). A NaN or
         infinite state or weight gives a non-finite energy, not a warning."""
+        x, theta = self.state.x, self.state.theta
         total = 0.0
         with np.errstate(all="ignore"):
-            for s in range(1, len(self.layers)):
-                layer = self.layers[s]
-                upper = self.layers[s - 1]
+            for s in range(1, len(x)):
                 kind = self.cfg.activations[s - 1]
-                fx = np.array([activation64(kind, float(v)) for v in upper.x])
-                w = layer.theta.astype(np.float64)
+                fx = np.array([activation64(kind, float(v)) for v in x[s - 1]])
+                w = theta[s].astype(np.float64)
                 mu = w[:, :-1] @ fx + w[:, -1]
-                d = layer.x.astype(np.float64) - mu
+                d = x[s].astype(np.float64) - mu
                 total += float(d @ d)
         return total
 
     def reset_states(self) -> None:
         """Zero all activities, errors, and latched buses; weights kept."""
-        for layer in self.layers:
-            layer.x = np.zeros(layer.size, dtype=np.float32)
-            layer.eps = np.zeros(layer.size, dtype=np.float32)
-            layer.states_in = np.zeros(layer.states_in.shape, dtype=np.float32)
-            layer.back_in = np.zeros(layer.back_in.shape, dtype=np.float32)
-
-    def tick_latency(self) -> int:
-        """Network tick latency: the slowest core's cycle count."""
-        return self._network_cycles
+        for name, arrays in _quiescent(self._wiring).items():
+            setattr(self.state, name, arrays)
 
 
 def build_network(cfg: NetworkConfig) -> Network:

@@ -24,13 +24,14 @@ operand cannot reach a weight or a state through a zero step size. The
 bias update is ``(alpha * alpha_bias_scale) * eps``.
 
 Both modes tick a ``DenseState`` (defined in ``network``: the network's
-value snapshot, with its config) and return a new one whose arrays all
-have the mode's dtype. The step sizes are the state's configured ones,
-or the per-tick overrides, rounded to binary32. Step sizes and clamps
-that ``Network.tick`` rejects are rejected here too, with
-``ConfigurationError``, before anything is computed, and so is a state
-whose arrays do not have its config's shapes. Both modes mirror
-the simulator's registered communication: predictions read states
+state container, with its config; ``Network.snapshot`` copies one) and
+return a new one whose arrays all have the mode's dtype. The step sizes
+are the state's configured ones, or the per-tick overrides, rounded to
+binary32. Step sizes and clamps that ``Network.tick`` rejects are
+rejected here too, by the same checks with the same messages, before
+anything is computed, and so is a state whose arrays do not have its
+config's shapes (``ConfigurationError`` for all of them). Both modes
+mirror the simulator's registered communication: predictions read states
 latched one tick ago, bottom-up sums read products latched one tick
 ago, and the latches are refreshed from this tick's values at the end.
 A Gauss-Seidel sweep with fresh errors would be a different dynamical
@@ -51,7 +52,7 @@ from .network import (
     Network,
     NetworkConfig,
     _binary32,
-    _check_clamp_key,
+    _check_clamp,
     build_network,
     layer_wiring,
 )
@@ -81,10 +82,7 @@ def _clamp_arrays(sizes, clamp: Optional[ClampMap]) -> list:
     """Per layer, (enable mask, binary32 observations) or None without a
     clamp. Rejects a clamp that ``Network.tick`` rejects."""
     arrays = [None] * len(sizes)
-    for s, signals in (clamp or {}).items():
-        _check_clamp_key(s, len(sizes))
-        if len(signals) != sizes[s]:
-            raise ConfigurationError(f"layer {s}: clamp length mismatch")
+    for s, signals in _check_clamp(clamp, sizes).items():
         en = np.array([sig.x_set_en for sig in signals], dtype=bool)
         obs = np.array([sig.x_obs for sig in signals], dtype=np.float32)
         arrays[s] = en, obs
@@ -207,13 +205,11 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype, f, fprime):
 
 
 def compare_to_network(net: Network, state: DenseState) -> Optional[str]:
-    """Bitwise comparison of a network against a dense snapshot."""
-    for s, layer in enumerate(net.layers):
-        for name, a, b in (
-            ("x", layer.x, state.x[s]),
-            ("eps", layer.eps, state.eps[s]),
-            ("theta", layer.theta, state.theta[s]),
-        ):
+    """Bitwise comparison of a network's state against a dense state."""
+    mine = net.state
+    for s in range(len(mine.x)):
+        for name in ("x", "eps", "theta"):
+            a, b = getattr(mine, name)[s], getattr(state, name)[s]
             if a.tobytes() != np.asarray(b, dtype=np.float32).tobytes():
                 return f"layer {s} field {name}"
     return None

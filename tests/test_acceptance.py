@@ -17,7 +17,7 @@ import pytest
 import pcsub
 from pcsub.cli import main as cli_main
 from pcsub.core import ClampSignal, CoreConfig, core_tick, tick_cycles
-from pcsub.network import NetworkConfig, build_network, clamp_layer
+from pcsub.network import NetworkConfig, build_network, clamp_layer, layer_wiring
 from pcsub.oracle import run_equivalence_suite
 from pcsub.prng import Prng
 from pcsub.scalar32 import apply_activation_vec
@@ -66,20 +66,21 @@ def test_criterion_2_cycle_model():
                 np.zeros(0, np.float32), np.zeros(m, np.float32),
             )
             assert tick_cycles(0, m, has_upper=False) == m + 2
-        # a ticked network reports the model for every N, M in 1..16 (its
-        # hidden layer), the boundary layers and the slowest core as latency
+        # a network's wiring gives the model for every N, M in 1..16 (its
+        # hidden layer) and the boundary layers, and a tick reports the
+        # slowest core as latency
         for n in range(1, 17):
             for m in range(1, 17):
-                net = build_network(NetworkConfig([n, 1, m], seed=1))
-                cycles = net.tick().per_core_cycles
-                assert cycles[(0, 0)] == 1 + 2
-                assert cycles[(1, 0)] == 3 * n + m + 4
-                assert cycles[(2, m - 1)] == 3 * 1 + 0 + 4
+                sizes = [n, 1, m]
+                cycles = [c for _, _, _, c in layer_wiring(sizes)]
+                assert cycles == [1 + 2, 3 * n + m + 4, 3 * 1 + 0 + 4]
+                net = build_network(NetworkConfig(sizes, seed=1))
+                assert net.tick().network_cycles == max(cycles)
         # network latency equals the slowest core
         for sizes, want in [([2, 4, 3], 16), ([8, 16, 8], 52), ([1, 1], 7)]:
             net = build_network(NetworkConfig(sizes, seed=1))
             report = net.tick()
-            assert report.network_cycles == max(report.per_core_cycles.values())
+            assert report.network_cycles == max(c for *_, c in layer_wiring(sizes))
             assert report.network_cycles == want
 
 

@@ -86,6 +86,10 @@ def test_run_bad_config_exit_1(tmp_path):
     proc = run_cli("run", str(cfg))
     assert proc.returncode == 1
     assert "config error (line 3): init_scale must be finite" in proc.stderr
+    cfg.write_text("n_samples = 4\nseed = -1\n")
+    proc = run_cli("run", str(cfg))
+    assert proc.returncode == 1
+    assert "config error (line 2): seed must be >= 0" in proc.stderr
 
 
 def test_run_divergence_exit_2_curve_still_written(tmp_path):

@@ -173,6 +173,38 @@ def test_network_config_negative_rejected(key):
         NetworkConfig(layer_sizes=(2, 3), **{key: -0.5})
 
 
+@pytest.mark.parametrize(
+    "sizes", [[2, 2.7], [True, 3], [2, 2.0], [np.bool_(True), 3], ["2", 3]]
+)
+def test_network_config_non_integer_layer_size_rejected(sizes):
+    # int() would turn 2.7 into 2 and True into 1
+    with pytest.raises(ConfigurationError, match="layer size"):
+        NetworkConfig(sizes)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
+def test_network_config_seed_outside_64_bits_rejected(seed):
+    # Prng keeps seed mod 2**64: 2**64 would build seed 0's weights
+    with pytest.raises(ConfigurationError, match="seed"):
+        NetworkConfig((2, 3), seed=seed)
+
+
+def test_network_config_integer_values_accepted():
+    cfg = NetworkConfig((np.int64(2), np.uint8(3)), seed=np.uint64(2**64 - 1))
+    assert cfg.layer_sizes == (2, 3) and cfg.seed == 2**64 - 1
+    assert all(type(v) is int for v in cfg.layer_sizes + (cfg.seed,))
+    assert NetworkConfig((2, 3), seed=0).seed == 0
+
+
+@pytest.mark.parametrize("raw", ["-1", "0x10000000000000000"])
+def test_parse_seed_outside_64_bits_rejected(raw):
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config(f"seed = {raw}\nteacher_seed = {raw}\n")
+    assert [line for line, _ in exc.value.errors] == [1, 2]
+    assert "seed" in exc.value.errors[0][1]
+    assert "teacher_seed" in exc.value.errors[1][1]
+
+
 def test_parse_empty_file_defaults_with_notice(caplog):
     with caplog.at_level(logging.INFO, logger="pcsub.config"):
         cfg = parse_config("")
@@ -248,22 +280,22 @@ def test_checkpoint_round_trip_bits(tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
     loaded = load_checkpoint(path, net.cfg)
-    for a, b in zip(net.layers, loaded.layers):
-        assert a.weights().tobytes() == b.weights().tobytes()
-        assert a.states().tobytes() == b.states().tobytes()
+    for name in ("theta", "x"):
+        for a, b in zip(getattr(net.state, name), getattr(loaded.state, name)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_round_trip_nan_payload(tmp_path):
     net = _fresh_net()
     # a quiet NaN with a nonstandard payload
     weird = np.uint32(0x7FC00ABC).view(np.float32)
-    net.layers[1].theta[0, 1] = weird
-    net.layers[2].x = np.array([0.0, 0.0, weird], dtype=np.float32)
+    net.state.theta[1][0, 1] = weird
+    net.state.x[2] = np.array([0.0, 0.0, weird], dtype=np.float32)
     path = tmp_path / "nan.ckpt"
     save_checkpoint(net, path)
     loaded = load_checkpoint(path)
-    assert loaded.layers[1].theta[0, 1].view(np.uint32) == np.uint32(0x7FC00ABC)
-    assert loaded.layers[2].x[2].view(np.uint32) == np.uint32(0x7FC00ABC)
+    assert loaded.state.theta[1][0, 1].view(np.uint32) == np.uint32(0x7FC00ABC)
+    assert loaded.state.x[2][2].view(np.uint32) == np.uint32(0x7FC00ABC)
 
 
 def test_checkpoint_header_magic_error(tmp_path):

@@ -84,6 +84,13 @@ def test_teacher_weight_scale_validation(scale):
         TeacherSpec("relu_teacher", (2, 3, 1), 1, scale)
 
 
+@pytest.mark.parametrize("seed", [-7, 2**64, 1.5])
+def test_teacher_seed_validation(seed):
+    # teacher_seed's rule: an integer in [0, 2**64)
+    with pytest.raises(ConfigurationError, match="seed"):
+        TeacherSpec("relu_teacher", (2, 3, 1), seed, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # training protocol
 # ---------------------------------------------------------------------------
@@ -108,6 +115,14 @@ def test_protocol_validation():
         TrainProtocol(infer_ticks=1, learn_ticks=-1, epochs=1, eval_ticks=1)
 
 
+@pytest.mark.parametrize(
+    "counts", [(2.5, 1, 1, 1), (1, 1.0, 1, 1), (1, 1, True, 1), (1, 1, 1, "5")]
+)
+def test_protocol_rejects_non_integer_counts(counts):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        TrainProtocol(*counts)
+
+
 def test_curve_length_is_epochs_plus_one():
     cfg, ds = _small_setup()
     proto = TrainProtocol(infer_ticks=5, learn_ticks=2, epochs=3, eval_ticks=10)
@@ -119,9 +134,9 @@ def test_curve_length_is_epochs_plus_one():
 def test_alpha_zero_training_preserves_weights():
     cfg, ds = _small_setup(alpha=0.0)
     net = build_network(cfg)
-    before = [layer.weights().tobytes() for layer in net.layers]
+    before = [w.tobytes() for w in net.state.theta]
     train_network(net, ds, TrainProtocol(5, 3, 2, 10))
-    after = [layer.weights().tobytes() for layer in net.layers]
+    after = [w.tobytes() for w in net.state.theta]
     assert before == after
 
 
@@ -157,8 +172,8 @@ def test_divergence_recorded_training_continues():
 def test_evaluate_perfect_identity_chain():
     cfg = NetworkConfig([1, 1, 1], alpha=0.0, gamma=0.1, seed=0, init_scale=0.0)
     net = build_network(cfg)
-    for layer in net.layers[1:]:
-        layer.theta[0, 0] = F32(1.0)  # unit weight, zero bias
+    for theta in net.state.theta[1:]:
+        theta[0, 0] = F32(1.0)  # unit weight, zero bias
     xs = np.array([[0.9], [-0.4], [0.25], [0.65]], dtype=np.float32)
     ds = Dataset(inputs=xs, targets=xs.copy())
     assert evaluate_mse(net, ds, eval_ticks=400) < 1e-10
@@ -183,12 +198,20 @@ def test_evaluate_empty_dataset_rejected():
         evaluate_mse(build_network(cfg), empty, eval_ticks=5)
 
 
+@pytest.mark.parametrize("eval_ticks", [0, -3, 2.5, True])
+def test_evaluate_rejects_bad_tick_count(eval_ticks):
+    # 0 and -3 ticks would score the reset outputs without an error
+    cfg, ds = _small_setup()
+    with pytest.raises(ConfigurationError, match="eval_ticks"):
+        evaluate_mse(build_network(cfg), ds, eval_ticks)
+
+
 def test_evaluation_purity():
     cfg, ds = _small_setup()
     net = build_network(cfg)
-    before = [layer.weights().tobytes() for layer in net.layers]
+    before = [w.tobytes() for w in net.state.theta]
     evaluate_mse(net, ds, eval_ticks=30)
-    after = [layer.weights().tobytes() for layer in net.layers]
+    after = [w.tobytes() for w in net.state.theta]
     assert before == after
 
 

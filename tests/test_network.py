@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from pcsub import core
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
-from pcsub.core import NO_CLAMP, ClampSignal, core_tick
+from pcsub.core import NO_CLAMP, ClampSignal, CoreConfig, core_tick
 from pcsub.errors import ConfigurationError
-from pcsub.network import NetworkConfig, build_network, clamp_layer
+from pcsub.network import NetworkConfig, build_network, clamp_layer, layer_wiring
 from pcsub.oracle import DenseState, oracle_tick
 from pcsub.prng import Prng
 from pcsub.scalar32 import ACTIVATION_KINDS, activation64, apply_activation_vec
@@ -32,16 +32,16 @@ def mknet(sizes, **kw):
 
 def test_build_2_4_3():
     net = mknet([2, 4, 3])
-    assert sum(layer.size for layer in net.layers) == 9
-    hidden = net.layers[1]
-    assert hidden.cfg.n_presyn == 2 and hidden.cfg.m_back == 3
-    top = net.layers[0]
-    assert top.cfg.n_presyn == 0 and not top.cfg.has_upper
-    bottom = net.layers[2]
-    assert bottom.cfg.n_presyn == 4 and bottom.cfg.m_back == 0
-    assert top.weights().shape == (2, 1)
-    assert hidden.weights().shape == (4, 3)
-    assert bottom.weights().shape == (3, 5)
+    assert sum(x.shape[0] for x in net.state.x) == 9
+    # (n, N, M, cycles): the top has no presyn lanes, the bottom no back inputs
+    assert [w[:3] for w in layer_wiring(net.cfg.layer_sizes)] == [
+        (2, 0, 4),
+        (4, 2, 3),
+        (3, 4, 0),
+    ]
+    assert [w.shape for w in net.state.theta] == [(2, 1), (4, 3), (3, 5)]
+    assert [a.shape for a in net.state.states_in] == [(0,), (2,), (4,)]
+    assert [a.shape for a in net.state.back_in] == [(4, 2), (3, 4), (0, 3)]
 
 
 def test_build_rejects_single_layer():
@@ -57,20 +57,18 @@ def test_build_rejects_zero_width():
 def test_same_seed_same_weights():
     a = mknet([3, 5, 2], seed=77)
     b = mknet([3, 5, 2], seed=77)
-    for la, lb in zip(a.layers, b.layers):
-        assert la.weights().tobytes() == lb.weights().tobytes()
+    for wa, wb in zip(a.state.theta, b.state.theta):
+        assert wa.tobytes() == wb.tobytes()
     c = mknet([3, 5, 2], seed=78)
     assert any(
-        la.weights().tobytes() != lc.weights().tobytes()
-        for la, lc in zip(a.layers, c.layers)
+        wa.tobytes() != wc.tobytes() for wa, wc in zip(a.state.theta, c.state.theta)
     )
 
 
 def test_weights_match_prng_stream():
     net = mknet([2, 3, 2], seed=5, init_scale=0.25)
     rng = Prng(5)
-    for layer in net.layers:
-        w = layer.weights()
+    for w in net.state.theta:
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 assert w[i, j] == rng.uniform(-0.25, 0.25)
@@ -78,10 +76,10 @@ def test_weights_match_prng_stream():
 
 def test_states_start_at_zero():
     net = mknet([2, 4, 3])
-    for layer in net.layers:
-        assert layer.states().tolist() == [0.0] * layer.size
-        assert not layer.states_in.any()
-        assert not layer.back_in.any()
+    st = net.state
+    for x, eps in zip(st.x, st.eps):
+        assert x.tolist() == eps.tolist() == [0.0] * x.shape[0]
+    assert not any(a.any() for a in st.states_in + st.back_in)
 
 
 # ---------------------------------------------------------------------------
@@ -94,27 +92,19 @@ def test_zero_net_stays_zero():
     for _ in range(5):
         report = net.tick()
         assert not report.diverged
-    for layer in net.layers:
-        assert layer.states().tolist() == [0.0] * layer.size
+    for x in net.state.x:
+        assert x.tolist() == [0.0] * x.shape[0]
 
 
 def test_network_cycles_2_4_3():
     net = mknet([2, 4, 3])
-    report = net.tick()
-    # top: M+2 = 6; hidden: 3*2+3+4 = 13; bottom: 3*4+0+4 = 16
-    assert report.per_core_cycles[(0, 0)] == 6
-    assert report.per_core_cycles[(1, 0)] == 13
-    assert report.per_core_cycles[(2, 0)] == 16
-    assert report.network_cycles == 16
-    assert report.network_cycles == max(report.per_core_cycles.values())
-    assert net.tick_latency() == 16
-    # one read-only entry per core: 3N+M+4, or M+2 for the topmost layer
-    cycles = {0: 2 + 4, 1: 3 * 2 + 3 + 4, 2: 3 * 4 + 0 + 4}
-    want = {(s, i): cycles[s] for s, n in enumerate((2, 4, 3)) for i in range(n)}
-    assert dict(report.per_core_cycles) == want
-    with pytest.raises(TypeError):
-        report.per_core_cycles[(0, 0)] = 0
-    assert dict(net.tick().per_core_cycles) == want
+    # every core of a layer costs 3N+M+4, or M+2 for the topmost layer:
+    # top: 4+2 = 6; hidden: 3*2+3+4 = 13; bottom: 3*4+0+4 = 16
+    wiring = layer_wiring(net.cfg.layer_sizes)
+    assert [cycles for _, _, _, cycles in wiring] == [6, 13, 16]
+    # the tick reports the slowest core, on every tick
+    assert net.tick().network_cycles == 16
+    assert net.tick().network_cycles == max(w[3] for w in wiring)
 
 
 def test_hard_clamped_input_absorbs():
@@ -139,12 +129,11 @@ def test_transpose_wiring():
     clamp = {0: clamp_layer([0.5, -0.5, 0.25]), 2: clamp_layer([0.1, 0.9])}
     net.tick(clamp)
     snap_after = net.snapshot()
-    for s in range(len(net.layers) - 1):
-        lower = net.layers[s + 1]
+    for s in range(len(snap_after.x) - 1):
         w = snap_after.theta[s + 1][:, :-1]
         eps = snap_after.eps[s + 1]
         expected = (w * eps[:, None]).astype(np.float32)  # (n_lower, n_s)
-        assert net.layers[s].back_in.tobytes() == expected.tobytes()
+        assert snap_after.back_in[s].tobytes() == expected.tobytes()
 
 
 def test_registered_states_bus_lags_one_tick():
@@ -152,10 +141,10 @@ def test_registered_states_bus_lags_one_tick():
     clamp = {0: clamp_layer([0.5])}
     net.tick(clamp)
     # emission was the pre-tick (zero) state
-    assert net.layers[1].states_in.tolist() == [0.0]
+    assert net.state.states_in[1].tolist() == [0.0]
     net.tick(clamp)
     # now the clamped value from the end of tick 1 is visible
-    assert net.layers[1].states_in.tolist() == [F32(0.5)]
+    assert net.state.states_in[1].tolist() == [F32(0.5)]
 
 
 def test_snapshot_alpha_zero_preserves_weights():
@@ -228,31 +217,28 @@ def test_report_arrays_do_not_alias_the_network():
 
 def test_cores_share_the_layer_weight_matrix(tmp_path):
     # core i's weights are row i of its layer's matrix: a write to
-    # layer.theta is what weights(), snapshot() and a checkpoint read
+    # state.theta is what the tick, snapshot() and a checkpoint read
     cfg = NetworkConfig(layer_sizes=(2, 4, 3), seed=29, alpha=0.01, gamma=0.1)
     built = build_network(cfg)
     save_checkpoint(built, tmp_path / "built.ckpt")
     loaded = load_checkpoint(tmp_path / "built.ckpt", cfg)
     # a load assigns owned, writable arrays, not views of the file's bytes
-    for layer in loaded.layers:
-        for a in (layer.x, layer.theta):
-            assert a.flags.owndata and a.flags.writeable
+    for a in loaded.state.x + loaded.state.theta:
+        assert a.flags.owndata and a.flags.writeable
     for name, net in (("built", built), ("loaded", loaded)):
         net.tick({0: clamp_layer([0.3, -0.6])})
-        net.layers[2].theta[1, 3] = F32(0.125)
-        assert net.layers[2].weights()[1, 3] == F32(0.125)
+        theta = net.state.theta
+        theta[2][1, 3] = F32(0.125)
         assert net.snapshot().theta[2][1, 3] == F32(0.125)
         path = tmp_path / f"{name}.written.ckpt"
         save_checkpoint(net, path)
         blob = path.read_bytes()
         payload = np.frombuffer(blob, dtype="<f4", offset=blob.index(b"\n") + 1)
         # weights are stored layer-major, row-major: layers 0 and 1 first
-        offset = sum(layer.theta.size for layer in net.layers[:2]) + 1 * 5 + 3
+        offset = sum(w.size for w in theta[:2]) + 1 * 5 + 3
         assert payload[offset] == F32(0.125)
-        stored = payload[: sum(layer.theta.size for layer in net.layers)]
-        assert stored.tobytes() == b"".join(
-            layer.theta.astype("<f4").tobytes() for layer in net.layers
-        )
+        stored = payload[: sum(w.size for w in theta)]
+        assert stored.tobytes() == b"".join(w.astype("<f4").tobytes() for w in theta)
 
 
 def test_start_of_tick_x_is_latched_without_copy():
@@ -261,14 +247,14 @@ def test_start_of_tick_x_is_latched_without_copy():
     net = mknet([2, 4, 3], seed=31, alpha=0.01, gamma=0.1)
     clamp = {0: clamp_layer([0.3, -0.6])}
     for _ in range(3):
-        before = [layer.x for layer in net.layers]
+        before = list(net.state.x)
         kept = [x.copy() for x in before]
         net.tick(clamp)
         for s in range(1, 3):
-            assert net.layers[s].states_in is before[s - 1]
+            assert net.state.states_in[s] is before[s - 1]
         for x, k in zip(before, kept):
             assert x.tobytes() == k.tobytes()
-        assert all(x is not layer.x for x, layer in zip(before, net.layers))
+        assert all(x is not new for x, new in zip(before, net.state.x))
 
 
 def test_snapshot_shapes():
@@ -423,36 +409,44 @@ def _run_ticks(net, n, clamp):
 def _tick_bottom_up_reversed(net, clamp):
     """The per-core reference tick: the layers bottom-up and the cores of
     each layer last-to-first, each a stateless ``core_tick`` on row i of
-    its layer's arrays against the same latches, then the bus swap."""
-    layers = net.layers
+    its layer's arrays against the same latches, then the bus swap. Each
+    core's ``CoreConfig`` is built here from the layer's wiring."""
+    st = net.state
     cfg = net.cfg
     alpha, gamma = F32(cfg.alpha), F32(cfg.gamma)
+    wiring = layer_wiring(cfg.layer_sizes)
     new = {}
-    for s in reversed(range(len(layers))):
-        layer = layers[s]
+    for s in reversed(range(len(wiring))):
+        n, n_pre, m_back, _ = wiring[s]
+        core_cfg = CoreConfig(
+            n_presyn=n_pre,
+            m_back=m_back,
+            activation=cfg.activations[s],
+            alpha_bias_scale=cfg.alpha_bias_scale,
+            bias_frozen=cfg.bias_frozen,
+            has_upper=s > 0,
+        )
         kind = cfg.activations[s - 1] if s else "identity"
-        presyn_f = apply_activation_vec(kind, layer.states_in)
+        presyn_f = apply_activation_vec(kind, st.states_in[s])
         signals = clamp.get(s)
-        x, eps, rows = [None] * layer.size, [None] * layer.size, [None] * layer.size
+        x, eps, rows = [None] * n, [None] * n, [None] * n
         with np.errstate(all="ignore"):  # as in Network.tick
-            for i in reversed(range(layer.size)):
+            for i in reversed(range(n)):
                 x[i], eps[i], rows[i] = core_tick(
-                    layer.x[i], layer.theta[i], layer.cfg, alpha, gamma,
-                    presyn_f, layer.back_in[:, i],
+                    st.x[s][i], st.theta[s][i], core_cfg, alpha, gamma,
+                    presyn_f, st.back_in[s][:, i],
                     signals[i] if signals else NO_CLAMP, cfg.clamp_hard,
                 )
         new[s] = (
             np.array(x, dtype=np.float32),
             np.array(eps, dtype=np.float32),
-            np.array(rows, dtype=np.float32).reshape(layer.size, -1),
+            np.array(rows, dtype=np.float32).reshape(n, -1),
         )
-    pre_x = [layer.x for layer in layers]
-    for s, layer in enumerate(layers):
-        if s > 0:
-            layer.states_in = pre_x[s - 1]
-        if s < len(layers) - 1:
-            layer.back_in = new[s + 1][2]
-        layer.x, layer.eps = new[s][0], new[s][1]
+    last = len(wiring) - 1
+    st.states_in = st.states_in[:1] + st.x[:-1]
+    st.back_in = [new[s + 1][2] for s in range(last)] + st.back_in[-1:]
+    st.x = [new[s][0] for s in range(last + 1)]
+    st.eps = [new[s][1] for s in range(last + 1)]
 
 
 def test_core_order_does_not_matter():
@@ -547,7 +541,7 @@ def test_energy_zero_network():
 
 def test_energy_single_nonzero_output():
     net = mknet([1, 1, 1], init_scale=0.0)
-    net.layers[2].x = np.array([0.5], dtype=np.float32)
+    net.state.x[2] = np.array([0.5], dtype=np.float32)
     assert net.energy() == pytest.approx(0.25, abs=1e-12)
 
 
@@ -578,8 +572,8 @@ def test_energy_of_diverged_network_is_non_finite_without_warning():
     # pytest.ini turns a RuntimeWarning into an error, so a warning would
     # fail this test
     net = mknet([2, 3, 2], seed=6)
-    net.layers[1].x = np.array([np.nan, 0.0, 0.0], dtype=np.float32)
-    net.layers[1].theta[0, 1] = F32("inf")
+    net.state.x[1] = np.array([np.nan, 0.0, 0.0], dtype=np.float32)
+    net.state.theta[1][0, 1] = F32("inf")
     assert not np.isfinite(net.energy())
 
 
@@ -611,10 +605,10 @@ def test_energy_descends_when_clamped_alpha_zero():
 def test_reset_states_clears_dynamics_only():
     net = mknet([2, 3, 2], seed=8)
     net.tick({0: clamp_layer([0.5, 0.5])})
-    w_before = [layer.weights().tobytes() for layer in net.layers]
+    w_before = [w.tobytes() for w in net.state.theta]
     net.reset_states()
-    for layer, wb in zip(net.layers, w_before):
-        assert layer.states().tolist() == [0.0] * layer.size
-        assert layer.errors().tolist() == [0.0] * layer.size
-        assert not layer.states_in.any() and not layer.back_in.any()
-        assert layer.weights().tobytes() == wb
+    st = net.state
+    for x, eps in zip(st.x, st.eps):
+        assert x.tolist() == eps.tolist() == [0.0] * x.shape[0]
+    assert not any(a.any() for a in st.states_in + st.back_in)
+    assert [w.tobytes() for w in st.theta] == w_before

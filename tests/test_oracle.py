@@ -94,12 +94,14 @@ def test_bad_step_override_rejected_like_network(key, value):
     ],
 )
 def test_bad_clamp_rejected_like_network(clamp):
+    # one clamp check: both entry points raise the same message
     net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
     ds = net.snapshot()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as from_net:
         net.tick(clamp)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as from_oracle:
         oracle_tick(ds, clamp)
+    assert str(from_oracle.value) == str(from_net.value)
 
 
 def test_shape_validation():

@@ -14,8 +14,9 @@ from pcsub import (
     NetworkConfig,
     TeacherSpec,
     TrainProtocol,
+    build_network,
     generate_dataset,
-    train_supervised,
+    train_network,
     write_curve_csv,
 )
 
@@ -37,7 +38,7 @@ cfg = NetworkConfig(
 proto = TrainProtocol(
     infer_ticks=20, learn_ticks=5, epochs=epochs, eval_ticks=100
 )
-curve = train_supervised(cfg, ds, proto)
+curve = train_network(build_network(cfg), ds, proto)
 
 print("\nepoch  mse")
 for i, v in enumerate(curve.mse):

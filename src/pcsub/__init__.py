@@ -9,20 +9,16 @@ reproduces teacher-student learning curves as CSV.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigFile, load_config, parse_config
+from .config import EXPERIMENTS, ConfigFile, load_config, parse_config, run_experiment
 from .core import ClampSignal, CoreConfig, core_tick, tick_cycles
 from .errors import CheckpointError, ConfigParseError, ConfigurationError
 from .harness import (
     Dataset,
-    EXPERIMENTS,
     LearningCurve,
     TeacherSpec,
     TrainProtocol,
-    evaluate_mse,
     generate_dataset,
-    run_experiment,
     train_network,
-    train_supervised,
     write_curve_csv,
 )
 from .network import (
@@ -62,7 +58,6 @@ __all__ = [
     "build_network",
     "clamp_layer",
     "core_tick",
-    "evaluate_mse",
     "generate_dataset",
     "load_checkpoint",
     "load_config",
@@ -73,6 +68,5 @@ __all__ = [
     "save_checkpoint",
     "tick_cycles",
     "train_network",
-    "train_supervised",
     "write_curve_csv",
 ]

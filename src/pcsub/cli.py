@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 validation error, 2 divergence detected (the
 learning curve is still written in that case). Outputs default to the
 ``runs/`` directory; ``PCSUB_OUT_DIR`` or ``--out`` override it.
+
+``run`` and ``experiment`` take one path, ``harness.run_config``:
+``experiment NAME --seed S`` is ``run`` on NAME's canned config file with
+``seed = S``, written to ``NAME.csv``.
 """
 
 from __future__ import annotations
@@ -12,19 +16,10 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .config import load_config
+from .config import EXPERIMENTS, load_config, run_experiment
 from .errors import CheckpointError, ConfigParseError, ConfigurationError
-from .harness import (
-    EXPERIMENTS,
-    dataset_for,
-    evaluate_dataset,
-    output_dir,
-    protocol_for,
-    run_experiment,
-    train_network,
-    write_curve_csv,
-)
-from .network import build_network, layer_wiring
+from .harness import dataset_for, evaluate_dataset, output_dir, run_config
+from .network import layer_wiring
 from .oracle import run_equivalence_suite
 
 EXIT_OK = 0
@@ -68,32 +63,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(curve, path) -> int:
+    print(f"wrote {path} ({len(curve)} epochs)")
+    print(f"mse: {curve.mse[0]:.6f} -> {curve.mse[-1]:.6f}")
+    if any(curve.diverged):
+        print("divergence detected during training", file=sys.stderr)
+        return EXIT_DIVERGED
+    return EXIT_OK
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    ds = dataset_for(cfg)
-    net = build_network(cfg.to_network_config())
-    curve = train_network(net, ds, protocol_for(cfg))
     if cfg.out_csv is not None:
         path = Path(cfg.out_csv)
     else:
         path = output_dir(args.out) / (Path(args.config).stem + ".csv")
-    write_curve_csv(curve, path)
-    print(f"wrote {path} ({len(curve)} epochs)")
-    print(f"mse: {curve.mse[0]:.6f} -> {curve.mse[-1]:.6f}")
-    if any(curve.diverged):
-        print("divergence detected during training", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return _report(run_config(cfg, path), path)
 
 
 def _cmd_experiment(args) -> int:
-    curve, path = run_experiment(args.name, seed=args.seed, out_dir=args.out)
-    print(f"wrote {path} ({len(curve)} epochs)")
-    print(f"mse: {curve.mse[0]:.6f} -> {curve.mse[-1]:.6f}")
-    if any(curve.diverged):
-        print("divergence detected during training", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return _report(*run_experiment(args.name, seed=args.seed, out_dir=args.out))
 
 
 def _cmd_tick(args) -> int:

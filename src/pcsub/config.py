@@ -5,37 +5,48 @@ language: one assignment per line, ``#`` starts a comment, lists are
 comma-separated, booleans are ``true``/``false``. Unknown and duplicate
 keys are rejected; missing keys fall back to the built-in defaults and
 the fallback is logged once per parse.
+
+Each key's value rule and default are written once, by the object that
+consumes the key: ``NETWORK_RULES`` and ``NetworkConfig`` in ``network``,
+``HARNESS_RULES`` and ``TrainProtocol`` in ``harness``. ``parse_config``
+applies those rules and reports every failure with its key's line.
+
+The canned experiments are config files under ``configs/``;
+``run_experiment`` runs one through ``harness.run_config``, the path
+``pcsub run`` takes for any config file.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigParseError, ConfigurationError
-from .network import NetworkConfig, _seed
-from .scalar32 import ACTIVATION_KINDS, is_finite_f32
+from .harness import HARNESS_RULES, TrainProtocol, output_dir, run_config
+from .network import NETWORK_RULES, NetworkConfig, _activations
 
 log = logging.getLogger(__name__)
 
-TEACHER_KINDS = ("relu_teacher", "tanh_teacher")
+EXPERIMENTS = ("relu_ts", "tanh_ts", "scale_small", "scale_medium", "scale_large")
 
+_CONFIG_DIR = Path(__file__).parent / "configs"
+
+
+def _declared(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# a missing key takes the default its consumer declares, or the one here
 DEFAULTS = {
     "layer_sizes": [2, 4, 3],
-    "activations": None,  # identity for every layer when omitted
-    "alpha": 0.01,
-    "gamma": 0.1,
-    "clamp_hard": True,
-    "seed": 1,
-    "init_scale": 0.5,
-    "alpha_bias_scale": 1.0,
-    "bias_frozen": False,
+    **_declared(NetworkConfig),
     "infer_ticks": 20,
     "learn_ticks": 5,
     "epochs": 25,
     "eval_ticks": 100,
-    "reset_between_samples": True,
+    **_declared(TrainProtocol),
     "n_samples": 64,
     "teacher_kind": "relu_teacher",
     "teacher_seed": 101,
@@ -43,15 +54,13 @@ DEFAULTS = {
     "out_csv": None,
 }
 
+_RULES = {**NETWORK_RULES, **HARNESS_RULES}
+
 _INT_KEYS = {"seed", "infer_ticks", "learn_ticks", "epochs", "eval_ticks",
              "n_samples", "teacher_seed"}
 _FLOAT_KEYS = {"alpha", "gamma", "init_scale", "alpha_bias_scale",
                "teacher_weight_scale"}
-_NONNEGATIVE_KEYS = {"alpha", "gamma", "init_scale", "teacher_weight_scale"}
 _BOOL_KEYS = {"clamp_hard", "bias_frozen", "reset_between_samples"}
-_STR_KEYS = {"teacher_kind", "out_csv"}
-_LIST_INT_KEYS = {"layer_sizes"}
-_LIST_STR_KEYS = {"activations"}
 
 
 @dataclass
@@ -80,20 +89,13 @@ class ConfigFile:
     defaulted: list = field(default_factory=list)
 
     def to_network_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            layer_sizes=self.layer_sizes,
-            activations=self.activations,
-            alpha=self.alpha,
-            gamma=self.gamma,
-            clamp_hard=self.clamp_hard,
-            alpha_bias_scale=self.alpha_bias_scale,
-            bias_frozen=self.bias_frozen,
-            seed=self.seed,
-            init_scale=self.init_scale,
-        )
+        # every NetworkConfig field is a config key of the same name
+        keys = [f.name for f in fields(NetworkConfig)]
+        return NetworkConfig(**{key: getattr(self, key) for key in keys})
 
 
 def _parse_value(key: str, raw: str):
+    """The text of ``key``'s value as a Python value; its rule comes later."""
     if key in _INT_KEYS:
         return int(raw, 0)
     if key in _FLOAT_KEYS:
@@ -105,53 +107,18 @@ def _parse_value(key: str, raw: str):
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if key in _LIST_INT_KEYS:
+    if key == "layer_sizes":
         return [int(tok.strip(), 0) for tok in raw.split(",") if tok.strip()]
-    if key in _LIST_STR_KEYS:
+    if key == "activations":
         return [tok.strip() for tok in raw.split(",") if tok.strip()]
     return raw
-
-
-def _validate(values: dict, lines: dict, errors: list) -> None:
-    def bad(key, msg):
-        errors.append((lines.get(key, 0), msg))
-
-    sizes = values["layer_sizes"]
-    if len(sizes) < 2:
-        bad("layer_sizes", "layer_sizes needs at least 2 layers")
-    if any(n < 1 for n in sizes):
-        bad("layer_sizes", "layer sizes must be >= 1")
-    acts = values["activations"]
-    if acts is not None:
-        if len(acts) != len(sizes):
-            bad("activations", "need one activation per layer")
-        for kind in acts:
-            if kind not in ACTIVATION_KINDS:
-                bad("activations", f"unknown activation: {kind!r}")
-    for key in sorted(_FLOAT_KEYS):
-        if not is_finite_f32(values[key]):
-            bad(key, f"{key} must be finite in binary32, got {values[key]!r}")
-        elif key in _NONNEGATIVE_KEYS and values[key] < 0:
-            bad(key, f"{key} must be >= 0")
-    for key in ("infer_ticks", "epochs", "eval_ticks", "n_samples"):
-        if values[key] < 1:
-            bad(key, f"{key} must be >= 1")
-    if values["learn_ticks"] < 0:
-        bad("learn_ticks", "learn_ticks must be >= 0")
-    for key in ("seed", "teacher_seed"):
-        try:
-            _seed(key, values[key])
-        except ConfigurationError as exc:
-            bad(key, str(exc))
-    if values["teacher_kind"] not in TEACHER_KINDS:
-        bad("teacher_kind", f"teacher_kind must be one of {TEACHER_KINDS}")
 
 
 def parse_config(text: str) -> ConfigFile:
     """Parse and validate config text.
 
     Raises ConfigParseError carrying (line, message) pairs for every
-    problem found, rather than stopping at the first.
+    problem found, in line order, rather than stopping at the first.
     """
     values = dict(DEFAULTS)
     values["layer_sizes"] = list(DEFAULTS["layer_sizes"])
@@ -180,10 +147,18 @@ def parse_config(text: str) -> ConfigFile:
         except ValueError as exc:
             errors.append((lineno, f"{key}: {exc}"))
 
-    if not errors:
-        _validate(values, seen, errors)
+    def check(key, rule, *args):
+        try:
+            rule(*args)
+        except ConfigurationError as exc:
+            errors.append((seen.get(key, 0), str(exc)))
+
+    for key, rule in _RULES.items():
+        check(key, rule, key, values[key])
+    n_layers = len(values["layer_sizes"])
+    check("activations", _activations, values["activations"], n_layers)
     if errors:
-        raise ConfigParseError(errors)
+        raise ConfigParseError(sorted(errors, key=lambda error: error[0]))
 
     defaulted = sorted(set(DEFAULTS) - set(seen))
     if defaulted:
@@ -194,3 +169,28 @@ def parse_config(text: str) -> ConfigFile:
 def load_config(path) -> ConfigFile:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
+
+
+# ---------------------------------------------------------------------------
+# canned experiments
+# ---------------------------------------------------------------------------
+
+
+def experiment_config(name: str) -> ConfigFile:
+    if name not in EXPERIMENTS:
+        raise ConfigurationError(
+            f"unknown experiment {name!r}; choose from {EXPERIMENTS}"
+        )
+    return load_config(_CONFIG_DIR / f"{name}.cfg")
+
+
+def run_experiment(
+    name: str, seed: Optional[int] = None, out_dir: Optional[str] = None
+):
+    """Run one canned experiment, with ``seed`` replacing its network seed
+    when given; returns (curve, csv_path)."""
+    cfg = experiment_config(name)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    path = output_dir(out_dir) / f"{name}.csv"
+    return run_config(cfg, path), path

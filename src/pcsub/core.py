@@ -112,6 +112,14 @@ class ClampSignal:
     x_set_en: bool = False
     x_obs: float = 0.0
 
+    def __post_init__(self):
+        # network._boolean's rule as one isinstance: clamp_layer builds a
+        # signal per neuron per sample
+        if not isinstance(self.x_set_en, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"x_set_en must be a bool, got {self.x_set_en!r}"
+            )
+
 
 NO_CLAMP = ClampSignal()
 

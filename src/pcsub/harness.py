@@ -21,33 +21,67 @@ Teacher parameters and inputs are drawn from a SplitMix64 stream (see
 above, each entry uniform in [-weight_scale, +weight_scale], then the
 inputs sample-major with components uniform in [-1, 1]. Targets are
 evaluated in binary64 and rounded once to binary32.
+
+``HARNESS_RULES`` holds the rule of each config key the harness consumes;
+the objects here and ``config.parse_config`` apply the same rules.
+``run_config`` is the one path from a parsed config to a written curve.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .config import ConfigFile, load_config
 from .errors import ConfigurationError
 from .network import (
     Network,
-    NetworkConfig,
-    _binary32,
+    _boolean,
     _integer,
+    _real,
     _seed,
     build_network,
     clamp_layer,
 )
 from .prng import Prng
 
-EXPERIMENTS = ("relu_ts", "tanh_ts", "scale_small", "scale_medium", "scale_large")
+if TYPE_CHECKING:
+    from .config import ConfigFile
 
-_CONFIG_DIR = Path(__file__).parent / "configs"
+TEACHER_KINDS = ("relu_teacher", "tanh_teacher")
+
+
+def _teacher_kind(key: str, kind) -> str:
+    if kind not in TEACHER_KINDS:
+        raise ConfigurationError(f"unknown teacher kind: {kind!r}")
+    return kind
+
+
+_count = partial(_integer, lo=1)
+
+# rule(key, value) of each config key the harness consumes: TrainProtocol
+# applies the first five to its fields, TeacherSpec and generate_dataset
+# the rest, and parse_config all of them to the same keys of a file
+HARNESS_RULES = {
+    "infer_ticks": _count,
+    "learn_ticks": partial(_integer, lo=0),
+    "epochs": _count,
+    "eval_ticks": _count,
+    "reset_between_samples": _boolean,
+    "n_samples": _count,
+    "teacher_kind": _teacher_kind,
+    "teacher_seed": _seed,
+    "teacher_weight_scale": _real,
+}
+
+
+def _check(key: str, value):
+    """``value`` through the rule of config key ``key``."""
+    return HARNESS_RULES[key](key, value)
 
 
 @dataclass(frozen=True)
@@ -58,12 +92,13 @@ class TeacherSpec:
     weight_scale: float
 
     def __post_init__(self):
-        if self.kind not in ("relu_teacher", "tanh_teacher"):
-            raise ConfigurationError(f"unknown teacher kind: {self.kind!r}")
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise ConfigurationError(f"teacher dims must be 3 positive sizes: {self.dims}")
-        _binary32("weight_scale", self.weight_scale)  # teacher_weight_scale's rule
-        _seed("seed", self.seed)  # teacher_seed's rule
+        _check("teacher_kind", self.kind)
+        if len(self.dims) != 3:
+            raise ConfigurationError(f"teacher dims must be 3 sizes: {self.dims}")
+        for d in self.dims:
+            _integer("teacher dims", d, 1)
+        _check("teacher_seed", self.seed)
+        _check("teacher_weight_scale", self.weight_scale)
 
 
 @dataclass
@@ -88,10 +123,8 @@ class TrainProtocol:
     reset_between_samples: bool = True
 
     def __post_init__(self):
-        self.infer_ticks = _integer("infer_ticks", self.infer_ticks, 1)
-        self.learn_ticks = _integer("learn_ticks", self.learn_ticks, 0)
-        self.epochs = _integer("epochs", self.epochs, 1)
-        self.eval_ticks = _integer("eval_ticks", self.eval_ticks, 1)
+        for f in fields(self):
+            setattr(self, f.name, _check(f.name, getattr(self, f.name)))
 
 
 @dataclass
@@ -132,8 +165,7 @@ def teacher_apply(kind: str, params: dict, x) -> np.ndarray:
 
 def generate_dataset(spec: TeacherSpec, n_samples: int) -> Dataset:
     """Deterministic teacher-student samples with uniform [-1, 1] inputs."""
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
+    n_samples = _check("n_samples", n_samples)
     rng = Prng(spec.seed)
     params = teacher_params(spec, rng)  # inputs continue the same stream
     d_in, _, d_out = spec.dims
@@ -167,7 +199,7 @@ def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int):
     ticks at alpha = 0, output-layer states read; squared error is
     accumulated in binary64 over samples and output components.
     """
-    eval_ticks = _integer("eval_ticks", eval_ticks, 1)
+    eval_ticks = _check("eval_ticks", eval_ticks)
     if len(ds) == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     _check_dims(net, ds)
@@ -183,12 +215,6 @@ def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int):
         d = out - y.astype(np.float64)
         total += float(d @ d)
     return total / (len(ds) * ds.dims[1]), diverged
-
-
-def evaluate_mse(net: Network, ds: Dataset, eval_ticks: int) -> float:
-    """Inference-only MSE; weights are untouched (alpha = 0 throughout)."""
-    mse, _ = evaluate_dataset(net, ds, eval_ticks)
-    return mse
 
 
 def train_network(net: Network, ds: Dataset, proto: TrainProtocol) -> LearningCurve:
@@ -217,24 +243,9 @@ def train_network(net: Network, ds: Dataset, proto: TrainProtocol) -> LearningCu
     return curve
 
 
-def train_supervised(
-    cfg: NetworkConfig, ds: Dataset, proto: TrainProtocol
-) -> LearningCurve:
-    """Build a network from ``cfg`` and train it; returns the curve."""
-    return train_network(build_network(cfg), ds, proto)
-
-
 # ---------------------------------------------------------------------------
-# canned experiments
+# from a config to a curve
 # ---------------------------------------------------------------------------
-
-
-def experiment_config(name: str) -> ConfigFile:
-    if name not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; choose from {EXPERIMENTS}"
-        )
-    return load_config(_CONFIG_DIR / f"{name}.cfg")
 
 
 def dataset_for(cfg: ConfigFile) -> Dataset:
@@ -248,13 +259,9 @@ def dataset_for(cfg: ConfigFile) -> Dataset:
 
 
 def protocol_for(cfg: ConfigFile) -> TrainProtocol:
-    return TrainProtocol(
-        infer_ticks=cfg.infer_ticks,
-        learn_ticks=cfg.learn_ticks,
-        epochs=cfg.epochs,
-        eval_ticks=cfg.eval_ticks,
-        reset_between_samples=cfg.reset_between_samples,
-    )
+    # every TrainProtocol field is a config key of the same name
+    keys = [f.name for f in fields(TrainProtocol)]
+    return TrainProtocol(**{key: getattr(cfg, key) for key in keys})
 
 
 def output_dir(override: Optional[str] = None) -> Path:
@@ -273,20 +280,12 @@ def write_curve_csv(curve: LearningCurve, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def run_experiment(
-    name: str,
-    overrides: Optional[dict] = None,
-    seed: Optional[int] = None,
-    out_dir: Optional[str] = None,
-):
-    """Run one canned experiment; returns (curve, csv_path)."""
-    cfg = experiment_config(name)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+def run_config(cfg: ConfigFile, csv_path) -> LearningCurve:
+    """Train a new network as ``cfg`` says on its teacher's dataset and write
+    the curve to ``csv_path``: the one path from a config to a curve, taken
+    by ``pcsub run``, ``pcsub experiment`` and ``run_experiment``."""
     ds = dataset_for(cfg)
-    curve = train_supervised(cfg.to_network_config(), ds, protocol_for(cfg))
-    path = output_dir(out_dir) / f"{name}.csv"
-    write_curve_csv(curve, path)
-    return curve, path
+    net = build_network(cfg.to_network_config())
+    curve = train_network(net, ds, protocol_for(cfg))
+    write_curve_csv(curve, csv_path)
+    return curve

@@ -48,6 +48,7 @@ like any other so the stream layout is uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -112,6 +113,21 @@ def _integer(key: str, value, lo: int) -> int:
     return int(value)
 
 
+def _boolean(key: str, value) -> bool:
+    """``value`` as a bool, rejecting anything but a Python or numpy bool
+    (the string 'false' is truthy): the one rule for on/off switches."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{key} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _real(key: str, value, nonneg: bool = True) -> float:
+    """``value`` as a float once ``_binary32`` accepts it: the rule for a
+    configured step size or scale, which a tick rounds to binary32."""
+    _binary32(key, value, nonneg)
+    return float(value)
+
+
 def _seed(key: str, value) -> int:
     """A PRNG seed: an integer in [0, 2**64), so that no two seeds give
     the same stream."""
@@ -140,6 +156,42 @@ def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
     return clamp
 
 
+def _layer_sizes(key: str, sizes) -> tuple:
+    """At least two layers, each of an integer size >= 1."""
+    sizes = tuple(_integer("layer size", n, 1) for n in sizes)
+    if len(sizes) < 2:
+        raise ConfigurationError("need at least 2 layers")
+    return sizes
+
+
+def _activations(kinds, n_layers: int) -> tuple:
+    """One known activation kind per layer; None is identity everywhere."""
+    if kinds is None:
+        return ("identity",) * n_layers
+    kinds = tuple(kinds)
+    if len(kinds) != n_layers:
+        raise ConfigurationError("need one activation per layer")
+    for kind in kinds:
+        if kind not in ACTIVATION_KINDS:
+            raise ConfigurationError(f"unknown activation kind: {kind!r}")
+    return kinds
+
+
+# rule(key, value) of each NetworkConfig field but ``activations``, whose
+# rule also reads the layer count: a NetworkConfig applies them when it is
+# built, and parse_config applies them to the same keys of a file
+NETWORK_RULES = {
+    "layer_sizes": _layer_sizes,
+    "alpha": _real,
+    "gamma": _real,
+    "clamp_hard": _boolean,
+    "alpha_bias_scale": partial(_real, nonneg=False),
+    "bias_frozen": _boolean,
+    "seed": _seed,
+    "init_scale": _real,
+}
+
+
 @dataclass
 class NetworkConfig:
     layer_sizes: tuple
@@ -153,24 +205,9 @@ class NetworkConfig:
     init_scale: float = 0.5
 
     def __post_init__(self):
-        self.layer_sizes = tuple(
-            _integer("layer size", n, 1) for n in self.layer_sizes
-        )
-        if len(self.layer_sizes) < 2:
-            raise ConfigurationError("need at least 2 layers")
-        if self.activations is None:
-            self.activations = tuple("identity" for _ in self.layer_sizes)
-        else:
-            self.activations = tuple(self.activations)
-        if len(self.activations) != len(self.layer_sizes):
-            raise ConfigurationError("need one activation per layer")
-        for kind in self.activations:
-            if kind not in ACTIVATION_KINDS:
-                raise ConfigurationError(f"unknown activation kind: {kind!r}")
-        for key in ("alpha", "gamma", "init_scale"):
-            _binary32(key, getattr(self, key))
-        _binary32("alpha_bias_scale", self.alpha_bias_scale, nonneg=False)
-        self.seed = _seed("seed", self.seed)
+        for key, rule in NETWORK_RULES.items():
+            setattr(self, key, rule(key, getattr(self, key)))
+        self.activations = _activations(self.activations, len(self.layer_sizes))
 
 
 @dataclass

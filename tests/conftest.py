@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from pcsub.harness import run_experiment
+from pcsub import config
+from pcsub.config import experiment_config, run_experiment
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 
@@ -20,9 +22,11 @@ class CannedCurves:
         self._runs = {}
 
     def run(self, name: str):
-        """``run_experiment(name)`` into ``out_dir``; returns (curve, csv_path)."""
+        """``pcsub experiment NAME --seed S --out out_dir`` in process, S the
+        canned config's own seed; returns (curve, csv_path)."""
         if name not in self._runs:
-            self._runs[name] = run_experiment(name, out_dir=self.out_dir)
+            seed = experiment_config(name).seed
+            self._runs[name] = run_experiment(name, seed=seed, out_dir=self.out_dir)
         return self._runs[name]
 
     def csv(self, name: str) -> Path:
@@ -41,3 +45,15 @@ class CannedCurves:
 @pytest.fixture(scope="session")
 def canned_curves(tmp_path_factory):
     return CannedCurves(tmp_path_factory.mktemp("canned_curves"))
+
+
+@pytest.fixture
+def short_experiments(monkeypatch):
+    """Cut the canned configs, wherever they are loaded by name, to the
+    returned key values: 2 epochs of 4 samples and few ticks."""
+    short = dict(epochs=2, n_samples=4, infer_ticks=5, learn_ticks=2, eval_ticks=10)
+    canned = config.experiment_config
+    monkeypatch.setattr(
+        config, "experiment_config", lambda name: replace(canned(name), **short)
+    )
+    return short

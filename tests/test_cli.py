@@ -2,10 +2,13 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pcsub
 from pcsub.checkpoint import save_checkpoint
+from pcsub.cli import main as cli_main
 from pcsub.network import NetworkConfig, build_network
 
 FAST_CFG = """
@@ -170,3 +173,29 @@ def test_run_out_csv_key_overrides_path(tmp_path):
     proc = run_cli("run", str(cfg))
     assert proc.returncode == 0
     assert target.exists()
+
+
+def test_experiment_seed_writes_what_run_writes(canned_curves, tmp_path):
+    # `pcsub experiment tanh_ts --seed S` (the session's canned curve, S the
+    # seed in tanh_ts.cfg) and `pcsub run` on tanh_ts.cfg take one path
+    # and write the same bytes
+    cfg = Path(pcsub.__file__).parent / "configs" / "tanh_ts.cfg"
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    _, experiment_csv = canned_curves.run("tanh_ts")
+    assert (tmp_path / "tanh_ts.csv").read_bytes() == experiment_csv.read_bytes()
+
+
+def test_experiment_seed_is_run_with_that_seed(tmp_path, short_experiments):
+    # a seed other than the canned one, on the canned config cut short
+    # both ways: by name for `experiment`, in the file for `run`
+    text = (Path(pcsub.__file__).parent / "configs" / "tanh_ts.cfg").read_text()
+    cut = dict(short_experiments, seed=9)
+    lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() not in cut]
+    cfg = tmp_path / "tanh_ts.cfg"
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in cut.items()]) + "\n")
+    assert cli_main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    argv = ["experiment", "tanh_ts", "--seed", "9", "--out", str(tmp_path / "exp")]
+    assert cli_main(argv) == 0
+    run_csv = (tmp_path / "run" / "tanh_ts.csv").read_bytes()
+    assert run_csv == (tmp_path / "exp" / "tanh_ts.csv").read_bytes()
+    assert len(run_csv.splitlines()) == 1 + 3

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.config import DEFAULTS, parse_config
+from pcsub.core import ClampSignal
 from pcsub.errors import CheckpointError, ConfigParseError, ConfigurationError
-from pcsub.network import NetworkConfig, build_network, clamp_layer
+from pcsub.harness import HARNESS_RULES, TeacherSpec, TrainProtocol, generate_dataset
+from pcsub.network import (
+    NETWORK_RULES,
+    NetworkConfig,
+    _boolean,
+    build_network,
+    clamp_layer,
+)
 from pcsub.prng import Prng
 
 F32 = np.float32
@@ -252,6 +260,91 @@ def test_parse_collects_multiple_errors():
     with pytest.raises(ConfigParseError) as exc:
         parse_config("whats = this\nepochs = x\n")
     assert len(exc.value.errors) == 2
+
+
+# key -> (a bad value as file text, the same value given to the object that
+# consumes the key). The bool keys are missing: a file's bool text parses
+# to True or False or fails to parse, so their rule cannot fail there.
+_NET = dict(layer_sizes=(2, 4, 3))
+_PROTO = dict(infer_ticks=1, learn_ticks=1, epochs=1, eval_ticks=1)
+_SPEC = dict(kind="relu_teacher", dims=(2, 4, 3), seed=1, weight_scale=1.0)
+DRIFT_CASES = {
+    "layer_sizes": ("2, 0", lambda: NetworkConfig((2, 0))),
+    "activations": (
+        "identity, bogus, identity",
+        lambda: NetworkConfig(activations=("identity", "bogus", "identity"), **_NET),
+    ),
+    "alpha": ("-0.5", lambda: NetworkConfig(alpha=-0.5, **_NET)),
+    "gamma": ("inf", lambda: NetworkConfig(gamma=float("inf"), **_NET)),
+    "init_scale": ("-1", lambda: NetworkConfig(init_scale=-1.0, **_NET)),
+    "alpha_bias_scale": ("1e39", lambda: NetworkConfig(alpha_bias_scale=1e39, **_NET)),
+    "seed": ("-1", lambda: NetworkConfig(seed=-1, **_NET)),
+    "infer_ticks": ("0", lambda: TrainProtocol(**dict(_PROTO, infer_ticks=0))),
+    "learn_ticks": ("-1", lambda: TrainProtocol(**dict(_PROTO, learn_ticks=-1))),
+    "epochs": ("0", lambda: TrainProtocol(**dict(_PROTO, epochs=0))),
+    "eval_ticks": ("0", lambda: TrainProtocol(**dict(_PROTO, eval_ticks=0))),
+    "n_samples": ("0", lambda: generate_dataset(TeacherSpec(**_SPEC), 0)),
+    "teacher_kind": ("x", lambda: TeacherSpec(**dict(_SPEC, kind="x"))),
+    "teacher_seed": (
+        "0x10000000000000000", lambda: TeacherSpec(**dict(_SPEC, seed=2**64))
+    ),
+    "teacher_weight_scale": (
+        "nan", lambda: TeacherSpec(**dict(_SPEC, weight_scale=float("nan")))
+    ),
+}
+BOOL_KEYS = {"clamp_hard", "bias_frozen", "reset_between_samples"}
+
+
+def test_drift_cases_cover_every_rule():
+    ruled = set(NETWORK_RULES) | set(HARNESS_RULES) | {"activations"}
+    assert set(DRIFT_CASES) == ruled - BOOL_KEYS
+
+
+@pytest.mark.parametrize("key", sorted(DRIFT_CASES))
+def test_file_and_library_reject_a_bad_value_alike(key):
+    raw, build = DRIFT_CASES[key]
+    with pytest.raises(ConfigurationError) as api:
+        build()
+    with pytest.raises(ConfigParseError) as text:
+        parse_config(f"# {key} on line 2\n{key} = {raw}\n")
+    assert text.value.errors == [(2, str(api.value))]
+
+
+def test_parse_reports_errors_in_line_order():
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config("teacher_seed = -1\nepochs = 0\nbogus = 1\nseed = -1\n")
+    assert [line for line, _ in exc.value.errors] == [1, 2, 3, 4]
+
+
+SWITCHES = {
+    "clamp_hard": lambda v: NetworkConfig((1, 1), clamp_hard=v),
+    "bias_frozen": lambda v: NetworkConfig((1, 1), bias_frozen=v),
+    "reset_between_samples": (
+        lambda v: TrainProtocol(1, 1, 1, 1, reset_between_samples=v)
+    ),
+    "x_set_en": lambda v: ClampSignal(x_set_en=v),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SWITCHES))
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None, np.float64(1.0)])
+def test_switches_reject_non_bools(key, value):
+    # read by truthiness, NetworkConfig((1, 1), clamp_hard='false') would
+    # clamp hard
+    with pytest.raises(ConfigurationError) as exc:
+        SWITCHES[key](value)
+    with pytest.raises(ConfigurationError) as rule:
+        _boolean(key, value)
+    assert str(exc.value) == str(rule.value) == f"{key} must be a bool, got {value!r}"
+
+
+@pytest.mark.parametrize("key", sorted(SWITCHES))
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])
+def test_switches_accept_python_and_numpy_bools(key, value):
+    built = SWITCHES[key](value)
+    assert getattr(built, key) == value
+    if key != "x_set_en":  # a ClampSignal keeps the value it is given
+        assert type(getattr(built, key)) is bool
 
 
 def test_to_network_config():

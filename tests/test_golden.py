@@ -29,13 +29,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcsub.harness import (
-    EXPERIMENTS,
-    dataset_for,
-    evaluate_mse,
-    experiment_config,
-    run_experiment,
-)
+from pcsub.config import EXPERIMENTS, experiment_config, run_experiment
+from pcsub.harness import dataset_for, evaluate_dataset
 from pcsub.network import NetworkConfig, build_network, clamp_layer
 from pcsub.prng import Prng
 
@@ -144,7 +139,7 @@ def tick_digest(name: str) -> dict:
 def epoch0_mse(name: str) -> float:
     cfg = experiment_config(name)
     net = build_network(cfg.to_network_config())
-    return evaluate_mse(net, dataset_for(cfg), cfg.eval_ticks)
+    return evaluate_dataset(net, dataset_for(cfg), cfg.eval_ticks)[0]
 
 
 def curve_sha(name: str, out_dir) -> str:

@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
+from pcsub.config import EXPERIMENTS, experiment_config, run_experiment
 from pcsub.errors import ConfigurationError
 from pcsub.harness import (
     Dataset,
-    EXPERIMENTS,
     LearningCurve,
     TeacherSpec,
     TrainProtocol,
-    evaluate_mse,
-    experiment_config,
+    evaluate_dataset,
     generate_dataset,
-    run_experiment,
     teacher_apply,
     teacher_params,
     train_network,
-    train_supervised,
     write_curve_csv,
 )
 from pcsub.network import NetworkConfig, build_network
@@ -91,6 +88,21 @@ def test_teacher_seed_validation(seed):
         TeacherSpec("relu_teacher", (2, 3, 1), seed, 1.0)
 
 
+@pytest.mark.parametrize(
+    "dims, n_samples, field",
+    [
+        ((2, 2.5, 1), 4, "teacher dims"),
+        ((2, True, 1), 4, "teacher dims"),
+        ((2, 2, 1), 2.5, "n_samples"),
+        ((2, 2, 1), np.bool_(True), "n_samples"),
+    ],
+)
+def test_dataset_rejects_non_integer_sizes(dims, n_samples, field):
+    # past the constructor, numpy would raise a bare TypeError
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        generate_dataset(TeacherSpec("relu_teacher", dims, 1, 1.0), n_samples)
+
+
 # ---------------------------------------------------------------------------
 # training protocol
 # ---------------------------------------------------------------------------
@@ -126,7 +138,7 @@ def test_protocol_rejects_non_integer_counts(counts):
 def test_curve_length_is_epochs_plus_one():
     cfg, ds = _small_setup()
     proto = TrainProtocol(infer_ticks=5, learn_ticks=2, epochs=3, eval_ticks=10)
-    curve = train_supervised(cfg, ds, proto)
+    curve = train_network(build_network(cfg), ds, proto)
     assert len(curve) == 4
     assert len(curve.diverged) == 4
 
@@ -142,7 +154,7 @@ def test_alpha_zero_training_preserves_weights():
 
 def test_learn_ticks_zero_flat_curve():
     cfg, ds = _small_setup()
-    curve = train_supervised(cfg, ds, TrainProtocol(5, 0, 3, 20))
+    curve = train_network(build_network(cfg), ds, TrainProtocol(5, 0, 3, 20))
     assert all(v == curve.mse[0] for v in curve.mse)
 
 
@@ -152,14 +164,14 @@ def test_dimension_mismatch_rejected():
         TeacherSpec("relu_teacher", (3, 4, 3), seed=1, weight_scale=1.0), 4
     )
     with pytest.raises(ConfigurationError):
-        train_supervised(cfg, bad, TrainProtocol(2, 1, 1, 5))
+        train_network(build_network(cfg), bad, TrainProtocol(2, 1, 1, 5))
 
 
 def test_divergence_recorded_training_continues():
     # an absurd step size blows the dynamics up; flags must record it and
     # the curve must still have every epoch entry
     cfg, ds = _small_setup(gamma=5.0, alpha=0.5, n_samples=4)
-    curve = train_supervised(cfg, ds, TrainProtocol(10, 5, 3, 10))
+    curve = train_network(build_network(cfg), ds, TrainProtocol(10, 5, 3, 10))
     assert len(curve) == 4
     assert any(curve.diverged)
 
@@ -176,7 +188,7 @@ def test_evaluate_perfect_identity_chain():
         theta[0, 0] = F32(1.0)  # unit weight, zero bias
     xs = np.array([[0.9], [-0.4], [0.25], [0.65]], dtype=np.float32)
     ds = Dataset(inputs=xs, targets=xs.copy())
-    assert evaluate_mse(net, ds, eval_ticks=400) < 1e-10
+    assert evaluate_dataset(net, ds, eval_ticks=400)[0] < 1e-10
 
 
 def test_evaluate_zero_weight_net_gives_target_power():
@@ -184,7 +196,7 @@ def test_evaluate_zero_weight_net_gives_target_power():
     ds = generate_dataset(
         TeacherSpec("relu_teacher", (2, 4, 3), seed=11, weight_scale=1.0), 12
     )
-    got = evaluate_mse(build_network(cfg), ds, eval_ticks=50)
+    got, _ = evaluate_dataset(build_network(cfg), ds, eval_ticks=50)
     want = float((ds.targets.astype(np.float64) ** 2).mean())
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -195,7 +207,7 @@ def test_evaluate_empty_dataset_rejected():
         inputs=np.zeros((0, 2), np.float32), targets=np.zeros((0, 3), np.float32)
     )
     with pytest.raises(ConfigurationError):
-        evaluate_mse(build_network(cfg), empty, eval_ticks=5)
+        evaluate_dataset(build_network(cfg), empty, eval_ticks=5)
 
 
 @pytest.mark.parametrize("eval_ticks", [0, -3, 2.5, True])
@@ -203,14 +215,14 @@ def test_evaluate_rejects_bad_tick_count(eval_ticks):
     # 0 and -3 ticks would score the reset outputs without an error
     cfg, ds = _small_setup()
     with pytest.raises(ConfigurationError, match="eval_ticks"):
-        evaluate_mse(build_network(cfg), ds, eval_ticks)
+        evaluate_dataset(build_network(cfg), ds, eval_ticks)
 
 
 def test_evaluation_purity():
     cfg, ds = _small_setup()
     net = build_network(cfg)
     before = [w.tobytes() for w in net.state.theta]
-    evaluate_mse(net, ds, eval_ticks=30)
+    evaluate_dataset(net, ds, eval_ticks=30)
     after = [w.tobytes() for w in net.state.theta]
     assert before == after
 
@@ -232,10 +244,8 @@ def test_experiment_configs_parse():
         assert len(cfg.layer_sizes) == 3
 
 
-def test_run_experiment_writes_csv(tmp_path):
-    overrides = dict(epochs=2, n_samples=4, infer_ticks=5, learn_ticks=2,
-                     eval_ticks=10)
-    curve, path = run_experiment("relu_ts", overrides, out_dir=tmp_path)
+def test_run_experiment_writes_csv(tmp_path, short_experiments):
+    curve, path = run_experiment("relu_ts", out_dir=tmp_path)
     assert path == tmp_path / "relu_ts.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,mse"
@@ -245,13 +255,11 @@ def test_run_experiment_writes_csv(tmp_path):
     assert len(lines[1].split(",")[1].split(".")[1]) == 6
 
 
-def test_run_experiment_seed_determinism(tmp_path):
-    overrides = dict(epochs=2, n_samples=4, infer_ticks=5, learn_ticks=2,
-                     eval_ticks=10)
-    _, p1 = run_experiment("tanh_ts", overrides, seed=9, out_dir=tmp_path / "a")
-    _, p2 = run_experiment("tanh_ts", overrides, seed=9, out_dir=tmp_path / "b")
+def test_run_experiment_seed_determinism(tmp_path, short_experiments):
+    _, p1 = run_experiment("tanh_ts", seed=9, out_dir=tmp_path / "a")
+    _, p2 = run_experiment("tanh_ts", seed=9, out_dir=tmp_path / "b")
     assert p1.read_bytes() == p2.read_bytes()
-    _, p3 = run_experiment("tanh_ts", overrides, seed=10, out_dir=tmp_path / "c")
+    _, p3 = run_experiment("tanh_ts", seed=10, out_dir=tmp_path / "c")
     assert p1.read_bytes() != p3.read_bytes()
 
 

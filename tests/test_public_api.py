@@ -32,7 +32,6 @@ PUBLIC = [
     "build_network",
     "clamp_layer",
     "core_tick",
-    "evaluate_mse",
     "generate_dataset",
     "load_checkpoint",
     "load_config",
@@ -43,7 +42,6 @@ PUBLIC = [
     "save_checkpoint",
     "tick_cycles",
     "train_network",
-    "train_supervised",
     "write_curve_csv",
 ]
 

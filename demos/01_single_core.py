@@ -4,13 +4,16 @@
 A core is a single scalar neuron: its activity x, its prediction error
 eps, and one weight per presynaptic lane plus a bias lane. In a network
 these are row i of its layer's arrays; a core tick is a stateless step
-over that row. Everything below is binary32, exactly what the network
-scheduler runs.
+over that row, configured by the network's ``NetworkConfig`` and the
+core's layer index. Everything below is binary32, exactly what the
+network scheduler runs.
 """
 
 import numpy as np
 
-from pcsub import ClampSignal, CoreConfig, core_tick, tick_cycles
+from dataclasses import replace
+
+from pcsub import ClampSignal, NetworkConfig, core_tick, tick_cycles
 from pcsub.core import (
     stage_backsum,
     stage_backvec,
@@ -21,8 +24,10 @@ from pcsub.core import (
 )
 from pcsub.scalar32 import apply_activation_vec
 
-# a tanh core with 2 presynaptic inputs and 3 incoming back-error products
-cfg = CoreConfig(n_presyn=2, m_back=3, activation="tanh")
+# a tanh core in the hidden layer (s = 1) of a relu-tanh-identity net,
+# with 2 presynaptic inputs and 3 incoming back-error products
+cfg = NetworkConfig((2, 1, 3), ("relu", "tanh", "identity"), clamp_hard=False)
+s = 1
 x = np.float32(1.0)
 init_theta = np.array([0.5, -1.0, 0.25], dtype=np.float32)  # bias lane last
 theta = init_theta.copy()
@@ -31,7 +36,7 @@ print(f"initial: x={x}, theta={theta}")
 # the step sizes arrive from outside, like the start pulse
 alpha, gamma = np.float32(0.1), np.float32(0.05)
 presyn = np.array([2.0, 3.0], dtype=np.float32)  # raw upper-layer states
-presyn_f = apply_activation_vec("relu", presyn)  # the upper layer's f, per lane
+presyn_f = apply_activation_vec(cfg.activations[s - 1], presyn)  # relu, per lane
 back = np.array([0.1, -0.3, 0.05], dtype=np.float32)  # theta*eps products
 clamp = ClampSignal(x_set_en=False)
 
@@ -54,28 +59,28 @@ print(f"BACKSUM b = {b}")
 print(f"BACKVEC -> {stage_backvec(theta, eps)}")
 
 # WUP: theta_j += alpha * eps * relu(presyn_j); bias moves by alpha*eps
-stage_wup(theta, presyn_f, eps, alpha, cfg)
+stage_wup(cfg, theta, presyn_f, eps, alpha)
 print(f"WUP     theta = {theta}")
 
 # STATE: x += gamma * (tanh'(x_eff) * b - eps)
-x_next = stage_state(x, x_eff, eps, b, clamp, False, gamma, cfg)
+x_next = stage_state(cfg, s, x, x_eff, eps, b, clamp, gamma)
 print(f"STATE   x = {x_next}")
 
 # the same thing as one call, which returns the next x, eps and the
 # BACKVEC products and updates its weight row in place; the state emitted
 # downward is the one held before the tick
 theta2 = init_theta.copy()
-x2, eps2, backvec = core_tick(x, theta2, cfg, alpha, gamma, presyn_f, back, clamp)
+x2, eps2, backvec = core_tick(cfg, s, x, theta2, alpha, gamma, presyn_f, back, clamp)
 print(f"\ncore_tick: backvec={backvec}, eps={eps2}, x={x2}")
 assert x2 == x_next and (theta2 == theta).all()
 
 # the cycle count follows the sequential-MAC cost model and the shape alone
-cycles = tick_cycles(cfg.n_presyn, cfg.m_back)
+cycles = tick_cycles(len(presyn), len(back))
 print(f"cycles = 3N + M + 4 = {cycles} (N=2 lanes, M=3 back inputs)")
 
 # clamping: soft affects the tick's computation, hard also overwrites x
 x3, eps3, _ = core_tick(
-    x, init_theta.copy(), cfg, alpha, gamma, presyn_f, back,
-    ClampSignal(True, 0.7), clamp_hard=True,
+    replace(cfg, clamp_hard=True), s, x, init_theta.copy(), alpha, gamma,
+    presyn_f, back, ClampSignal(True, 0.7),
 )
 print(f"\nhard clamp to 0.7: eps={eps3} (from 0.7), stored x={x3}")

@@ -51,9 +51,12 @@ with tempfile.TemporaryDirectory() as tmp:
     saved_x = net.state.x
     net.reset_states()
     net.state.x = saved_x
-    r1 = net.tick({0: clamp_layer([0.6, -0.2])})
-    r2 = restored.tick({0: clamp_layer([0.6, -0.2])})
+    net.tick({0: clamp_layer([0.6, -0.2])})
+    restored.tick({0: clamp_layer([0.6, -0.2])})
     print(
         "next-tick states equal:",
-        all(a.tobytes() == b.tobytes() for a, b in zip(r1.states, r2.states)),
+        all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip(net.state.x, restored.state.x)
+        ),
     )

@@ -10,7 +10,7 @@ reproduces teacher-student learning curves as CSV.
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import EXPERIMENTS, ConfigFile, load_config, parse_config, run_experiment
-from .core import ClampSignal, CoreConfig, core_tick, tick_cycles
+from .core import core_tick
 from .errors import CheckpointError, ConfigParseError, ConfigurationError
 from .harness import (
     Dataset,
@@ -22,12 +22,14 @@ from .harness import (
     write_curve_csv,
 )
 from .network import (
+    ClampSignal,
     DenseState,
     Network,
     NetworkConfig,
     TickReport,
     build_network,
     clamp_layer,
+    tick_cycles,
 )
 from .oracle import oracle_tick, run_equivalence_suite
 from .prng import Prng
@@ -42,7 +44,6 @@ __all__ = [
     "ConfigFile",
     "ConfigParseError",
     "ConfigurationError",
-    "CoreConfig",
     "Dataset",
     "DenseState",
     "EXPERIMENTS",

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation error, 2 divergence detected (the
-learning curve is still written in that case). Outputs default to the
-``runs/`` directory; ``PCSUB_OUT_DIR`` or ``--out`` override it.
+Exit codes: 0 success, 1 validation or file-system error, 2 divergence
+detected (the learning curve is still written in that case). Outputs
+default to the ``runs/`` directory; ``PCSUB_OUT_DIR`` or ``--out``
+override it.
 
 ``run`` and ``experiment`` take one path, ``harness.run_config``:
 ``experiment NAME --seed S`` is ``run`` on NAME's canned config file with
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
         for line, msg in exc.errors:
             print(f"config error (line {line}): {msg}", file=sys.stderr)
         return EXIT_INVALID
-    except (ConfigurationError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigurationError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -111,6 +111,8 @@ def _parse_value(key: str, raw: str):
         return [int(tok.strip(), 0) for tok in raw.split(",") if tok.strip()]
     if key == "activations":
         return [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if key == "out_csv" and not raw:
+        raise ValueError("must name a file, got an empty value")
     return raw
 
 

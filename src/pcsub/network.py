@@ -7,6 +7,13 @@ layer s receives, at position k, the product emitted by core k of layer
 s+1 at presynaptic position i (transpose wiring). ``layer_wiring`` is the
 one derivation of each layer's fan-ins and cycle count from the sizes.
 
+The cycle model (``tick_cycles``) is the sequential datapath's: a core
+with N presyn lanes and M back inputs costs 3N + M + 4 cycles per tick
+(N+1 for PRED, 1 for ERR, M for BACKSUM, N for BACKVEC, N+1 for WUP, 1
+for STATE), and a topmost core, with no upper layer and so no PRED or
+WUP, costs M + 2. The count depends on the shape alone, and a tick's
+latency is its slowest core's.
+
 Communication is registered: everything a core reads during tick t was
 latched at the end of tick t-1. A core's emitted state is the value held
 at the start of the tick; its emitted back products use the eps computed
@@ -30,13 +37,16 @@ over those arrays with the stage rules, operand order and roundings of
    independent: BACKVEC from the pre-update weights, then WUP and the
    bias update (skipped at alpha == 0).
 
-``core.core_tick`` runs the same schedule one core at a time; it is the
-per-core reference the engine is tested against, and the engine calls
-none of it. The tick fills fresh x and eps arrays and never writes the
-old ones in place: the old x array becomes the lower layer's
-``states_in`` latch as it is, with no copy. ``reset_states`` and
-``load_checkpoint`` also assign new arrays. ``Network.snapshot`` returns
-a copy of the state, and the oracle ticks such copies.
+A ``ClampSignal`` per core is a tick's boundary condition, checked where
+it enters. ``core.core_tick`` runs the same schedule one core at a time;
+it is the per-core reference the engine is tested against, and this
+module imports none of it. The tick fills fresh x and eps arrays and
+never writes the old ones in place: the old x array becomes the lower
+layer's ``states_in`` latch as it is, with no copy. ``reset_states`` and
+``load_checkpoint`` also assign new arrays. The ``TickReport`` a tick
+returns holds no arrays: the post-tick x and eps are ``Network.state``'s.
+``Network.snapshot`` returns a copy of the state, and the oracle ticks
+such copies.
 
 Weights are initialized i.i.d. uniform in [-init_scale, +init_scale] from
 a SplitMix64 stream seeded with ``seed``: draws proceed layer-major (top
@@ -53,7 +63,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClampSignal, NO_CLAMP, tick_cycles
 from .errors import ConfigurationError
 from .prng import Prng
 from .scalar32 import (
@@ -65,11 +74,43 @@ from .scalar32 import (
     is_finite_f32,
 )
 
-ClampMap = dict[int, Sequence[ClampSignal]]
-
 _ZERO = F32(0.0)
 _ONE = F32(1.0)
 _SEED_END = 1 << 64  # SplitMix64 keeps one u64 of state
+_REAL = (int, float, np.integer, np.floating)
+
+
+@dataclass(frozen=True)
+class ClampSignal:
+    """Per-neuron external observation; x_obs is read only when enabled."""
+
+    x_set_en: bool = False
+    x_obs: float = 0.0
+
+    def __post_init__(self):
+        # one isinstance per field, as clamp_layer builds a signal per
+        # neuron per sample. Any real x_obs enters, NaN and inf included:
+        # the tick rounds it to binary32 where it reads it.
+        if not isinstance(self.x_set_en, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"x_set_en must be a bool, got {self.x_set_en!r}"
+            )
+        if not isinstance(self.x_obs, _REAL):
+            raise ConfigurationError(
+                f"x_obs must be a real number, got {self.x_obs!r}"
+            )
+
+
+NO_CLAMP = ClampSignal()
+
+ClampMap = dict[int, Sequence[ClampSignal]]
+
+
+def tick_cycles(n_presyn: int, m_back: int, has_upper: bool = True) -> int:
+    """Per-tick cycle count of the sequential datapath."""
+    if has_upper:
+        return 3 * n_presyn + m_back + 4
+    return m_back + 2
 
 
 def layer_wiring(layer_sizes) -> list:
@@ -140,8 +181,9 @@ def _seed(key: str, value) -> int:
 def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
     """``clamp``, or an empty map for None, once every key is a layer index
     (a Python or numpy integer, not a bool, in [0, layers)) and every
-    layer gets one signal per core: the one clamp rule of ``Network.tick``
-    and ``oracle_tick``."""
+    layer gets one ``ClampSignal`` per core: the one clamp rule of
+    ``Network.tick`` and ``oracle_tick``, applied before either changes
+    anything."""
     if clamp is None:
         return {}
     for s, signals in clamp.items():
@@ -153,6 +195,11 @@ def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
             raise ConfigurationError(
                 f"layer {s} clamp has {len(signals)} signals, expected {sizes[s]}"
             )
+        for signal in signals:
+            if not isinstance(signal, ClampSignal):
+                raise ConfigurationError(
+                    f"layer {s} clamp entries must be ClampSignals, got {signal!r}"
+                )
     return clamp
 
 
@@ -212,10 +259,11 @@ class NetworkConfig:
 
 @dataclass
 class TickReport:
-    network_cycles: int  # max over cores; the tick's done latency
-    diverged: bool  # any non-finite state or error after the tick
-    states: list  # post-tick x per layer (this report's own arrays)
-    errors: list  # post-tick eps per layer (this report's own arrays)
+    """What a tick reports beside its state, which stays in
+    ``Network.state``."""
+
+    network_cycles: int  # the slowest core's cycle count: the tick's latency
+    diverged: bool  # any non-finite x or eps in Network.state after the tick
 
 
 @dataclass
@@ -317,8 +365,8 @@ class Network:
         state = self.state
         last = len(self._wiring) - 1
         # this tick's fresh arrays: every layer's post-tick x and eps as
-        # views of one array, and the (n, N) products each layer below the
-        # top emits upward
+        # views of one array, which one finiteness check covers, and the
+        # (n, N) products each layer below the top emits upward
         spans = self._value_slices
         values = np.empty(spans[-1].stop, dtype=np.float32)
         states, errors, emitted = [], [], [None]
@@ -381,14 +429,9 @@ class Network:
         state.back_in = emitted[1:] + state.back_in[-1:]
         state.x = states
         state.eps = errors
-
-        reported = values.copy()  # the report's own arrays are views of it
-        views = [reported[span] for span in spans]
         return TickReport(
             network_cycles=self._network_cycles,
             diverged=not np.isfinite(values).all(),
-            states=views[: last + 1],
-            errors=views[last + 1 :],
         )
 
     # ------------------------------------------------------------------

@@ -44,10 +44,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClampSignal
 from .errors import ConfigurationError
 from .network import (
     ClampMap,
+    ClampSignal,
     DenseState,
     Network,
     NetworkConfig,

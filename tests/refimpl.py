@@ -17,69 +17,73 @@ from pcsub.scalar32 import (
 F32 = np.float32
 
 
-def reference_f64(x, theta, presyn, back, cfg, presyn_kind, alpha, gamma, clamp,
-                  clamp_hard):
-    """One core tick from the component equations, evaluated in binary64.
+def reference_f64(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
+    """One tick of a core of layer ``s`` under the ``NetworkConfig``
+    ``cfg``, from the component equations, evaluated in binary64.
 
-    ``presyn`` holds the raw upper-layer states; ``presyn_kind`` is their
-    activation, applied here."""
+    ``presyn`` holds the raw upper-layer states; the upper layer's
+    activation, ``cfg.activations[s - 1]``, is applied here. N is
+    ``len(theta) - 1``."""
+    n = len(theta) - 1
     x_eff = float(clamp.x_obs) if clamp.x_set_en else float(x)
-    if cfg.has_upper:
+    if s > 0:
+        presyn_kind = cfg.activations[s - 1]
         mu = sum(
             float(theta[j]) * activation64(presyn_kind, float(presyn[j]))
-            for j in range(cfg.n_presyn)
-        ) + float(theta[cfg.n_presyn])
+            for j in range(n)
+        ) + float(theta[n])
     else:
         mu = 0.0
     eps = x_eff - mu
     b = sum(float(v) for v in back)
     theta_new = [float(t) for t in theta]
-    if cfg.has_upper and float(alpha) != 0.0:
-        for j in range(cfg.n_presyn):
+    if s > 0 and float(alpha) != 0.0:
+        for j in range(n):
             theta_new[j] += (
                 float(alpha) * eps * activation64(presyn_kind, float(presyn[j]))
             )
         if not cfg.bias_frozen:
-            theta_new[cfg.n_presyn] += float(alpha) * float(cfg.alpha_bias_scale) * eps
-    if clamp_hard and clamp.x_set_en:
+            theta_new[n] += float(alpha) * float(F32(cfg.alpha_bias_scale)) * eps
+    if cfg.clamp_hard and clamp.x_set_en:
         x_new = float(clamp.x_obs)
     else:
         x_new = float(x) + float(gamma) * (
-            derivative64(cfg.activation, x_eff) * b - eps
+            derivative64(cfg.activations[s], x_eff) * b - eps
         )
     return x_new, theta_new, eps
 
 
-def reference_bit32(x, theta, presyn, back, cfg, presyn_kind, alpha, gamma, clamp,
-                    clamp_hard):
-    """Second binary32 implementation with the same pinned order."""
+def reference_bit32(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
+    """Second binary32 implementation with the same pinned order; the
+    arguments are ``reference_f64``'s."""
+    n = len(theta) - 1
     alpha, gamma = F32(alpha), F32(gamma)
     x = F32(x)
     x_eff = F32(clamp.x_obs) if clamp.x_set_en else x
-    fpre = [apply_activation(presyn_kind, v) for v in presyn]
     mu = F32(0.0)
-    if cfg.has_upper:
-        for j in range(cfg.n_presyn):
+    if s > 0:
+        fpre = [apply_activation(cfg.activations[s - 1], v) for v in presyn]
+        for j in range(n):
             mu = F32(F32(theta[j] * fpre[j]) + mu)
-        mu = F32(F32(theta[cfg.n_presyn] * F32(1.0)) + mu)
+        mu = F32(F32(theta[n] * F32(1.0)) + mu)
     eps = F32(x_eff - mu)
     b = F32(0.0)
     for v in back:
         b = F32(b + F32(v))
     theta_new = np.array(theta, dtype=np.float32).copy()
-    if cfg.has_upper and alpha != 0:
+    if s > 0 and alpha != 0:
         coeff = F32(alpha * eps)
-        for j in range(cfg.n_presyn):
+        for j in range(n):
             theta_new[j] = F32(F32(coeff * fpre[j]) + theta_new[j])
         if not cfg.bias_frozen:
-            cb = F32(F32(alpha * cfg.alpha_bias_scale) * eps)
-            theta_new[cfg.n_presyn] = F32(F32(cb * F32(1.0)) + theta_new[cfg.n_presyn])
-    if clamp_hard and clamp.x_set_en:
+            cb = F32(F32(alpha * F32(cfg.alpha_bias_scale)) * eps)
+            theta_new[n] = F32(F32(cb * F32(1.0)) + theta_new[n])
+    if cfg.clamp_hard and clamp.x_set_en:
         x_new = F32(clamp.x_obs)
     elif gamma == 0:
         x_new = x
     else:
-        fp = activation_derivative(cfg.activation, x_eff)
+        fp = activation_derivative(cfg.activations[s], x_eff)
         x_new = F32(x + F32(gamma * F32(F32(fp * b) - eps)))
     return x_new, theta_new, eps
 
@@ -99,7 +103,8 @@ def local_energy(x_i, i, mu_i, x_layer, x_low, theta_low, kind):
 
 def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
     """FD check of the state increment against -(gamma/2) dE/dx."""
-    from pcsub.core import CoreConfig, core_tick
+    from pcsub.core import core_tick
+    from pcsub.network import NetworkConfig
 
     h = 1e-4
     kinds = ["identity", "relu", "tanh"]
@@ -128,14 +133,14 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
             dtype=np.float32,
         )
 
-        cfg = CoreConfig(n_presyn=1, m_back=m, activation=kind)
+        cfg = NetworkConfig((1, 1), ("identity", kind))  # the core is in layer 1
         x_start = F32(x_layer[i])
         x0 = float(x_start)
         fb = derivative64(kind, x0) * float(sum(float(v) for v in back))
         if abs(fb - (x0 - mu_i)) < 0.01:
             continue
         x_new, _, _ = core_tick(
-            x_start, np.array([0.0, F32(mu_i)], np.float32), cfg, F32(0.0),
+            cfg, 1, x_start, np.array([0.0, F32(mu_i)], np.float32), F32(0.0),
             F32(gamma), np.zeros(1, np.float32), back,
         )
         got = float(x_new) - x0
@@ -150,7 +155,8 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
 
 def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
     """FD check of weight increments against -(alpha/2) dE/dtheta."""
-    from pcsub.core import CoreConfig, core_tick
+    from pcsub.core import core_tick
+    from pcsub.network import NetworkConfig
 
     h = 1e-4
     kinds = ["identity", "relu", "tanh"]
@@ -161,11 +167,11 @@ def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
         theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
         presyn = rng.uniform(-1, 1, n).astype(np.float32)
         x = float(rng.uniform(-1, 1))
-        cfg = CoreConfig(n_presyn=n, m_back=0)
+        cfg = NetworkConfig((1, 1))  # the core is in layer 1
         theta_new = theta.copy()
         presyn_f = np.array([apply_activation(kind, v) for v in presyn])
         core_tick(
-            F32(x), theta_new, cfg, F32(alpha), F32(0.0), presyn_f,
+            cfg, 1, F32(x), theta_new, F32(alpha), F32(0.0), presyn_f,
             np.zeros(0, np.float32),
         )
         mu64 = sum(

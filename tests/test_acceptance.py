@@ -6,6 +6,7 @@ Each test prints one ``[PASS]``/``[FAIL]`` line (visible with ``-s``):
 """
 
 import contextlib
+import dataclasses
 import subprocess
 import sys
 import time
@@ -16,8 +17,15 @@ import pytest
 
 import pcsub
 from pcsub.cli import main as cli_main
-from pcsub.core import ClampSignal, CoreConfig, core_tick, tick_cycles
-from pcsub.network import NetworkConfig, build_network, clamp_layer, layer_wiring
+from pcsub.core import core_tick
+from pcsub.network import (
+    ClampSignal,
+    NetworkConfig,
+    build_network,
+    clamp_layer,
+    layer_wiring,
+    tick_cycles,
+)
 from pcsub.oracle import run_equivalence_suite
 from pcsub.prng import Prng
 from pcsub.scalar32 import apply_activation_vec
@@ -50,19 +58,20 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_cycle_model():
     with criterion(2, "per-core cycles = 3N+M+4 (boundary-adjusted), latency = max"):
         alpha, gamma = F32(0.01), F32(0.05)
+        # a core of layer 1 (0: the top) with N lanes and M back inputs;
+        # N and M are the lengths of the arrays it is handed
+        cfg = NetworkConfig((1, 1), clamp_hard=False)
         for n in range(17):
             for m in range(17):
-                cfg = CoreConfig(n_presyn=n, m_back=m)
                 _, _, out = core_tick(
-                    F32(0.0), np.zeros(n + 1, np.float32), cfg, alpha, gamma,
+                    cfg, 1, F32(0.0), np.zeros(n + 1, np.float32), alpha, gamma,
                     np.zeros(n, np.float32), np.zeros(m, np.float32),
                 )
                 assert out.shape == (n,)
                 assert tick_cycles(n, m) == 3 * n + m + 4
         for m in range(17):
-            cfg = CoreConfig(n_presyn=0, m_back=m, has_upper=False)
             core_tick(
-                F32(0.0), np.zeros(1, np.float32), cfg, alpha, gamma,
+                cfg, 0, F32(0.0), np.zeros(1, np.float32), alpha, gamma,
                 np.zeros(0, np.float32), np.zeros(m, np.float32),
             )
             assert tick_cycles(0, m, has_upper=False) == m + 2
@@ -97,10 +106,11 @@ def test_criterion_4_clamp_semantics():
             n = int(rng.integers(0, 5))
             m = int(rng.integers(0, 5))
             kinds = ["identity", "relu", "tanh"]
-            cfg = CoreConfig(
-                n_presyn=n, m_back=m, activation=kinds[rng.integers(0, 3)]
-            )
+            activation = kinds[rng.integers(0, 3)]
             presyn_kind = kinds[rng.integers(0, 3)]
+            # the core is in layer 1, below a layer of presyn_kind
+            hard = NetworkConfig((1, 1), (presyn_kind, activation), clamp_hard=True)
+            soft = dataclasses.replace(hard, clamp_hard=False)
             alpha, gamma = F32(0.01), F32(0.1)
             theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
             presyn = rng.uniform(-1, 1, n).astype(np.float32)
@@ -112,7 +122,7 @@ def test_criterion_4_clamp_semantics():
 
             # hard clamp: stored state is exactly the observation
             x, _, _ = core_tick(
-                F32(x0), theta.copy(), cfg, alpha, gamma, presyn_f, back, clamp, True
+                hard, 1, F32(x0), theta.copy(), alpha, gamma, presyn_f, back, clamp
             )
             assert x.tobytes() == F32(obs).tobytes()
 
@@ -120,11 +130,10 @@ def test_criterion_4_clamp_semantics():
             # stored x; both must match the independent binary32 path
             row = theta.copy()
             ref_x, ref_theta, ref_eps = reference_bit32(
-                F32(x0), theta, presyn, back, cfg, presyn_kind, alpha, gamma,
-                clamp, False,
+                F32(x0), theta, presyn, back, soft, 1, alpha, gamma, clamp
             )
             x, eps, _ = core_tick(
-                F32(x0), row, cfg, alpha, gamma, presyn_f, back, clamp, False
+                soft, 1, F32(x0), row, alpha, gamma, presyn_f, back, clamp
             )
             assert eps.tobytes() == ref_eps.tobytes()
             assert x.tobytes() == ref_x.tobytes()

@@ -95,6 +95,26 @@ def test_run_bad_config_exit_1(tmp_path):
     assert "config error (line 2): seed must be >= 0" in proc.stderr
 
 
+def test_run_file_system_error_exit_1(tmp_path):
+    # an output path that cannot be written and a config path that is not a
+    # file end in one message line, not a traceback
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_CFG)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    into_dir = tmp_path / "into_dir.cfg"
+    into_dir.write_text(FAST_CFG + f"out_csv = {tmp_path}\n")
+    for args in (
+        ("run", str(cfg), "--out", str(taken)),  # --out names a file
+        ("run", str(tmp_path)),  # the config is a directory
+        ("run", str(into_dir)),  # out_csv names a directory
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 1, args
+        assert proc.stderr.startswith("error: "), (args, proc.stderr)
+        assert "Traceback" not in proc.stderr, args
+
+
 def test_run_divergence_exit_2_curve_still_written(tmp_path):
     cfg = tmp_path / "boom.cfg"
     cfg.write_text(DIVERGENT_CFG)

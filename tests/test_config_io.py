@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.config import DEFAULTS, parse_config
-from pcsub.core import ClampSignal
 from pcsub.errors import CheckpointError, ConfigParseError, ConfigurationError
 from pcsub.harness import HARNESS_RULES, TeacherSpec, TrainProtocol, generate_dataset
 from pcsub.network import (
     NETWORK_RULES,
+    ClampSignal,
     NetworkConfig,
     _boolean,
     build_network,
@@ -254,6 +254,14 @@ def test_parse_comments_and_bools():
 def test_parse_activation_count_mismatch():
     with pytest.raises(ConfigParseError):
         parse_config("layer_sizes = 2,4,3\nactivations = relu,identity\n")
+
+
+def test_parse_empty_out_csv_rejected():
+    # an empty path would name the working directory, found only once the
+    # whole run is trained and its curve written
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config("seed = 2\nout_csv =\n")
+    assert exc.value.errors == [(2, "out_csv: must name a file, got an empty value")]
 
 
 def test_parse_collects_multiple_errors():

@@ -6,6 +6,7 @@ update evaluated in binary64 straight from the component equations
 same pinned accumulation order (bit-exactness).
 """
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -14,9 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsub.core import (
-    ClampSignal,
-    CoreConfig,
-    NO_CLAMP,
     core_tick,
     stage_backsum,
     stage_backvec,
@@ -24,9 +22,8 @@ from pcsub.core import (
     stage_pred,
     stage_state,
     stage_wup,
-    tick_cycles,
 )
-from pcsub.errors import ConfigurationError
+from pcsub.network import NO_CLAMP, ClampSignal, NetworkConfig, tick_cycles
 from pcsub.scalar32 import apply_activation_vec
 
 from refimpl import (
@@ -37,11 +34,15 @@ from refimpl import (
 )
 
 F32 = np.float32
+TOP, LOWER = 0, 1  # the layer of a core without and with an upper layer
 
 
-def mkcfg(n, m, **kw):
-    kw.setdefault("activation", "identity")
-    return CoreConfig(n_presyn=n, m_back=m, **kw)
+def mkcfg(activation="identity", presyn_kind="identity", **kw):
+    """The config of a two-layer net whose lower layer has ``activation``
+    and whose top layer has ``presyn_kind``. A core reads N and M from the
+    arrays it is handed, so one config serves every fan-in pair."""
+    kw.setdefault("clamp_hard", False)
+    return NetworkConfig((1, 1), (presyn_kind, activation), **kw)
 
 
 def f32s(*values):
@@ -49,23 +50,18 @@ def f32s(*values):
 
 
 # ---------------------------------------------------------------------------
-# construction and effective state
+# effective state
 # ---------------------------------------------------------------------------
-
-
-def test_boundary_core_requires_zero_fanin():
-    with pytest.raises(ConfigurationError):
-        mkcfg(2, 0, has_upper=False)
 
 
 def test_effective_state():
     # a top core predicts mu = 0, so its eps is the tick's effective state:
     # x when unclamped, the observation when clamped, even if x is NaN
-    cfg = mkcfg(0, 0, has_upper=False)
+    cfg = mkcfg()
 
     def eps_of(x, clamp):
-        _, eps, _ = core_tick(F32(x), f32s(0.0), cfg, F32(0.0), F32(0.0), f32s(),
-                              f32s(), clamp)
+        _, eps, _ = core_tick(cfg, TOP, F32(x), f32s(0.0), F32(0.0), F32(0.0),
+                              f32s(), f32s(), clamp)
         return eps
 
     assert eps_of(0.3, ClampSignal(False, 9.9)) == F32(0.3)
@@ -122,40 +118,35 @@ def test_stage_backvec():
 
 
 def test_stage_wup_derived_delta():
-    cfg = mkcfg(1, 0)
     theta = f32s(0.0, 0.0)
-    stage_wup(theta, f32s(0.5), F32(2.0), F32(0.1), cfg)
+    stage_wup(mkcfg(), theta, f32s(0.5), F32(2.0), F32(0.1))
     assert theta[0] == F32(0.1)  # alpha*eps*f = 0.1*2*0.5, exact
     assert theta[1] == F32(0.2)  # bias: alpha*eps*1
 
 
 def test_stage_wup_alpha_zero_bit_identical():
-    cfg = mkcfg(2, 0)
     weights = np.array([0.3, -0.7, float("nan")], dtype=np.float32)
     theta = weights.copy()
-    stage_wup(theta, f32s(float("inf"), 1.0), F32(5.0), F32(0.0), cfg)
+    stage_wup(mkcfg(), theta, f32s(float("inf"), 1.0), F32(5.0), F32(0.0))
     assert theta.tobytes() == weights.tobytes()
 
 
 def test_stage_wup_bias_frozen():
-    cfg = mkcfg(1, 0, bias_frozen=True)
     theta = f32s(0.0, 0.5)
-    stage_wup(theta, f32s(0.5), F32(2.0), F32(0.1), cfg)
+    stage_wup(mkcfg(bias_frozen=True), theta, f32s(0.5), F32(2.0), F32(0.1))
     assert theta[0] == F32(0.1)
     assert theta[1] == F32(0.5)
 
 
 def test_stage_wup_bias_scale():
-    cfg = mkcfg(0, 0, alpha_bias_scale=0.5)
     theta = f32s(0.0)
-    stage_wup(theta, f32s(), F32(2.0), F32(0.1), cfg)
+    stage_wup(mkcfg(alpha_bias_scale=0.5), theta, f32s(), F32(2.0), F32(0.1))
     assert theta[0] == (F32(0.1) * F32(0.5)) * F32(2.0)
 
 
 def test_stage_state_derived():
-    cfg = mkcfg(0, 1, has_upper=False)
     x = stage_state(
-        F32(1.0), F32(1.0), F32(0.1), F32(0.2), NO_CLAMP, False, F32(0.05), cfg
+        mkcfg(), TOP, F32(1.0), F32(1.0), F32(0.1), F32(0.2), NO_CLAMP, F32(0.05)
     )
     # binary64 reference 1.005; frozen binary32 path value
     assert x.tobytes() == F32(1.005).tobytes()
@@ -163,18 +154,16 @@ def test_stage_state_derived():
 
 
 def test_stage_state_hard_clamp_overrides():
-    cfg = mkcfg(0, 0, has_upper=False)
     x = stage_state(
-        F32(1.0), F32(0.7), F32(123.0), F32(-55.0), ClampSignal(True, 0.7), True,
-        F32(0.5), cfg,
+        mkcfg(clamp_hard=True), TOP, F32(1.0), F32(0.7), F32(123.0), F32(-55.0),
+        ClampSignal(True, 0.7), F32(0.5),
     )
     assert x.tobytes() == F32(0.7).tobytes()
 
 
 def test_stage_state_fixed_point():
-    cfg = mkcfg(0, 0, has_upper=False)
     x0 = F32(0.875)
-    x = stage_state(x0, x0, F32(0.0), F32(0.0), NO_CLAMP, False, F32(0.25), cfg)
+    x = stage_state(mkcfg(), TOP, x0, x0, F32(0.0), F32(0.0), NO_CLAMP, F32(0.25))
     assert x == F32(0.875)
 
 
@@ -199,28 +188,30 @@ def test_tick_cycles_boundary():
 def test_cycles_formula_sweep():
     # every fan-in pair ticks, emits N products, and costs 3N+M+4 (M+2 at
     # the top); the count is a function of the shape alone
+    cfg = mkcfg()
     for n in range(17):
         for m in range(17):
-            cfg = mkcfg(n, m)
             theta = np.zeros(n + 1, np.float32)
             zeros = np.zeros(n, np.float32)
             _, _, out = core_tick(
-                F32(0.0), theta, cfg, A01, G05, zeros, np.zeros(m, np.float32)
+                cfg, LOWER, F32(0.0), theta, A01, G05, zeros, np.zeros(m, np.float32)
             )
             assert out.shape == (n,)
             assert tick_cycles(n, m) == 3 * n + m + 4
     for m in range(17):
-        cfg = mkcfg(0, m, has_upper=False)
         theta = np.zeros(1, np.float32)
-        core_tick(F32(0.0), theta, cfg, A01, G05, f32s(), np.zeros(m, np.float32))
+        _, _, out = core_tick(
+            cfg, TOP, F32(0.0), theta, A01, G05, f32s(), np.zeros(m, np.float32)
+        )
+        assert out.shape == (0,)
         assert tick_cycles(0, m, has_upper=False) == m + 2
 
 
 def test_tick_all_zero_is_identity():
-    cfg = mkcfg(2, 3)
     theta = f32s(0.0, 0.0, 0.0)
     x, eps, out = core_tick(
-        F32(0.25), theta, cfg, A01, G05, f32s(0.0, 0.0), np.zeros(3, np.float32)
+        mkcfg(), LOWER, F32(0.25), theta, A01, G05, f32s(0.0, 0.0),
+        np.zeros(3, np.float32),
     )
     assert eps == F32(0.25)  # mu = 0, eps = x_start
     assert out.tolist() == [0.0, 0.0]  # products of the zero weights
@@ -235,9 +226,10 @@ def test_tick_all_zero_is_identity():
 def test_tick_registered_output_is_pre_tick_state():
     # the emitted products use the weights held at the start of the tick,
     # while the core's own weights and state move
-    cfg = mkcfg(1, 0)
     theta = f32s(0.5, 0.0)
-    x, eps, out = core_tick(F32(1.0), theta, cfg, F32(0.1), F32(0.5), f32s(1.0), f32s())
+    x, eps, out = core_tick(
+        mkcfg(), LOWER, F32(1.0), theta, F32(0.1), F32(0.5), f32s(1.0), f32s()
+    )
     assert eps == F32(0.5)  # mu = 0.5*1 + 0
     assert out.tolist() == [0.25]  # 0.5 * eps, pre-update theta
     assert theta[0] == F32(0.55)  # 0.5 + 0.1*0.5*1
@@ -250,31 +242,35 @@ def test_tick_registered_output_is_pre_tick_state():
 
 
 class Case(NamedTuple):
+    """One core of layer ``LOWER``: N and M are the lengths of ``presyn``
+    and ``back``."""
+
     x: np.float32
     theta: np.ndarray  # updated in place by ``tick``
-    cfg: CoreConfig
-    presyn_kind: str
+    cfg: NetworkConfig
     alpha: np.float32
     gamma: np.float32
     presyn: np.ndarray
     back: np.ndarray
     clamp: ClampSignal
-    hard: bool
 
     def tick(self, **change):
         c = self._replace(**change)
-        presyn_f = apply_activation_vec(c.presyn_kind, c.presyn)
+        presyn_f = apply_activation_vec(c.cfg.activations[LOWER - 1], c.presyn)
         return core_tick(
-            c.x, c.theta, c.cfg, c.alpha, c.gamma, presyn_f, c.back, c.clamp,
-            c.hard,
+            c.cfg, LOWER, c.x, c.theta, c.alpha, c.gamma, presyn_f, c.back,
+            c.clamp,
         )
 
     def reference(self, ref, **change):
         c = self._replace(**change)
         return ref(
-            c.x, c.theta.copy(), c.presyn, c.back, c.cfg,
-            c.presyn_kind, c.alpha, c.gamma, c.clamp, c.hard,
+            c.x, c.theta.copy(), c.presyn, c.back, c.cfg, LOWER, c.alpha,
+            c.gamma, c.clamp,
         )
+
+    def soft(self) -> NetworkConfig:
+        return replace(self.cfg, clamp_hard=False)
 
 
 def _random_case(rng, force_clamp=None):
@@ -285,13 +281,8 @@ def _random_case(rng, force_clamp=None):
     presyn_kind = kinds[rng.integers(0, 3)]
     alpha = F32(rng.choice([0.0, 0.01, 0.1]))
     gamma = F32(rng.choice([0.0, 0.05, 0.2]))
-    cfg = mkcfg(
-        n,
-        m,
-        activation=activation,
-        alpha_bias_scale=float(rng.choice([1.0, 0.5])),
-        bias_frozen=bool(rng.integers(0, 2)),
-    )
+    alpha_bias_scale = float(rng.choice([1.0, 0.5]))
+    bias_frozen = bool(rng.integers(0, 2))
     theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
     x = F32(rng.uniform(-1, 1))
     presyn = rng.uniform(-1, 1, n).astype(np.float32)
@@ -303,8 +294,14 @@ def _random_case(rng, force_clamp=None):
     clamp = (
         ClampSignal(True, float(rng.uniform(-1, 1))) if clamped else NO_CLAMP
     )
-    hard = bool(rng.integers(0, 2))
-    return Case(x, theta, cfg, presyn_kind, alpha, gamma, presyn, back, clamp, hard)
+    cfg = mkcfg(
+        activation,
+        presyn_kind,
+        alpha_bias_scale=alpha_bias_scale,
+        bias_frozen=bias_frozen,
+        clamp_hard=bool(rng.integers(0, 2)),
+    )
+    return Case(x, theta, cfg, alpha, gamma, presyn, back, clamp)
 
 
 def test_stage_equivalence_1000_random_cores():
@@ -315,7 +312,7 @@ def test_stage_equivalence_1000_random_cores():
         ref32_x, ref32_theta, ref32_eps = case.reference(reference_bit32)
         x, eps, _ = case.tick()
         assert abs(float(x) - ref64_x) < 1e-5
-        for j in range(case.cfg.n_presyn + 1):
+        for j in range(len(case.theta)):
             assert abs(float(case.theta[j]) - ref64_theta[j]) < 1e-5
         assert x.tobytes() == ref32_x.tobytes()
         assert case.theta.tobytes() == ref32_theta.tobytes()
@@ -347,15 +344,15 @@ def test_weight_increment_matches_energy_gradient():
 )
 @settings(max_examples=100)
 def test_hard_clamp_absorption(obs, x0):
-    cfg = mkcfg(1, 1)
+    cfg = mkcfg(clamp_hard=True)
     theta = f32s(0.5, -0.25)
     clamp = ClampSignal(True, obs)
     _, _, ref_eps = reference_bit32(
-        F32(x0), theta.copy(), f32s(0.3), f32s(0.9), cfg,
-        "identity", F32(0.1), F32(0.3), clamp, True,
+        F32(x0), theta.copy(), f32s(0.3), f32s(0.9), cfg, LOWER, F32(0.1),
+        F32(0.3), clamp,
     )
     x, eps, _ = core_tick(
-        F32(x0), theta, cfg, F32(0.1), F32(0.3), f32s(0.3), f32s(0.9), clamp, True
+        cfg, LOWER, F32(x0), theta, F32(0.1), F32(0.3), f32s(0.3), f32s(0.9), clamp
     )
     assert x.tobytes() == F32(obs).tobytes()
     # the tick's error is computed from the observation
@@ -368,7 +365,7 @@ def test_soft_clamp_effect():
         case = _random_case(rng, force_clamp=False)
         if case.gamma == 0:
             continue
-        soft = dict(clamp=ClampSignal(True, float(rng.uniform(-1, 1))), hard=False)
+        soft = dict(clamp=ClampSignal(True, float(rng.uniform(-1, 1))), cfg=case.soft())
         ref_x, _, ref_eps = case.reference(reference_bit32, **soft)
         x, eps, _ = case.tick(**soft)
         # eps computed from the observation, not the stored state
@@ -390,5 +387,5 @@ def test_gamma_zero_unclamped_tick_preserves_x_bits():
     rng = np.random.default_rng(18)
     for _ in range(50):
         case = _random_case(rng, force_clamp=False)
-        x, _, _ = case.tick(gamma=F32(0.0), clamp=NO_CLAMP, hard=False)
+        x, _, _ = case.tick(gamma=F32(0.0), clamp=NO_CLAMP, cfg=case.soft())
         assert x.tobytes() == case.x.tobytes()

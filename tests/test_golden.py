@@ -107,8 +107,8 @@ def _tick_overrides(schedule: str, t: int) -> dict:
 
 
 def tick_digest(name: str) -> dict:
-    """Run one case for N_TICKS ticks; sha256 of x/eps/theta and of the
-    per-tick reports (cycles, divergence flag, post-tick states/errors)."""
+    """Run one case for N_TICKS ticks; sha256 of x/eps/theta and of every
+    tick's report (cycles, divergence flag) and post-tick x and eps."""
     kwargs, mode, schedule = TICK_CASES[name]
     if mode == "soft":
         kwargs = dict(kwargs, clamp_hard=False)
@@ -126,7 +126,7 @@ def tick_digest(name: str) -> dict:
     for t in range(N_TICKS):
         report = net.tick(clamp, **_tick_overrides(schedule, t))
         reports.update(b"%d %d " % (report.network_cycles, report.diverged))
-        reports.update(_f32_bytes(report.states) + _f32_bytes(report.errors))
+        reports.update(_f32_bytes(net.state.x) + _f32_bytes(net.state.eps))
     snap = net.snapshot()
     return {
         "x": _sha(_f32_bytes(snap.x)),

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-
 from pcsub.errors import ConfigurationError
-from pcsub.network import NetworkConfig, build_network, clamp_layer
+from pcsub.network import ClampSignal, NetworkConfig, build_network, clamp_layer
 from pcsub.oracle import (
     DenseState,
     compare_to_network,
@@ -84,24 +83,49 @@ def test_bad_step_override_rejected_like_network(key, value):
             tick(**{key: value})
 
 
+def _state_bytes(state) -> list:
+    return [
+        a.tobytes()
+        for name in ("x", "eps", "theta", "states_in", "back_in")
+        for a in getattr(state, name)
+    ]
+
+
+_TOP = clamp_layer([0.3, -0.6])  # a good clamp of layer 0 of a 2-4-3 net
+
+# each builds its clamp map when called, as building some of them raises
+BAD_CLAMPS = [
+    lambda: {5: clamp_layer([0.1, 0.2])},
+    lambda: {-1: clamp_layer([0.1, 0.2, 0.3])},
+    lambda: {3: clamp_layer([0.1])},
+    lambda: {1: clamp_layer([0.1, 0.2])},
+    # bad entries below a layer that a tick updates first
+    lambda: {0: _TOP, 2: [0.5, 0.3, 0.1]},
+    lambda: {0: _TOP, 2: clamp_layer([0.5, 0.3]) + [0.1]},
+    lambda: {0: _TOP, 2: [None] * 3},
+    lambda: {0: _TOP, 2: clamp_layer([0.5, 0.3]) + [ClampSignal(True, "abc")]},
+    lambda: {0: _TOP, 2: [ClampSignal(True, None)] * 3},
+]
+
+
 @pytest.mark.parametrize(
-    "clamp",
-    [
-        {5: clamp_layer([0.1, 0.2])},
-        {-1: clamp_layer([0.1, 0.2, 0.3])},
-        {2: clamp_layer([0.1])},
-        {1: clamp_layer([0.1, 0.2])},
-    ],
+    "clamp", BAD_CLAMPS, ids=[f"clamp{i}" for i in range(len(BAD_CLAMPS))]
 )
 def test_bad_clamp_rejected_like_network(clamp):
-    # one clamp check: both entry points raise the same message
-    net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
+    # one clamp check, where the clamp enters: both entry points raise the
+    # same message, and a rejected tick leaves the network as it was
+    net = build_network(
+        NetworkConfig(layer_sizes=[2, 4, 3], seed=5, alpha=0.01, gamma=0.1)
+    )
+    net.tick({0: _TOP, 2: clamp_layer([0.5, 0.3, 0.1])})
     ds = net.snapshot()
+    before = _state_bytes(ds)
     with pytest.raises(ConfigurationError) as from_net:
-        net.tick(clamp)
+        net.tick(clamp())
     with pytest.raises(ConfigurationError) as from_oracle:
-        oracle_tick(ds, clamp)
+        oracle_tick(ds, clamp())
     assert str(from_oracle.value) == str(from_net.value)
+    assert _state_bytes(net.state) == before
 
 
 def test_shape_validation():

@@ -1,13 +1,19 @@
-"""The package's public names: exactly this list, each one importable."""
+"""The package's public names: exactly this list, each one importable,
+and the README and the import graph in step with them."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pcsub
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "pcsub"
+README = (ROOT / "README.md").read_text()
 
 PUBLIC = [
     "ACTIVATION_KINDS",
@@ -16,7 +22,6 @@ PUBLIC = [
     "ConfigFile",
     "ConfigParseError",
     "ConfigurationError",
-    "CoreConfig",
     "Dataset",
     "DenseState",
     "EXPERIMENTS",
@@ -66,3 +71,50 @@ def test_public_names_are_pinned_and_resolve():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(len(PUBLIC))]
+
+
+def _fenced_blocks(text: str, lang: str = "") -> list:
+    """The bodies of the ``` blocks of ``text`` opened with ``lang``."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, re.M | re.S)
+
+
+def test_readme_imports_only_public_names():
+    imported = set()
+    for block in _fenced_blocks(README, "python"):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "pcsub":
+                imported.update(alias.name for alias in node.names)
+    assert imported, "README imports nothing from pcsub"
+    assert imported <= set(pcsub.__all__), imported - set(pcsub.__all__)
+
+
+def test_readme_layout_lists_every_module():
+    section = README.split("## Layout", 1)[1]
+    layout = _fenced_blocks(section)[0]
+    listed = set(re.findall(r"^\s+(\w+)\.py\b", layout, re.M))
+    modules = {p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__")}
+    assert modules <= listed, modules - listed
+
+
+def _imported_modules(path: Path) -> set:
+    """Every module ``path`` imports, relative imports resolved in pcsub."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "pcsub" if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            found.add(module)
+            # ``from . import core`` and ``from pcsub import core``
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_engine_and_oracle_do_not_import_the_per_core_reference():
+    # the code under test and the code that checks it share no
+    # implementation: the per-core reference imports from the network, never
+    # the other way
+    for name in ("network.py", "oracle.py"):
+        imported = _imported_modules(PACKAGE / name)
+        assert "pcsub.core" not in imported, name

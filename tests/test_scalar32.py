@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsub.core import CoreConfig, core_tick, stage_pred
+from pcsub.core import core_tick, stage_pred
 from pcsub.network import DenseState, NetworkConfig
 from pcsub.oracle import oracle_tick
 from pcsub.scalar32 import (
@@ -42,11 +42,10 @@ def test_mul_add_two_rounding_derived():
     zero = F32(0.0).tobytes()
 
     assert stage_pred(theta, presyn_f).tobytes() == zero
-    # with x = +0.0 the tick's eps is -mu
-    cfg = CoreConfig(n_presyn=2, m_back=0)
+    # with x = +0.0 the tick's eps is -mu (for a core of layer 1)
     _, eps, _ = core_tick(
-        F32(0.0), theta.copy(), cfg, F32(0.0), F32(0.0), presyn_f,
-        np.zeros(0, np.float32),
+        NetworkConfig((1, 1)), 1, F32(0.0), theta.copy(), F32(0.0), F32(0.0),
+        presyn_f, np.zeros(0, np.float32),
     )
     assert eps.tobytes() == zero
 

@@ -29,6 +29,7 @@ the objects here and ``config.parse_config`` apply the same rules.
 
 from __future__ import annotations
 
+import errno
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -270,6 +271,17 @@ def output_dir(override: Optional[str] = None) -> Path:
     return Path(os.environ.get("PCSUB_OUT_DIR", "runs"))
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would raise, before any
+    work is done: its directory is made as ``write_curve_csv`` makes it,
+    and a directory or a path that cannot be written is refused."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+
 def write_curve_csv(curve: LearningCurve, path) -> None:
     """CSV with header ``epoch,mse``, six fractional digits, epoch 0 first."""
     path = Path(path)
@@ -283,7 +295,10 @@ def write_curve_csv(curve: LearningCurve, path) -> None:
 def run_config(cfg: ConfigFile, csv_path) -> LearningCurve:
     """Train a new network as ``cfg`` says on its teacher's dataset and write
     the curve to ``csv_path``: the one path from a config to a curve, taken
-    by ``pcsub run``, ``pcsub experiment`` and ``run_experiment``."""
+    by ``pcsub run``, ``pcsub experiment`` and ``run_experiment``. A path
+    that cannot be written fails here, before the network trains."""
+    csv_path = Path(csv_path)
+    _check_writable(csv_path)
     ds = dataset_for(cfg)
     net = build_network(cfg.to_network_config())
     curve = train_network(net, ds, protocol_for(cfg))

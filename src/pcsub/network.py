@@ -38,7 +38,18 @@ over those arrays with the stage rules, operand order and roundings of
    bias update (skipped at alpha == 0).
 
 A ``ClampSignal`` per core is a tick's boundary condition, checked where
-it enters. ``core.core_tick`` runs the same schedule one core at a time;
+it enters. A clamp map takes a layer's signals in one of two forms:
+
+* the immutable layer that ``clamp_layer`` returns, checked once when it
+  is made, with each enabled observation rounded to binary32 there, once
+  (the harness makes one per sample and ticks it many times);
+* a plain sequence of ``ClampSignal``s, which every tick checks and
+  converts the same way.
+
+Either way an observation becomes binary32 before pass 1, inside
+``np.errstate(all="ignore")``, so 1e39 enters as +inf without a warning,
+and pass 1 reads only the rounded observations, never a signal.
+``core.core_tick`` runs the same schedule one core at a time;
 it is the per-core reference the engine is tested against, and this
 module imports none of it. The tick fills fresh x and eps arrays and
 never writes the old ones in place: the old x array becomes the lower
@@ -57,6 +68,7 @@ like any other so the stream layout is uniform.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -67,9 +79,10 @@ from .errors import ConfigurationError
 from .prng import Prng
 from .scalar32 import (
     ACTIVATION_KINDS,
+    DERIVATIVES,
     F32,
+    IDENTITY,
     activation64,
-    activation_derivative,
     apply_activation_vec,
     is_finite_f32,
 )
@@ -90,7 +103,7 @@ class ClampSignal:
     def __post_init__(self):
         # one isinstance per field, as clamp_layer builds a signal per
         # neuron per sample. Any real x_obs enters, NaN and inf included:
-        # the tick rounds it to binary32 where it reads it.
+        # ``_observations`` rounds it to binary32.
         if not isinstance(self.x_set_en, (bool, np.bool_)):
             raise ConfigurationError(
                 f"x_set_en must be a bool, got {self.x_set_en!r}"
@@ -104,6 +117,36 @@ class ClampSignal:
 NO_CLAMP = ClampSignal()
 
 ClampMap = dict[int, Sequence[ClampSignal]]
+
+
+def _observations(signals) -> tuple:
+    """Per core, the observation of ``signals`` rounded to binary32, or None
+    where x_set_en is false: the one conversion of a layer clamp, made once
+    by ``clamp_layer`` and on every tick for a plain list. Run it under
+    ``np.errstate(all="ignore")``: NaN, infinite and out-of-range
+    observations round silently, and the tick reports what it makes of
+    them."""
+    # a list, not a generator: a generator per tick made CPython 3.11's
+    # pymalloc hold more arenas, and `pcsub verify`'s peak RSS grew by
+    # about 0.5 MB per 5,000 ticks
+    return tuple([F32(sig.x_obs) if sig.x_set_en else None for sig in signals])
+
+
+class _ClampLayer(tuple):
+    """One layer's clamp, checked and prepared once: an immutable tuple of
+    ``ClampSignal``s whose ``obs`` is their ``_observations``."""
+
+    def __new__(cls, signals):
+        layer = super().__new__(cls, signals)
+        with np.errstate(all="ignore"):
+            object.__setattr__(layer, "obs", _observations(layer))
+        return layer
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a prepared clamp layer is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a prepared clamp layer is immutable")
 
 
 def tick_cycles(n_presyn: int, m_back: int, has_upper: bool = True) -> int:
@@ -179,22 +222,34 @@ def _seed(key: str, value) -> int:
 
 
 def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
-    """``clamp``, or an empty map for None, once every key is a layer index
-    (a Python or numpy integer, not a bool, in [0, layers)) and every
-    layer gets one ``ClampSignal`` per core: the one clamp rule of
-    ``Network.tick`` and ``oracle_tick``, applied before either changes
-    anything."""
+    """``clamp``, or an empty map for None, once it is a mapping whose every
+    key is a layer index (a Python or numpy integer, not a bool, in [0,
+    layers)) and whose every layer gets one ``ClampSignal`` per core: the
+    one clamp rule of ``Network.tick`` and ``oracle_tick``, applied before
+    either changes anything. The signals of a layer from ``clamp_layer``
+    were checked when it was made, so only its length is checked here."""
     if clamp is None:
         return {}
+    if not isinstance(clamp, Mapping):
+        raise ConfigurationError(
+            f"clamp must map layer indices to signals, got {clamp!r}"
+        )
     for s, signals in clamp.items():
         if not _is_integer(s):
             raise ConfigurationError(f"clamp key must be a layer index, got {s!r}")
         if s < 0 or s >= len(sizes):
             raise ConfigurationError(f"clamp for nonexistent layer {s}")
+        prepared = isinstance(signals, _ClampLayer)
+        if not prepared and not isinstance(signals, Sequence):
+            raise ConfigurationError(
+                f"layer {s} clamp must be a sequence of ClampSignals, got {signals!r}"
+            )
         if len(signals) != sizes[s]:
             raise ConfigurationError(
                 f"layer {s} clamp has {len(signals)} signals, expected {sizes[s]}"
             )
+        if prepared:
+            continue
         for signal in signals:
             if not isinstance(signal, ClampSignal):
                 raise ConfigurationError(
@@ -330,6 +385,22 @@ class Network:
         self._alpha = F32(cfg.alpha)
         self._gamma = F32(cfg.gamma)
         self._bias_scale = F32(cfg.alpha_bias_scale)
+        # what a tick reads of each layer's config, looked up once: (n, N,
+        # M, the activation f of the layer above, None where f(states_in)
+        # is the latch itself, and f' of the layer's own activation)
+        acts = cfg.activations
+        self._layers = [
+            (
+                n,
+                n_pre,
+                m_back,
+                acts[s - 1] if s > 0 and acts[s - 1] != IDENTITY else None,
+                DERIVATIVES[acts[s]],
+            )
+            for s, (n, n_pre, m_back, _) in enumerate(self._wiring)
+        ]
+        # the observations of a layer with no clamp: none enabled
+        self._unclamped = [(None,) * n for n in cfg.layer_sizes]
 
     # ------------------------------------------------------------------
     # tick
@@ -343,13 +414,18 @@ class Network:
     ) -> TickReport:
         """Run every core once against the previous-tick latches, then swap.
 
+        ``clamp`` maps a layer index to that layer's clamp: a prepared
+        layer from ``clamp_layer``, whose observations were checked and
+        rounded to binary32 when it was made, or a plain sequence of one
+        ``ClampSignal`` per core, which this tick checks and rounds.
+
         Each layer, top to bottom, runs two passes (see the module
-        docstring): a loop over its cores for x_eff (the rounded clamp
+        docstring): a loop over its cores for x_eff (the binary32
         observation, or x), PRED, ERR, BACKSUM and STATE; then BACKVEC,
         WUP and the bias update as one array operation each over the
-        layer. BACKSUM runs on every core, as in the per-core schedule,
-        although STATE reads b only in its Euler step (not under a hard
-        clamp, not at gamma == 0).
+        layer. BACKSUM runs on every core with back inputs, as in the
+        per-core schedule, although STATE reads b only in its Euler step
+        (not under a hard clamp, not at gamma == 0).
 
         ``alpha``/``gamma`` override the built-in step sizes for this tick
         (they are supplied externally in the same way the start pulse is)
@@ -360,10 +436,10 @@ class Network:
         clamp = _check_clamp(clamp, cfg.layer_sizes)
         alpha = self._alpha if alpha is None else _binary32("alpha", alpha)
         gamma = self._gamma if gamma is None else _binary32("gamma", gamma)
+        euler = gamma != _ZERO  # STATE's Euler step; gamma == 0 keeps x
         hard = cfg.clamp_hard
-        activations = cfg.activations
         state = self.state
-        last = len(self._wiring) - 1
+        last = len(self._layers) - 1
         # this tick's fresh arrays: every layer's post-tick x and eps as
         # views of one array, which one finiteness check covers, and the
         # (n, N) products each layer below the top emits upward
@@ -372,24 +448,31 @@ class Network:
         states, errors, emitted = [], [], [None]
 
         with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
-            for s, (_, n_pre, _, _) in enumerate(self._wiring):
-                kind = activations[s]
+            for s, (n, n_pre, m_back, f_kind, fprime) in enumerate(self._layers):
                 theta = state.theta[s]
-                presyn_f = (
-                    apply_activation_vec(activations[s - 1], state.states_in[s])
-                    if s > 0
-                    else state.states_in[s]
-                )
-                back = state.back_in[s].T  # row i: core i's back column
+                # the latch is never written in place, so an identity f
+                # reads it as it is
+                presyn_f = state.states_in[s]
+                if f_kind is not None:
+                    presyn_f = apply_activation_vec(f_kind, presyn_f)
+                # row i: core i's back column; a bottom layer has none
+                back = state.back_in[s].T if m_back else None
                 signals = clamp.get(s)
+                if signals is None:
+                    obs = self._unclamped[s]
+                elif isinstance(signals, _ClampLayer):
+                    obs = signals.obs
+                else:  # a plain list, converted on every tick
+                    obs = _observations(signals)
+                x_old = state.x[s]
                 x = values[spans[s]]
                 eps = values[spans[last + 1 + s]]
 
                 # pass 1: the scalar stages, core by core
-                for i, x_i in enumerate(state.x[s]):
-                    signal = signals[i] if signals else NO_CLAMP
-                    clamped = signal.x_set_en
-                    x_eff = F32(signal.x_obs) if clamped else x_i
+                for i in range(n):
+                    x_i = x_old[i]
+                    o = obs[i]  # the binary32 observation, None when unclamped
+                    x_eff = x_i if o is None else o
                     mu = _ZERO  # a top core runs no PRED
                     if s > 0:  # PRED: one MAC per lane, ascending, bias last
                         row = theta[i]
@@ -399,15 +482,15 @@ class Network:
                     e = x_eff - mu  # ERR
                     eps[i] = e
                     b = _ZERO  # BACKSUM, read only by the Euler step below
-                    for v in back[i]:
-                        b = b + v
-                    if hard and clamped:  # STATE
-                        x[i] = x_eff
-                    elif gamma == _ZERO:
-                        x[i] = x_i
+                    if m_back:
+                        for v in back[i]:
+                            b = b + v
+                    if hard and o is not None:  # STATE
+                        x[i] = o
+                    elif euler:
+                        x[i] = x_i + gamma * (fprime(x_eff) * b - e)
                     else:
-                        fprime = activation_derivative(kind, x_eff)
-                        x[i] = x_i + gamma * (fprime * b - e)
+                        x[i] = x_i
 
                 # pass 2: the lane-parallel stages, one array op per layer
                 if s > 0:
@@ -475,6 +558,18 @@ def build_network(cfg: NetworkConfig) -> Network:
     return Network(cfg)
 
 
-def clamp_layer(values) -> list:
-    """ClampSignal list asserting every neuron of a layer to ``values``."""
-    return [ClampSignal(x_set_en=True, x_obs=float(v)) for v in values]
+def clamp_layer(values) -> Sequence[ClampSignal]:
+    """An immutable, prepared layer clamp asserting every neuron to
+    ``values``: a tuple of enabled ``ClampSignal``s, each observation
+    rounded to binary32 here, once, so that the ticks that read it do not
+    check or round it again."""
+    signals = []
+    for i, v in enumerate(values):
+        try:
+            obs = float(v)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"clamp value {i} must be a real number, got {v!r}"
+            ) from None
+        signals.append(ClampSignal(x_set_en=True, x_obs=obs))
+    return _ClampLayer(signals)

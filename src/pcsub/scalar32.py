@@ -56,6 +56,28 @@ def apply_activation(kind: str, x) -> np.float32:
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
+def _identity_derivative(x: np.float32) -> np.float32:
+    return _ONE
+
+
+def _relu_derivative(x: np.float32) -> np.float32:
+    return _ONE if x > _ZERO else _ZERO
+
+
+def _tanh_derivative(x: np.float32) -> np.float32:
+    t = math.tanh(float(x))
+    return F32(1.0 - t * t)
+
+
+# kind -> f' of a binary32 operand: ``activation_derivative`` with the kind
+# looked up once, by a caller that fixes it (the engine, per layer)
+DERIVATIVES = {
+    IDENTITY: _identity_derivative,
+    RELU: _relu_derivative,
+    TANH: _tanh_derivative,
+}
+
+
 def activation_derivative(kind: str, x) -> np.float32:
     """Derivative of ``apply_activation`` at x, rounded to binary32.
 
@@ -64,16 +86,9 @@ def activation_derivative(kind: str, x) -> np.float32:
     A binary32 ``x`` (every datapath operand) is used as is; anything else
     is rounded to binary32 first.
     """
-    if type(x) is not F32:
-        x = F32(x)
-    if kind == IDENTITY:
-        return _ONE
-    if kind == RELU:
-        return _ONE if x > _ZERO else _ZERO
-    if kind == TANH:
-        t = math.tanh(float(x))
-        return F32(1.0 - t * t)
-    raise ValueError(f"unknown activation kind: {kind!r}")
+    if kind not in DERIVATIVES:
+        raise ValueError(f"unknown activation kind: {kind!r}")
+    return DERIVATIVES[kind](x if type(x) is F32 else F32(x))
 
 
 def activation64(kind: str, x: float) -> float:

@@ -95,24 +95,33 @@ def test_run_bad_config_exit_1(tmp_path):
     assert "config error (line 2): seed must be >= 0" in proc.stderr
 
 
-def test_run_file_system_error_exit_1(tmp_path):
+def test_run_file_system_error_exit_1(tmp_path, monkeypatch, capsys):
     # an output path that cannot be written and a config path that is not a
-    # file end in one message line, not a traceback
+    # file end in one message line, not a traceback, and before any training
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(FAST_CFG)
     taken = tmp_path / "taken"
     taken.write_text("")
     into_dir = tmp_path / "into_dir.cfg"
     into_dir.write_text(FAST_CFG + f"out_csv = {tmp_path}\n")
-    for args in (
+    cases = (
         ("run", str(cfg), "--out", str(taken)),  # --out names a file
         ("run", str(tmp_path)),  # the config is a directory
         ("run", str(into_dir)),  # out_csv names a directory
-    ):
+    )
+    for args in cases:
         proc = run_cli(*args)
         assert proc.returncode == 1, args
         assert proc.stderr.startswith("error: "), (args, proc.stderr)
         assert "Traceback" not in proc.stderr, args
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_network ran")
+
+    monkeypatch.setattr(pcsub.harness, "train_network", no_training)
+    for args in cases + (("experiment", "tanh_ts", "--out", str(taken)),):
+        assert cli_main(list(args)) == 1, args
+        assert capsys.readouterr().err.startswith("error: "), args
 
 
 def test_run_divergence_exit_2_curve_still_written(tmp_path):

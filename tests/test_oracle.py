@@ -101,10 +101,17 @@ BAD_CLAMPS = [
     lambda: {1: clamp_layer([0.1, 0.2])},
     # bad entries below a layer that a tick updates first
     lambda: {0: _TOP, 2: [0.5, 0.3, 0.1]},
-    lambda: {0: _TOP, 2: clamp_layer([0.5, 0.3]) + [0.1]},
+    lambda: {0: _TOP, 2: [*clamp_layer([0.5, 0.3]), 0.1]},
     lambda: {0: _TOP, 2: [None] * 3},
-    lambda: {0: _TOP, 2: clamp_layer([0.5, 0.3]) + [ClampSignal(True, "abc")]},
+    lambda: {0: _TOP, 2: [*clamp_layer([0.5, 0.3]), ClampSignal(True, "abc")]},
     lambda: {0: _TOP, 2: [ClampSignal(True, None)] * 3},
+    # a layer that is not a sequence, a map that is not a mapping, and a
+    # value that is not a number
+    lambda: {0: 0.5},
+    lambda: {0: _TOP, 2: 0.5},
+    lambda: [_TOP],
+    lambda: {0: clamp_layer(["abc"])},
+    lambda: {0: _TOP, 2: clamp_layer([0.5, None, 0.1])},
 ]
 
 

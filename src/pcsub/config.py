@@ -56,12 +56,6 @@ DEFAULTS = {
 
 _RULES = {**NETWORK_RULES, **HARNESS_RULES}
 
-_INT_KEYS = {"seed", "infer_ticks", "learn_ticks", "epochs", "eval_ticks",
-             "n_samples", "teacher_seed"}
-_FLOAT_KEYS = {"alpha", "gamma", "init_scale", "alpha_bias_scale",
-               "teacher_weight_scale"}
-_BOOL_KEYS = {"clamp_hard", "bias_frozen", "reset_between_samples"}
-
 
 @dataclass
 class ConfigFile:
@@ -95,18 +89,21 @@ class ConfigFile:
 
 
 def _parse_value(key: str, raw: str):
-    """The text of ``key``'s value as a Python value; its rule comes later."""
-    if key in _INT_KEYS:
-        return int(raw, 0)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
+    """The text of ``key``'s value as a Python value of its default's type,
+    or the list or name that ``layer_sizes``, ``activations`` and
+    ``out_csv`` take; its rule comes later."""
+    kind = type(DEFAULTS[key])
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
+    if kind is int:
+        return int(raw, 0)
+    if kind is float:
+        return float(raw)
     if key == "layer_sizes":
         return [int(tok.strip(), 0) for tok in raw.split(",") if tok.strip()]
     if key == "activations":

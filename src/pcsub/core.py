@@ -29,8 +29,8 @@ handed, so any (N, M) can be ticked, whatever the config's layer sizes.
 
 All arithmetic is binary32 (see ``scalar32``). Every stage operand is
 already binary32: a value is rounded once, where it enters the datapath
-(network build, checkpoint load, the tick's read of a clamp observation,
-the step-size rule) or where a stage produces it, and never again where
+(network build, checkpoint load, the build of a ``ClampSignal``, the
+step-size rule) or where a stage produces it, and never again where
 it is read. Operation order is pinned so an independent reference can
 match bit-for-bit:
 
@@ -117,7 +117,7 @@ def stage_wup(cfg: NetworkConfig, theta, presyn_f, eps, alpha) -> None:
 def stage_state(
     cfg: NetworkConfig, s: int, x, x_eff, eps, b, clamp: ClampSignal, gamma
 ) -> np.float32:
-    """Next x: the explicit Euler step, or the tick's rounded observation
+    """Next x: the explicit Euler step, or the clamp's binary32 observation
     ``x_eff`` under a hard clamp."""
     if cfg.clamp_hard and clamp.x_set_en:
         return x_eff
@@ -148,13 +148,13 @@ def core_tick(
     ``gamma`` are the tick's binary32 step sizes, ``presyn_f`` holds
     f(presyn) of the N latched upper-layer states (a pure per-lane
     function, computed once per layer) and ``back`` the M latched products
-    from the layer below. The clamp observation and ``alpha_bias_scale``
-    are the values rounded to binary32 here. Run it under
-    ``np.errstate(all="ignore")``, as the engine runs its own stages, so
-    that an observation past the binary32 range becomes inf without a
+    from the layer below. The clamp observation is read as the binary32
+    value its signal holds; ``alpha_bias_scale`` is rounded to binary32
+    here. Run it under ``np.errstate(all="ignore")``, as the engine runs
+    its own stages, so that NaN and infinite operands propagate without a
     warning.
     """
-    x_eff = F32(clamp.x_obs) if clamp.x_set_en else x
+    x_eff = clamp.x_obs if clamp.x_set_en else x
     top = s == 0  # a top core runs no PRED, BACKVEC or WUP
     mu = _ZERO if top else stage_pred(theta, presyn_f)
     eps = stage_err(x_eff, mu)

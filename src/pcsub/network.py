@@ -37,18 +37,12 @@ over those arrays with the stage rules, operand order and roundings of
    independent: BACKVEC from the pre-update weights, then WUP and the
    bias update (skipped at alpha == 0).
 
-A ``ClampSignal`` per core is a tick's boundary condition, checked where
-it enters. A clamp map takes a layer's signals in one of two forms:
-
-* the immutable layer that ``clamp_layer`` returns, checked once when it
-  is made, with each enabled observation rounded to binary32 there, once
-  (the harness makes one per sample and ticks it many times);
-* a plain sequence of ``ClampSignal``s, which every tick checks and
-  converts the same way.
-
-Either way an observation becomes binary32 before pass 1, inside
-``np.errstate(all="ignore")``, so 1e39 enters as +inf without a warning,
-and pass 1 reads only the rounded observations, never a signal.
+A ``ClampSignal`` per core is a tick's boundary condition. Its
+observation enters the datapath when the signal is built: it is checked
+and rounded to binary32 there, once, and 1e39 or a huge int becomes +inf
+without a warning. A clamp map gives a layer a list or tuple of signals,
+such as ``clamp_layer`` returns (the harness makes one per sample and
+ticks it many times), and pass 1 reads each signal's fields as they are.
 ``core.core_tick`` runs the same schedule one core at a time;
 it is the per-core reference the engine is tested against, and this
 module imports none of it. The tick fills fresh x and eps arrays and
@@ -89,64 +83,49 @@ from .scalar32 import (
 
 _ZERO = F32(0.0)
 _ONE = F32(1.0)
+_INF = F32(np.inf)
 _SEED_END = 1 << 64  # SplitMix64 keeps one u64 of state
 _REAL = (int, float, np.integer, np.floating)
 
 
+def _observation(value) -> np.float32:
+    """A real ``value`` rounded to binary32: NaN stays NaN, and a magnitude
+    past the binary32 range, 1e39 or a huge int, becomes a signed infinity
+    without a warning."""
+    try:
+        finite = is_finite_f32(value)
+    except OverflowError:  # an int past the binary64 range
+        finite = False
+    if finite or value != value:
+        return F32(value)
+    return _INF if value > 0 else -_INF
+
+
 @dataclass(frozen=True)
 class ClampSignal:
-    """Per-neuron external observation; x_obs is read only when enabled."""
+    """Per-neuron external observation; x_obs is read only when enabled.
+
+    x_obs enters the datapath here: any real number but a bool is stored
+    rounded to binary32, once, so a tick reads it as it is."""
 
     x_set_en: bool = False
     x_obs: float = 0.0
 
     def __post_init__(self):
-        # one isinstance per field, as clamp_layer builds a signal per
-        # neuron per sample. Any real x_obs enters, NaN and inf included:
-        # ``_observations`` rounds it to binary32.
         if not isinstance(self.x_set_en, (bool, np.bool_)):
             raise ConfigurationError(
                 f"x_set_en must be a bool, got {self.x_set_en!r}"
             )
-        if not isinstance(self.x_obs, _REAL):
+        if not isinstance(self.x_obs, _REAL) or isinstance(self.x_obs, bool):
             raise ConfigurationError(
                 f"x_obs must be a real number, got {self.x_obs!r}"
             )
+        object.__setattr__(self, "x_obs", _observation(self.x_obs))
 
 
 NO_CLAMP = ClampSignal()
 
 ClampMap = dict[int, Sequence[ClampSignal]]
-
-
-def _observations(signals) -> tuple:
-    """Per core, the observation of ``signals`` rounded to binary32, or None
-    where x_set_en is false: the one conversion of a layer clamp, made once
-    by ``clamp_layer`` and on every tick for a plain list. Run it under
-    ``np.errstate(all="ignore")``: NaN, infinite and out-of-range
-    observations round silently, and the tick reports what it makes of
-    them."""
-    # a list, not a generator: a generator per tick made CPython 3.11's
-    # pymalloc hold more arenas, and `pcsub verify`'s peak RSS grew by
-    # about 0.5 MB per 5,000 ticks
-    return tuple([F32(sig.x_obs) if sig.x_set_en else None for sig in signals])
-
-
-class _ClampLayer(tuple):
-    """One layer's clamp, checked and prepared once: an immutable tuple of
-    ``ClampSignal``s whose ``obs`` is their ``_observations``."""
-
-    def __new__(cls, signals):
-        layer = super().__new__(cls, signals)
-        with np.errstate(all="ignore"):
-            object.__setattr__(layer, "obs", _observations(layer))
-        return layer
-
-    def __setattr__(self, name, value):
-        raise AttributeError("a prepared clamp layer is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("a prepared clamp layer is immutable")
 
 
 def tick_cycles(n_presyn: int, m_back: int, has_upper: bool = True) -> int:
@@ -224,10 +203,10 @@ def _seed(key: str, value) -> int:
 def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
     """``clamp``, or an empty map for None, once it is a mapping whose every
     key is a layer index (a Python or numpy integer, not a bool, in [0,
-    layers)) and whose every layer gets one ``ClampSignal`` per core: the
-    one clamp rule of ``Network.tick`` and ``oracle_tick``, applied before
-    either changes anything. The signals of a layer from ``clamp_layer``
-    were checked when it was made, so only its length is checked here."""
+    layers)) and whose every layer is a list or tuple of one
+    ``ClampSignal`` per core: the one clamp rule of ``Network.tick`` and
+    ``oracle_tick``, applied before either changes anything. Each signal
+    checked its own fields when it was built."""
     if clamp is None:
         return {}
     if not isinstance(clamp, Mapping):
@@ -239,8 +218,9 @@ def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
             raise ConfigurationError(f"clamp key must be a layer index, got {s!r}")
         if s < 0 or s >= len(sizes):
             raise ConfigurationError(f"clamp for nonexistent layer {s}")
-        prepared = isinstance(signals, _ClampLayer)
-        if not prepared and not isinstance(signals, Sequence):
+        # a concrete type check: an ABC isinstance costs ten times as much,
+        # and this check runs on every layer of every clamped tick
+        if not isinstance(signals, (list, tuple)):
             raise ConfigurationError(
                 f"layer {s} clamp must be a sequence of ClampSignals, got {signals!r}"
             )
@@ -248,8 +228,6 @@ def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
             raise ConfigurationError(
                 f"layer {s} clamp has {len(signals)} signals, expected {sizes[s]}"
             )
-        if prepared:
-            continue
         for signal in signals:
             if not isinstance(signal, ClampSignal):
                 raise ConfigurationError(
@@ -399,8 +377,8 @@ class Network:
             )
             for s, (n, n_pre, m_back, _) in enumerate(self._wiring)
         ]
-        # the observations of a layer with no clamp: none enabled
-        self._unclamped = [(None,) * n for n in cfg.layer_sizes]
+        # the signals of a layer with no clamp: none enabled
+        self._unclamped = [(NO_CLAMP,) * n for n in cfg.layer_sizes]
 
     # ------------------------------------------------------------------
     # tick
@@ -414,16 +392,15 @@ class Network:
     ) -> TickReport:
         """Run every core once against the previous-tick latches, then swap.
 
-        ``clamp`` maps a layer index to that layer's clamp: a prepared
-        layer from ``clamp_layer``, whose observations were checked and
-        rounded to binary32 when it was made, or a plain sequence of one
-        ``ClampSignal`` per core, which this tick checks and rounds.
+        ``clamp`` maps a layer index to that layer's clamp, a list or tuple
+        of one ``ClampSignal`` per core, such as ``clamp_layer`` returns.
+        Each signal's observation became binary32 when it was built.
 
         Each layer, top to bottom, runs two passes (see the module
-        docstring): a loop over its cores for x_eff (the binary32
-        observation, or x), PRED, ERR, BACKSUM and STATE; then BACKVEC,
-        WUP and the bias update as one array operation each over the
-        layer. BACKSUM runs on every core with back inputs, as in the
+        docstring): a loop over its cores for x_eff (the observation of
+        an enabled signal, or x), PRED, ERR, BACKSUM and STATE; then
+        BACKVEC, WUP and the bias update as one array operation each over
+        the layer. BACKSUM runs on every core with back inputs, as in the
         per-core schedule, although STATE reads b only in its Euler step
         (not under a hard clamp, not at gamma == 0).
 
@@ -457,13 +434,7 @@ class Network:
                     presyn_f = apply_activation_vec(f_kind, presyn_f)
                 # row i: core i's back column; a bottom layer has none
                 back = state.back_in[s].T if m_back else None
-                signals = clamp.get(s)
-                if signals is None:
-                    obs = self._unclamped[s]
-                elif isinstance(signals, _ClampLayer):
-                    obs = signals.obs
-                else:  # a plain list, converted on every tick
-                    obs = _observations(signals)
+                signals = clamp.get(s, self._unclamped[s])
                 x_old = state.x[s]
                 x = values[spans[s]]
                 eps = values[spans[last + 1 + s]]
@@ -471,8 +442,9 @@ class Network:
                 # pass 1: the scalar stages, core by core
                 for i in range(n):
                     x_i = x_old[i]
-                    o = obs[i]  # the binary32 observation, None when unclamped
-                    x_eff = x_i if o is None else o
+                    sig = signals[i]
+                    clamped = sig.x_set_en
+                    x_eff = sig.x_obs if clamped else x_i
                     mu = _ZERO  # a top core runs no PRED
                     if s > 0:  # PRED: one MAC per lane, ascending, bias last
                         row = theta[i]
@@ -485,8 +457,8 @@ class Network:
                     if m_back:
                         for v in back[i]:
                             b = b + v
-                    if hard and o is not None:  # STATE
-                        x[i] = o
+                    if hard and clamped:  # STATE
+                        x[i] = x_eff
                     elif euler:
                         x[i] = x_i + gamma * (fprime(x_eff) * b - e)
                     else:
@@ -558,18 +530,8 @@ def build_network(cfg: NetworkConfig) -> Network:
     return Network(cfg)
 
 
-def clamp_layer(values) -> Sequence[ClampSignal]:
-    """An immutable, prepared layer clamp asserting every neuron to
-    ``values``: a tuple of enabled ``ClampSignal``s, each observation
-    rounded to binary32 here, once, so that the ticks that read it do not
-    check or round it again."""
-    signals = []
-    for i, v in enumerate(values):
-        try:
-            obs = float(v)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"clamp value {i} must be a real number, got {v!r}"
-            ) from None
-        signals.append(ClampSignal(x_set_en=True, x_obs=obs))
-    return _ClampLayer(signals)
+def clamp_layer(values) -> tuple:
+    """A layer clamp asserting every neuron to ``values``: a tuple of
+    enabled ``ClampSignal``s, each observation checked and rounded to
+    binary32 as its signal is built."""
+    return tuple([ClampSignal(True, v) for v in values])

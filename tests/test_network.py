@@ -16,7 +16,6 @@ from pcsub.network import (
     NO_CLAMP,
     ClampSignal,
     NetworkConfig,
-    _ClampLayer,
     build_network,
     clamp_layer,
     layer_wiring,
@@ -457,52 +456,12 @@ def test_engine_matches_per_core_reference(case):
                     assert _same_bits_but_nan_payload(fa, fb), (t, field, s)
 
 
-def _prepared(clamp) -> dict:
-    """``clamp`` with every layer prepared once: by ``clamp_layer`` where
-    every signal is enabled, else as the prepared layer it makes."""
-    return {
-        s: clamp_layer([sig.x_obs for sig in signals])
-        if all(sig.x_set_en for sig in signals)
-        else _ClampLayer(signals)
-        for s, signals in clamp.items()
-    }
-
-
-@given(case=_tick_cases())
-@settings(max_examples=200, deadline=None)
-def test_prepared_clamp_ticks_like_plain_lists(case):
-    # a layer clamp prepared once and the same signals as a plain list,
-    # converted on every tick, leave the same bytes. Both sides run the
-    # same engine, so NaN bytes are compared too
-    cfg, plain, n_ticks = case
-    prepared = _prepared(plain)
-    a, b = build_network(cfg), build_network(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for t in range(n_ticks):
-            ra, rb = a.tick(prepared), b.tick(plain)
-            assert ra == rb, t
-            for field in ("x", "eps", "theta", "states_in", "back_in"):
-                pairs = zip(getattr(a.state, field), getattr(b.state, field))
-                for s, (fa, fb) in enumerate(pairs):
-                    assert fa.tobytes() == fb.tobytes(), (t, field, s)
-    for layer in prepared.values():
-        assert isinstance(layer, tuple)
-        with pytest.raises(TypeError):
-            layer[0] = NO_CLAMP
-        with pytest.raises(TypeError):
-            layer.obs[0] = None
-        with pytest.raises(AttributeError):
-            layer.obs = ()
-        with pytest.raises(AttributeError):
-            del layer.obs
-
-
 def test_clamp_rounds_overflow_and_nan_without_warning():
-    # 1e39 overflows binary32: clamp_layer rounds it to +inf once, where it
-    # builds the layer, and neither that nor the tick warns
+    # 1e39 overflows binary32: a ClampSignal rounds it to +inf once, where
+    # it is built, and neither that nor the tick warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert ClampSignal(True, 1e39).x_obs.tobytes() == F32("inf").tobytes()
         layer = clamp_layer([1e39, float("nan")])
         net = mknet([2, 3], clamp_hard=True)
         net.tick({0: layer})

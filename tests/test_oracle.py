@@ -1,5 +1,7 @@
 """Dense oracle tests: hand cases, bit-exact equivalence, f64 drift bound."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,12 @@ BAD_CLAMPS = [
     lambda: [_TOP],
     lambda: {0: clamp_layer(["abc"])},
     lambda: {0: _TOP, 2: clamp_layer([0.5, None, 0.1])},
+    # text and bools are not observations, though float() takes them; a
+    # disabled signal's observation is checked too
+    lambda: {0: clamp_layer(["0.5", "0.3"])},
+    lambda: {0: _TOP, 2: clamp_layer([0.5, True, 0.1])},
+    lambda: {0: _TOP, 2: [ClampSignal(True, True)] * 3},
+    lambda: {0: _TOP, 2: [ClampSignal(False, False)] * 3},
 ]
 
 
@@ -133,6 +141,45 @@ def test_bad_clamp_rejected_like_network(clamp):
         oracle_tick(ds, clamp())
     assert str(from_oracle.value) == str(from_net.value)
     assert _state_bytes(net.state) == before
+
+
+# an int past the binary64 range, as a plain list and through clamp_layer,
+# and the binary32 infinity each observation must enter as
+HUGE_INT_CLAMPS = [
+    (
+        lambda: {0: _TOP, 2: [ClampSignal(True, 10**400)] * 3},
+        {0: _TOP, 2: clamp_layer([np.inf] * 3)},
+    ),
+    (
+        lambda: {0: _TOP, 2: clamp_layer([0.5, -(10**400), 0.1])},
+        {0: _TOP, 2: clamp_layer([0.5, -np.inf, 0.1])},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "clamp, as_inf", HUGE_INT_CLAMPS, ids=["plain", "clamp_layer"]
+)
+def test_huge_int_observation_enters_as_infinity(clamp, as_inf):
+    # the int becomes an infinity when its signal is built, so the tick
+    # runs whole: the network and the oracle leave the bytes of a tick
+    # with the infinity itself, never a half-updated network
+    cfg = NetworkConfig(layer_sizes=[2, 4, 3], seed=5, alpha=0.01, gamma=0.1)
+    net, twin = build_network(cfg), build_network(cfg)
+    for n in (net, twin):
+        n.tick({0: _TOP, 2: clamp_layer([0.5, 0.3, 0.1])})
+    ds = net.snapshot()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        built = clamp()
+        assert [sig.x_obs.tobytes() for sig in built[2]] == [
+            sig.x_obs.tobytes() for sig in as_inf[2]
+        ]
+        net.tick(built)
+        from_oracle = oracle_tick(ds, built)
+    twin.tick(as_inf)
+    assert _state_bytes(net.state) == _state_bytes(twin.state)
+    assert _state_bytes(from_oracle) == _state_bytes(oracle_tick(ds, as_inf))
 
 
 def test_shape_validation():

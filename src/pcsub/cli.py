@@ -87,9 +87,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_tick(args) -> int:
-    net = load_checkpoint(args.checkpoint)
-    if args.ticks < 1:
+    if args.ticks < 1:  # before the checkpoint is read: a bad count fails at once
         raise ConfigurationError("--ticks must be >= 1")
+    net = load_checkpoint(args.checkpoint)
     diverged = False
     for _ in range(args.ticks):
         report = net.tick(alpha=0.0)

@@ -55,6 +55,10 @@ if TYPE_CHECKING:
 
 TEACHER_KINDS = ("relu_teacher", "tanh_teacher")
 
+# alpha of every inference and evaluation tick: binary32 already, so a tick
+# takes it as it is instead of checking and rounding 0.0 each time
+_ALPHA_ZERO = np.float32(0.0)
+
 
 def _teacher_kind(key: str, kind) -> str:
     if kind not in TEACHER_KINDS:
@@ -210,7 +214,7 @@ def evaluate_dataset(net: Network, ds: Dataset, eval_ticks: int):
         net.reset_states()
         clamp = {0: clamp_layer(x)}
         for _ in range(eval_ticks):
-            report = net.tick(clamp, alpha=0.0)
+            report = net.tick(clamp, alpha=_ALPHA_ZERO)
             diverged = diverged or report.diverged
         out = net.state.x[-1].astype(np.float64)
         d = out - y.astype(np.float64)
@@ -233,7 +237,7 @@ def train_network(net: Network, ds: Dataset, proto: TrainProtocol) -> LearningCu
                 net.reset_states()
             clamp = {0: clamp_layer(x), last: clamp_layer(y)}
             for _ in range(proto.infer_ticks):
-                report = net.tick(clamp, alpha=0.0)
+                report = net.tick(clamp, alpha=_ALPHA_ZERO)
                 epoch_div = epoch_div or report.diverged
             for _ in range(proto.learn_ticks):
                 report = net.tick(clamp)

@@ -49,7 +49,8 @@ module imports none of it. The tick fills fresh x and eps arrays and
 never writes the old ones in place: the old x array becomes the lower
 layer's ``states_in`` latch as it is, with no copy. ``reset_states`` and
 ``load_checkpoint`` also assign new arrays. The ``TickReport`` a tick
-returns holds no arrays: the post-tick x and eps are ``Network.state``'s.
+returns holds no arrays, and each network builds its two possible reports
+once: the post-tick x and eps are ``Network.state``'s.
 ``Network.snapshot`` returns a copy of the state, and the oracle ticks
 such copies.
 
@@ -62,6 +63,7 @@ like any other so the stream layout is uniform.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -73,11 +75,11 @@ from .errors import ConfigurationError
 from .prng import Prng
 from .scalar32 import (
     ACTIVATION_KINDS,
+    ACTIVATIONS_VEC,
     DERIVATIVES,
     F32,
     IDENTITY,
     activation64,
-    apply_activation_vec,
     is_finite_f32,
 )
 
@@ -152,7 +154,11 @@ def layer_wiring(layer_sizes) -> list:
 def _binary32(key: str, value, nonneg: bool = True) -> np.float32:
     """``value`` rounded to binary32, rejecting NaN, infinities, binary32
     overflow and (when ``nonneg``) negatives: the one rule for configured
-    values and for per-tick step-size overrides."""
+    values and for per-tick step-size overrides. A binary32 value that is
+    finite and >= 0 is returned as it is: a harness passes one binary32
+    zero to every tick of a phase."""
+    if nonneg and type(value) is F32 and _ZERO <= value < _INF:
+        return value
     if not is_finite_f32(value):
         raise ConfigurationError(f"{key} must be finite in binary32, got {value!r}")
     if nonneg and value < 0:
@@ -209,12 +215,14 @@ def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
     checked its own fields when it was built."""
     if clamp is None:
         return {}
-    if not isinstance(clamp, Mapping):
+    # the concrete types first: an ABC isinstance costs about five times as
+    # much, and this check runs on every clamped tick
+    if type(clamp) is not dict and not isinstance(clamp, Mapping):
         raise ConfigurationError(
             f"clamp must map layer indices to signals, got {clamp!r}"
         )
     for s, signals in clamp.items():
-        if not _is_integer(s):
+        if type(s) is not int and not _is_integer(s):
             raise ConfigurationError(f"clamp key must be a layer index, got {s!r}")
         if s < 0 or s >= len(sizes):
             raise ConfigurationError(f"clamp for nonexistent layer {s}")
@@ -290,10 +298,11 @@ class NetworkConfig:
         self.activations = _activations(self.activations, len(self.layer_sizes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TickReport:
     """What a tick reports beside its state, which stays in
-    ``Network.state``."""
+    ``Network.state``. Immutable: each ``Network`` builds its two possible
+    reports, diverged or not, once, and every tick returns one of them."""
 
     network_cycles: int  # the slowest core's cycle count: the tick's latency
     diverged: bool  # any non-finite x or eps in Network.state after the tick
@@ -354,8 +363,10 @@ class Network:
             ],
             **_quiescent(self._wiring),
         )
-        # the cycle model depends on the shape alone, so it is computed once
-        self._network_cycles = max(cycles for _, _, _, cycles in self._wiring)
+        # the cycle model depends on the shape alone, so a tick reports one
+        # of two reports built here: (not diverged, diverged)
+        cycles = max(cycles for _, _, _, cycles in self._wiring)
+        self._reports = (TickReport(cycles, False), TickReport(cycles, True))
         # where each layer's x, then each layer's eps, sits in a tick's one
         # array of new values
         ends = np.cumsum(cfg.layer_sizes * 2).tolist()
@@ -364,15 +375,20 @@ class Network:
         self._gamma = F32(cfg.gamma)
         self._bias_scale = F32(cfg.alpha_bias_scale)
         # what a tick reads of each layer's config, looked up once: (n, N,
-        # M, the activation f of the layer above, None where f(states_in)
-        # is the latch itself, and f' of the layer's own activation)
+        # M, the vector activation f of the layer above, None where
+        # f(states_in) is the latch itself, and f' of the layer's own
+        # activation)
         acts = cfg.activations
         self._layers = [
             (
                 n,
                 n_pre,
                 m_back,
-                acts[s - 1] if s > 0 and acts[s - 1] != IDENTITY else None,
+                (
+                    ACTIVATIONS_VEC[acts[s - 1]]
+                    if s > 0 and acts[s - 1] != IDENTITY
+                    else None
+                ),
                 DERIVATIVES[acts[s]],
             )
             for s, (n, n_pre, m_back, _) in enumerate(self._wiring)
@@ -407,12 +423,27 @@ class Network:
         ``alpha``/``gamma`` override the built-in step sizes for this tick
         (they are supplied externally in the same way the start pulse is)
         and follow the configured values' rule: finite in binary32 and
-        >= 0. A rejected tick changes nothing.
+        >= 0. A binary32 override that keeps the rule is used as it is. A
+        rejected tick changes nothing.
+
+        Once the clamp and overrides are checked, the step runs with
+        numpy's floating-point errors ignored, so NaN and infinities
+        propagate without a warning. It returns one of the network's two
+        frozen ``TickReport``s, built once: ``diverged`` is set when any
+        post-tick x or eps is non-finite.
         """
-        cfg = self.cfg
-        clamp = _check_clamp(clamp, cfg.layer_sizes)
+        clamp = _check_clamp(clamp, self.cfg.layer_sizes)
         alpha = self._alpha if alpha is None else _binary32("alpha", alpha)
         gamma = self._gamma if gamma is None else _binary32("gamma", gamma)
+        return self._step(clamp, alpha, gamma)
+
+    # numpy 2's decorator form sets the error state in a context variable on
+    # each call, so it is thread-safe as a with block is, at half the cost
+    @np.errstate(all="ignore")  # NaN/Inf propagate; flagged by the report
+    def _step(self, clamp: ClampMap, alpha: F32, gamma: F32) -> TickReport:
+        """One tick of checked operands: the two passes per layer, the bus
+        swap, and the report."""
+        cfg = self.cfg
         euler = gamma != _ZERO  # STATE's Euler step; gamma == 0 keeps x
         hard = cfg.clamp_hard
         state = self.state
@@ -424,57 +455,56 @@ class Network:
         values = np.empty(spans[-1].stop, dtype=np.float32)
         states, errors, emitted = [], [], [None]
 
-        with np.errstate(all="ignore"):  # NaN/Inf propagate; flagged below
-            for s, (n, n_pre, m_back, f_kind, fprime) in enumerate(self._layers):
-                theta = state.theta[s]
-                # the latch is never written in place, so an identity f
-                # reads it as it is
-                presyn_f = state.states_in[s]
-                if f_kind is not None:
-                    presyn_f = apply_activation_vec(f_kind, presyn_f)
-                # row i: core i's back column; a bottom layer has none
-                back = state.back_in[s].T if m_back else None
-                signals = clamp.get(s, self._unclamped[s])
-                x_old = state.x[s]
-                x = values[spans[s]]
-                eps = values[spans[last + 1 + s]]
+        for s, (n, n_pre, m_back, f_vec, fprime) in enumerate(self._layers):
+            theta = state.theta[s]
+            # the latch is never written in place, so an identity f
+            # reads it as it is
+            presyn_f = state.states_in[s]
+            if f_vec is not None:
+                presyn_f = f_vec(presyn_f)
+            # row i: core i's back column; a bottom layer has none
+            back = state.back_in[s].T if m_back else None
+            signals = clamp.get(s, self._unclamped[s])
+            x_old = state.x[s]
+            x = values[spans[s]]
+            eps = values[spans[last + 1 + s]]
 
-                # pass 1: the scalar stages, core by core
-                for i in range(n):
-                    x_i = x_old[i]
-                    sig = signals[i]
-                    clamped = sig.x_set_en
-                    x_eff = sig.x_obs if clamped else x_i
-                    mu = _ZERO  # a top core runs no PRED
-                    if s > 0:  # PRED: one MAC per lane, ascending, bias last
-                        row = theta[i]
-                        for j in range(n_pre):
-                            mu = row[j] * presyn_f[j] + mu
-                        mu = row[n_pre] * _ONE + mu
-                    e = x_eff - mu  # ERR
-                    eps[i] = e
-                    b = _ZERO  # BACKSUM, read only by the Euler step below
-                    if m_back:
-                        for v in back[i]:
-                            b = b + v
-                    if hard and clamped:  # STATE
-                        x[i] = x_eff
-                    elif euler:
-                        x[i] = x_i + gamma * (fprime(x_eff) * b - e)
-                    else:
-                        x[i] = x_i
+            # pass 1: the scalar stages, core by core
+            for i in range(n):
+                x_i = x_old[i]
+                sig = signals[i]
+                clamped = sig.x_set_en
+                x_eff = sig.x_obs if clamped else x_i
+                mu = _ZERO  # a top core runs no PRED
+                if s > 0:  # PRED: one MAC per lane, ascending, bias last
+                    row = theta[i]
+                    for j in range(n_pre):
+                        mu = row[j] * presyn_f[j] + mu
+                    mu = row[n_pre] * _ONE + mu
+                e = x_eff - mu  # ERR
+                eps[i] = e
+                b = _ZERO  # BACKSUM, read only by the Euler step below
+                if m_back:
+                    for v in back[i]:
+                        b = b + v
+                if hard and clamped:  # STATE
+                    x[i] = x_eff
+                elif euler:
+                    x[i] = x_i + gamma * (fprime(x_eff) * b - e)
+                else:
+                    x[i] = x_i
 
-                # pass 2: the lane-parallel stages, one array op per layer
-                if s > 0:
-                    w = theta[:, :-1]
-                    emitted.append(w * eps[:, None])  # BACKVEC, pre-update
-                    if alpha != _ZERO:  # WUP
-                        w[...] = (alpha * eps)[:, None] * presyn_f + w
-                        if not cfg.bias_frozen:
-                            coeff_b = (alpha * self._bias_scale) * eps
-                            theta[:, -1] = coeff_b * _ONE + theta[:, -1]
-                states.append(x)
-                errors.append(eps)
+            # pass 2: the lane-parallel stages, one array op per layer
+            if s > 0:
+                w = theta[:, :-1]
+                emitted.append(w * eps[:, None])  # BACKVEC, pre-update
+                if alpha != _ZERO:  # WUP
+                    w[...] = (alpha * eps)[:, None] * presyn_f + w
+                    if not cfg.bias_frozen:
+                        coeff_b = (alpha * self._bias_scale) * eps
+                        theta[:, -1] = coeff_b * _ONE + theta[:, -1]
+            states.append(x)
+            errors.append(eps)
 
         # atomic bus swap: new latches become visible only after all cores
         # have completed the tick; a layer's start-of-tick x array is what
@@ -484,10 +514,10 @@ class Network:
         state.back_in = emitted[1:] + state.back_in[-1:]
         state.x = states
         state.eps = errors
-        return TickReport(
-            network_cycles=self._network_cycles,
-            diverged=not np.isfinite(values).all(),
-        )
+        # binary32 values summed in binary64 cannot overflow, and any inf or
+        # NaN among them makes the sum non-finite: one pass, cheaper than
+        # np.isfinite on a few values
+        return self._reports[not math.isfinite(sum(values.tolist()))]
 
     # ------------------------------------------------------------------
     # inspection

@@ -114,18 +114,31 @@ def derivative64(kind: str, x: float) -> float:
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
+def _relu_vec(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, _ZERO)
+
+
+def _tanh_vec(x: np.ndarray) -> np.ndarray:
+    # scalar math.tanh per element: immune to SIMD libm divergence; the
+    # binary64 results are rounded to binary32 once, by np.array
+    return np.array([math.tanh(v) for v in x.tolist()], dtype=np.float32)
+
+
+# kind -> f of a binary32 vector, into a new array: ``apply_activation_vec``
+# with the kind looked up once, by a caller that fixes it (the engine, per
+# layer)
+ACTIVATIONS_VEC = {
+    IDENTITY: np.ndarray.copy,
+    RELU: _relu_vec,
+    TANH: _tanh_vec,
+}
+
+
 def apply_activation_vec(kind: str, x: np.ndarray) -> np.ndarray:
     """Vector form, bit-identical per element to ``apply_activation``."""
-    x = np.asarray(x, dtype=np.float32)
-    if kind == IDENTITY:
-        return x.copy()
-    if kind == RELU:
-        return np.maximum(x, _ZERO)
-    if kind == TANH:
-        # scalar math.tanh per element: immune to SIMD libm divergence; the
-        # binary64 results are rounded to binary32 once, by np.array
-        return np.array([math.tanh(v) for v in x.tolist()], dtype=np.float32)
-    raise ValueError(f"unknown activation kind: {kind!r}")
+    if kind not in ACTIVATIONS_VEC:
+        raise ValueError(f"unknown activation kind: {kind!r}")
+    return ACTIVATIONS_VEC[kind](np.asarray(x, dtype=np.float32))
 
 
 def activation_derivative_vec(kind: str, x: np.ndarray) -> np.ndarray:

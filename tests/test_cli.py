@@ -158,6 +158,16 @@ def test_tick_missing_file_exit_1(tmp_path):
     assert proc.returncode == 1
 
 
+def test_tick_count_checked_before_checkpoint_read(tmp_path, monkeypatch, capsys):
+    # a bad --ticks fails where it enters, before the file is even opened
+    def no_load(*args, **kwargs):
+        raise AssertionError("load_checkpoint ran")
+
+    monkeypatch.setattr(pcsub.cli, "load_checkpoint", no_load)
+    assert cli_main(["tick", str(tmp_path / "nope.ckpt"), "--ticks", "0"]) == 1
+    assert "--ticks" in capsys.readouterr().err
+
+
 def test_eval_checkpoint(tmp_path):
     cfg_text = FAST_CFG
     cfg_path = tmp_path / "task.cfg"

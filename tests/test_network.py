@@ -1,7 +1,10 @@
 """Network composition, tick scheduling, buses, energy, determinism."""
 
+import dataclasses
 import threading
 import warnings
+from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -121,6 +124,26 @@ def test_hard_clamped_input_absorbs():
     assert net.state.x[0].tolist() == [F32(0.25), F32(-0.75)]
 
 
+class _ClampDict(dict):
+    pass
+
+
+@pytest.mark.parametrize(
+    "as_map",
+    [MappingProxyType, OrderedDict, _ClampDict],
+    ids=["mappingproxy", "ordereddict", "dict-subclass"],
+)
+def test_any_mapping_clamps_like_a_dict(as_map):
+    # a plain dict takes the clamp check's fast path; any other mapping
+    # takes the general one and ticks to the same bytes
+    clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
+    nets = [mknet([2, 4, 3], seed=23, alpha=0.02, gamma=0.1) for _ in range(2)]
+    for _ in range(4):
+        nets[0].tick(clamp)
+        nets[1].tick(as_map(clamp))
+    assert _snapshot_bytes(nets[0]) == _snapshot_bytes(nets[1])
+
+
 def test_clamp_length_validation():
     net = mknet([2, 4, 3])
     with pytest.raises(ConfigurationError):
@@ -173,8 +196,23 @@ def _snapshot_bytes(net) -> list:
     ]
 
 
+# binary32 ones too, as a finite, non-negative binary32 override is taken
+# as it is, and a binary64 one past the binary32 range
+BAD_STEP_OVERRIDES = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": -float("inf"),
+    "1e+39": 1e39,
+    "-0.01": -0.01,
+    "f32-nan": F32("nan"),
+    "f32-inf": F32("inf"),
+    "f32--0.01": F32(-0.01),
+    "f64-1e+39": np.float64(1e39),
+}
+
+
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), -float("inf"), 1e39, -0.01]
+    "value", BAD_STEP_OVERRIDES.values(), ids=BAD_STEP_OVERRIDES.keys()
 )
 @pytest.mark.parametrize("key", ["alpha", "gamma"])
 def test_bad_step_override_rejected_network_untouched(key, value):
@@ -186,6 +224,50 @@ def test_bad_step_override_rejected_network_untouched(key, value):
     with pytest.raises(ConfigurationError, match=key):
         net.tick(clamp, **{key: value})
     assert _snapshot_bytes(net) == before
+
+
+@pytest.mark.parametrize("key", ["alpha", "gamma"])
+def test_zero_step_override_same_bits_in_any_form(key):
+    # a binary32 zero of either sign, taken as it is, and the Python 0.0,
+    # checked and rounded, tick to the same bytes, in the oracle too
+    clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
+    runs = []
+    for value in (F32(0.0), F32(-0.0), 0.0):
+        net = mknet([2, 4, 3], seed=19, alpha=0.01, gamma=0.05)
+        state = net.snapshot()
+        for t in range(4):
+            net.tick(clamp, **{key: value})
+            state = oracle_tick(state, clamp, **{key: value})
+            _assert_matches_oracle(net, state, t)
+        runs.append(_snapshot_bytes(net))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("obs", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_tick_reports_non_finite_observation_diverged(obs):
+    net = mknet([2, 4, 3], seed=19)
+    clamp = {0: clamp_layer([0.3, -0.6])}
+    assert not net.tick(clamp).diverged
+    assert net.tick({0: clamp_layer([0.3, obs])}).diverged
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+def test_tick_reports_values_near_binary32_max_finite(sign):
+    # every x and eps is finite and near +-3.4e38: their binary32 sum would
+    # overflow, their binary64 sum does not, so the tick has not diverged
+    big = F32(sign) * np.finfo(np.float32).max
+    net = mknet([3, 4, 3], alpha=0.0, gamma=0.0, init_scale=0.0)
+    net.state.x = [np.full(n, big) for n in (3, 4, 3)]
+    report = net.tick()
+    for x, eps in zip(net.state.x, net.state.eps):
+        assert (x == big).all() and (eps == big).all()
+    assert not report.diverged
+
+
+def test_tick_report_is_frozen():
+    report = mknet([2, 3]).tick()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.diverged = True
 
 
 def test_cores_share_the_layer_weight_matrix(tmp_path):

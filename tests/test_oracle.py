@@ -73,8 +73,23 @@ def test_bad_mode_rejected():
         oracle_tick(ds, mode="f32")
 
 
+# binary32 ones too, as a finite, non-negative binary32 override is taken
+# as it is, and a binary64 one past the binary32 range
+BAD_STEP_OVERRIDES = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": -float("inf"),
+    "1e+39": 1e39,
+    "-0.01": -0.01,
+    "f32-nan": F32("nan"),
+    "f32-inf": F32("inf"),
+    "f32--0.01": F32(-0.01),
+    "f64-1e+39": np.float64(1e39),
+}
+
+
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), -float("inf"), 1e39, -0.01]
+    "value", BAD_STEP_OVERRIDES.values(), ids=BAD_STEP_OVERRIDES.keys()
 )
 @pytest.mark.parametrize("key", ["alpha", "gamma"])
 def test_bad_step_override_rejected_like_network(key, value):

@@ -1,15 +1,16 @@
 """Dense reference implementation of one network tick.
 
 One step function, two precisions. The mode picks only the dtype the
-tick computes in and how the activation f and its derivative f' are
-evaluated; stage order, summation order and the structural no-op rules
-are the same code in both:
+tick computes in and the tables its activation f and derivative f' are
+looked up in, by activation kind, once per layer; stage order, summation
+order and the structural no-op rules are the same code in both:
 
-* ``bit32`` computes in binary32 with the datapath's vector f/f'
-  (``apply_activation_vec``, ``activation_derivative_vec``). Its results
-  match the simulator (``Network.tick``) bit for bit, up to NaN sign and
-  payload: numpy's scalar and array operations pick different operands
-  when both are NaN, so tests compare NaN positions, not NaN bytes.
+* ``bit32`` computes in binary32 with the datapath's vector tables
+  (``scalar32.ACTIVATIONS_VEC`` for f, ``scalar32.DERIVATIVES_VEC`` for
+  f'). Its results match the simulator (``Network.tick``) bit for bit, up
+  to NaN sign and payload: numpy's scalar and array operations pick
+  different operands when both are NaN, so tests compare NaN positions,
+  not NaN bytes.
 * ``f64`` computes in binary64 with f/f' evaluated per element by
   ``activation64``/``derivative64``; it bounds the simulator's rounding
   drift rather than its bit pattern.
@@ -21,21 +22,34 @@ rounding per add. They are never ``np.sum``, ``np.add.reduce`` or ``@``,
 whose pairwise order changes bits from 8 lanes on. WUP is skipped when
 alpha == 0 and the state step when gamma == 0, so a NaN or infinite
 operand cannot reach a weight or a state through a zero step size. The
-bias update is ``(alpha * alpha_bias_scale) * eps``.
+step runs only the stages whose results are read: the bias lane's MAC
+with 1.0 is the bias itself, identity has no f' table entry (its f' * b
+is b), and a layer whose every core is hard-clamped takes its
+observations without BACKSUM or an Euler step. The bias update is
+``(alpha * alpha_bias_scale) * eps``.
 
 Both modes tick a ``DenseState`` (defined in ``network``: the network's
 state container, with its config; ``Network.snapshot`` copies one) and
-return a new one whose arrays all have the mode's dtype. The step sizes
-are the state's configured ones, or the per-tick overrides, rounded to
+return a new one whose arrays all have the mode's dtype and are its own:
+an input array that has the mode's dtype already and is only read is
+used as it is, never written, and never handed on. The step sizes are
+the state's configured ones, or the per-tick overrides, rounded to
 binary32. Step sizes and clamps that ``Network.tick`` rejects are
-rejected here too, by the same checks with the same messages, before
-anything is computed, and so is a state whose arrays do not have its
-config's shapes (``ConfigurationError`` for all of them). Both modes
-mirror the simulator's registered communication: predictions read states
-latched one tick ago, bottom-up sums read products latched one tick
-ago, and the latches are refreshed from this tick's values at the end.
-A Gauss-Seidel sweep with fresh errors would be a different dynamical
-system and is deliberately not implemented here.
+rejected by ``oracle_tick`` too, by the same checks with the same
+messages, before anything is computed, and so is a state whose arrays do
+not have its config's shapes (``ConfigurationError`` for all of them).
+Both modes mirror the simulator's registered communication: predictions
+read states latched one tick ago, bottom-up sums read products latched
+one tick ago, and the latches are refreshed from this tick's values at
+the end. A Gauss-Seidel sweep with fresh errors would be a different
+dynamical system and is deliberately not implemented here.
+
+The equivalence sweep (``run_equivalence_suite``, ``pcsub verify``)
+converts what is fixed per network once: its clamp arrays, checked as
+``oracle_tick`` checks them, and its binary32 step sizes. Each tick then
+runs ``Network.tick`` once and the bit32 step once, and
+``compare_to_network`` compares every byte of the two states, bus
+latches included.
 """
 
 from __future__ import annotations
@@ -58,34 +72,47 @@ from .network import (
 )
 from .scalar32 import (
     ACTIVATION_KINDS,
+    ACTIVATIONS_VEC,
+    DERIVATIVES_VEC,
     F32,
+    IDENTITY,
     activation64,
-    activation_derivative_vec,
-    apply_activation_vec,
     derivative64,
 )
 
 
-def _per_element(fn):
-    """Vector form of a binary64 scalar function ``fn(kind, x)``."""
-    return lambda kind, x: np.array([fn(kind, v) for v in x.tolist()])
+def _per_element(fn, kind: str):
+    """Vector form of the binary64 scalar function ``fn`` at one kind."""
+    return lambda x: np.array([fn(kind, v) for v in x.tolist()])
 
 
-# mode -> (dtype, f, f'), with f/f' taking (activation kind, array)
+# mode -> (dtype, f, f'): f and f' map an activation kind to a function of
+# an array of the mode's dtype, into a new array. Identity has no f': its
+# f' is 1, so STATE's f'(x_eff) * b is b itself.
 _MODES = {
-    "bit32": (np.float32, apply_activation_vec, activation_derivative_vec),
-    "f64": (np.float64, _per_element(activation64), _per_element(derivative64)),
+    "bit32": (np.float32, ACTIVATIONS_VEC, {**DERIVATIVES_VEC, IDENTITY: None}),
+    "f64": (
+        np.float64,
+        {kind: _per_element(activation64, kind) for kind in ACTIVATION_KINDS},
+        {
+            kind: None if kind == IDENTITY else _per_element(derivative64, kind)
+            for kind in ACTIVATION_KINDS
+        },
+    ),
 }
 
+_FIELDS = ("x", "eps", "theta", "states_in", "back_in")
 
-def _clamp_arrays(sizes, clamp: Optional[ClampMap]) -> list:
-    """Per layer, (enable mask, binary32 observations) or None without a
-    clamp. Rejects a clamp that ``Network.tick`` rejects."""
+
+def _clamp_arrays(sizes, clamp: Optional[ClampMap], dtype) -> list:
+    """Per layer, None without a clamp, else (enable mask, observations in
+    ``dtype``) with the mask None where every signal is enabled. Rejects a
+    clamp that ``Network.tick`` rejects."""
     arrays = [None] * len(sizes)
     for s, signals in _check_clamp(clamp, sizes).items():
         en = np.array([sig.x_set_en for sig in signals], dtype=bool)
-        obs = np.array([sig.x_obs for sig in signals], dtype=np.float32)
-        arrays[s] = en, obs
+        obs = np.array([sig.x_obs for sig in signals], dtype=dtype)
+        arrays[s] = None if en.all() else en, obs
     return arrays
 
 
@@ -99,13 +126,19 @@ def oracle_tick(
     """Pure function: one tick applied to a dense snapshot. A state whose
     arrays do not have its config's shapes raises ``ConfigurationError``."""
     _check_shapes(state)
-    return _tick(state, clamp, mode, alpha, gamma)
+    if mode not in _MODES:
+        raise ConfigurationError(f"unknown oracle mode: {mode!r}")
+    av = _binary32("alpha", state.cfg.alpha if alpha is None else alpha)
+    gv = _binary32("gamma", state.cfg.gamma if gamma is None else gamma)
+    dtype, fs, fprimes = _MODES[mode]
+    clamps = _clamp_arrays(state.layer_sizes, clamp, dtype)
+    return _step(state, clamps, av, gv, dtype, fs, fprimes)
 
 
 def _check_shapes(state: DenseState) -> None:
     """Every layer array of ``state`` has the shape its config wires."""
     wiring = layer_wiring(state.layer_sizes)
-    for name in ("x", "eps", "theta", "states_in", "back_in"):
+    for name in _FIELDS:
         if len(getattr(state, name)) != len(wiring):
             raise ConfigurationError(f"{name}: one array per layer expected")
     for s, (n, n_pre, m_back, _) in enumerate(wiring):
@@ -117,18 +150,6 @@ def _check_shapes(state: DenseState) -> None:
             raise ConfigurationError(f"layer {s}: states_in shape mismatch")
         if state.back_in[s].shape != (m_back, n):
             raise ConfigurationError(f"layer {s}: back_in shape mismatch")
-
-
-def _tick(state: DenseState, clamp, mode, alpha, gamma) -> DenseState:
-    """``oracle_tick`` on a state whose shapes are known to be right: the
-    oracle's own results and snapshots of a network."""
-    if mode not in _MODES:
-        raise ConfigurationError(f"unknown oracle mode: {mode!r}")
-    av = _binary32("alpha", state.cfg.alpha if alpha is None else alpha)
-    gv = _binary32("gamma", state.cfg.gamma if gamma is None else gamma)
-    with np.errstate(all="ignore"):
-        clamps = _clamp_arrays(state.layer_sizes, clamp)
-        return _step(state, clamps, av, gv, *_MODES[mode])
 
 
 def _ascending_sum(terms: np.ndarray, axis: int) -> np.ndarray:
@@ -145,44 +166,61 @@ def _ascending_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     return terms[:, -1] if axis == 1 else terms[-1]
 
 
-def _step(state: DenseState, clamps, alpha, gamma, dtype, f, fprime):
+@np.errstate(all="ignore")  # NaN/Inf propagate, as in Network._step
+def _step(state: DenseState, clamps, alpha, gamma, dtype, fs, fprimes):
     """One tick of every layer in ``dtype``: PRED, ERR, BACKSUM, BACKVEC,
-    WUP and STATE, then the latch rebuild."""
+    WUP and STATE, then the latch rebuild. An operand that has ``dtype``
+    already and is only read is used as it is; every array of the result
+    is new."""
     cfg = state.cfg
-    sizes = cfg.layer_sizes
-    last = len(sizes) - 1
-    alpha, gamma, one = dtype(alpha), dtype(gamma), dtype(1.0)
-    bias_scale = dtype(F32(cfg.alpha_bias_scale))
+    acts = cfg.activations
+    last = len(acts) - 1
+    alpha, gamma, zero = dtype(alpha), dtype(gamma), dtype(0.0)
+    # x * 1.0 is x, bit for bit but for quieting a signalling NaN, which the
+    # add that follows quiets anyway: so the bias lane's MAC adds the bias
+    # itself, and the bias update adds (alpha * alpha_bias_scale) * eps
+    coeff_b = alpha * dtype(F32(cfg.alpha_bias_scale))
+    hard = cfg.clamp_hard
     new_x, new_eps, new_theta, new_backvec = [], [], [], []
 
-    for s, n in enumerate(sizes):
-        x = state.x[s].astype(dtype)
-        theta = state.theta[s].astype(dtype)  # own copy: WUP writes it
-        clamped = clamps[s]
-        x_eff = x if clamped is None else np.where(*clamped, x)
+    for s, kind in enumerate(acts):
+        x_in = np.asarray(state.x[s], dtype)
+        theta = state.theta[s].astype(dtype)  # the result's copy: WUP writes it
+        en = obs = None
+        x_eff = x_in
+        if clamps[s] is not None:
+            en, obs = clamps[s]
+            x_eff = obs if en is None else np.where(en, obs, x_in)
 
         if s == 0:  # a top layer runs no PRED, BACKVEC or WUP
-            eps = x_eff - dtype(0.0)
+            eps = x_eff - zero
         else:
-            fpre = f(cfg.activations[s - 1], state.states_in[s])
-            acc = _ascending_sum(theta[:, :-1] * fpre, axis=1)
-            eps = x_eff - (theta[:, -1] * one + acc)
-            new_backvec.append(theta[:, :-1] * eps[:, None])
-            if alpha != 0:
-                theta[:, :-1] = (alpha * eps)[:, None] * fpre + theta[:, :-1]
+            fpre = fs[acts[s - 1]](np.asarray(state.states_in[s], dtype))
+            w = theta[:, :-1]
+            acc = _ascending_sum(w * fpre, axis=1)
+            eps = x_eff - (theta[:, -1] + acc)
+            new_backvec.append(w * eps[:, None])
+            if alpha != 0:  # WUP and the bias update: product + old value
+                np.add((alpha * eps)[:, None] * fpre, w, out=w)
                 if not cfg.bias_frozen:
-                    coeff_b = (alpha * bias_scale) * eps
-                    theta[:, -1] = coeff_b * one + theta[:, -1]
+                    bias = theta[:, -1]
+                    np.add(coeff_b * eps, bias, out=bias)
 
-        if gamma != 0:  # BACKSUM and STATE: b is read only by STATE
-            back = state.back_in[s]
-            if back.shape[0]:
-                b = _ascending_sum(back.astype(dtype), axis=0)
-            else:
-                b = np.zeros(n, dtype)
-            x = x + gamma * (fprime(cfg.activations[s], x_eff) * b - eps)
-        if clamped is not None and cfg.clamp_hard:
-            x = np.where(*clamped, x)
+        if hard and obs is not None and en is None:
+            x = obs.copy()  # every core holds its observation: no Euler step
+        else:
+            x = x_in
+            if gamma != 0:  # BACKSUM and STATE: b is read only by STATE
+                back = state.back_in[s]
+                # a bottom layer has no back inputs: b is +0.0 on every core
+                b = _ascending_sum(back.astype(dtype), axis=0) if len(back) else zero
+                if fprimes[kind] is not None:
+                    b = fprimes[kind](x_eff) * b
+                x = x_in + gamma * (b - eps)
+            if hard and obs is not None:
+                x = np.where(en, obs, x)
+            if x is state.x[s]:
+                x = x.copy()
 
         new_x.append(x)
         new_eps.append(eps)
@@ -195,7 +233,7 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype, f, fprime):
         theta=new_theta,
         states_in=[np.zeros(0, dtype)]
         + [state.x[s].astype(dtype) for s in range(last)],
-        back_in=new_backvec + [np.zeros((0, sizes[last]), dtype)],
+        back_in=new_backvec + [np.zeros((0, len(new_x[last])), dtype)],
     )
 
 
@@ -204,11 +242,20 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype, f, fprime):
 # ---------------------------------------------------------------------------
 
 
+def _state_bytes(state: DenseState) -> list:
+    return [a.tobytes() for name in _FIELDS for a in getattr(state, name)]
+
+
 def compare_to_network(net: Network, state: DenseState) -> Optional[str]:
-    """Bitwise comparison of a network's state against a dense state."""
+    """Bitwise comparison of a network's state, bus latches included,
+    against a dense state: None when all bytes match, else the first
+    differing field, layer by layer. One pass over the bytes decides; the
+    field is looked for only on a mismatch."""
     mine = net.state
+    if _state_bytes(mine) == _state_bytes(state):
+        return None
     for s in range(len(mine.x)):
-        for name in ("x", "eps", "theta"):
+        for name in _FIELDS:
             a, b = getattr(mine, name)[s], getattr(state, name)[s]
             if a.tobytes() != np.asarray(b, dtype=np.float32).tobytes():
                 return f"layer {s} field {name}"
@@ -227,6 +274,7 @@ def run_equivalence_suite(
     """
     rng = np.random.default_rng(seed)
     kinds = list(ACTIVATION_KINDS)
+    dtype, fs, fprimes = _MODES["bit32"]
     total_ticks = 0
     for idx in range(n_nets):
         depth = 2 + idx % 3
@@ -255,10 +303,14 @@ def run_equivalence_suite(
                 ClampSignal(True, float(rng.uniform(-1, 1)))
                 for _ in range(sizes[-1])
             ]
+        # what the oracle reads of this net, converted once: the clamp
+        # arrays, checked, and the binary32 step sizes
+        clamps = _clamp_arrays(sizes, clamp, dtype)
+        av, gv = _binary32("alpha", cfg.alpha), _binary32("gamma", cfg.gamma)
         state = net.snapshot()
         for t in range(n_ticks):
             net.tick(clamp)
-            state = _tick(state, clamp, "bit32", None, None)
+            state = _step(state, clamps, av, gv, dtype, fs, fprimes)
             total_ticks += 1
             bad = compare_to_network(net, state)
             if bad is not None:

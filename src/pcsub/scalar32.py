@@ -141,17 +141,32 @@ def apply_activation_vec(kind: str, x: np.ndarray) -> np.ndarray:
     return ACTIVATIONS_VEC[kind](np.asarray(x, dtype=np.float32))
 
 
+def _relu_derivative_vec(x: np.ndarray) -> np.ndarray:
+    # the comparison writes 1.0/0.0 straight into one new binary32 array;
+    # a NaN compares false, so its f' is 0, as in ``activation_derivative``
+    return np.greater(x, _ZERO, out=np.empty_like(x))
+
+
+def _tanh_derivative_vec(x: np.ndarray) -> np.ndarray:
+    # one math.tanh pass, as in _tanh_vec; each binary64 1 - t*t is rounded
+    # to binary32 once, by np.array
+    return np.array(
+        [1.0 - t * t for t in map(math.tanh, x.tolist())], dtype=np.float32
+    )
+
+
+# kind -> f' of a binary32 vector, into a new array: the vector twin of
+# ``DERIVATIVES``, looked up once by a caller that fixes the kind (the dense
+# oracle step, per layer)
+DERIVATIVES_VEC = {
+    IDENTITY: np.ones_like,
+    RELU: _relu_derivative_vec,
+    TANH: _tanh_derivative_vec,
+}
+
+
 def activation_derivative_vec(kind: str, x: np.ndarray) -> np.ndarray:
     """Vector form, bit-identical per element to ``activation_derivative``."""
-    x = np.asarray(x, dtype=np.float32)
-    if kind == IDENTITY:
-        return np.ones_like(x)
-    if kind == RELU:
-        return np.where(x > 0, _ONE, _ZERO).astype(np.float32)
-    if kind == TANH:
-        # one math.tanh pass, as in apply_activation_vec; each binary64
-        # 1 - t*t is rounded to binary32 once, by np.array
-        return np.array(
-            [1.0 - t * t for t in map(math.tanh, x.tolist())], dtype=np.float32
-        )
-    raise ValueError(f"unknown activation kind: {kind!r}")
+    if kind not in DERIVATIVES_VEC:
+        raise ValueError(f"unknown activation kind: {kind!r}")
+    return DERIVATIVES_VEC[kind](np.asarray(x, dtype=np.float32))

@@ -1,10 +1,11 @@
 """The benchmark runs against this checkout and passes its output checks.
 
 ``bench/run.py`` drives the package through its API (``snapshot``,
-checkpoints, ``DenseState.from_network``, ``oracle_tick``, the CLI). A
-change that breaks one of those calls fails here, not only when the
-benchmark itself is run. ``--seconds 0`` times the minimum number of
-repetitions.
+checkpoints, ``DenseState.from_network``, ``oracle_tick``,
+``run_equivalence_suite``, the CLI). A change that breaks one of those
+calls, the sweep's summary dict or a digest of ``bench/digests.json``
+fails here, not only when the benchmark itself is run. ``--seconds 0``
+times the minimum number of repetitions.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["tick_wide", "exp_tanh_ts"])
+@pytest.mark.parametrize("workload", ["tick_wide", "exp_tanh_ts", "verify"])
 def test_bench_workload_passes_its_checks(workload):
     proc = subprocess.run(
         [

@@ -1,12 +1,20 @@
 """Dense oracle tests: hand cases, bit-exact equivalence, f64 drift bound."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
+from pcsub import oracle
 from pcsub.errors import ConfigurationError
-from pcsub.network import ClampSignal, NetworkConfig, build_network, clamp_layer
+from pcsub.network import (
+    ClampSignal,
+    Network,
+    NetworkConfig,
+    build_network,
+    clamp_layer,
+)
 from pcsub.oracle import (
     DenseState,
     compare_to_network,
@@ -285,6 +293,65 @@ def test_equivalence_suite_small():
     assert result["ok"], result
 
 
+def _flip_low_bit(a):
+    a.view(np.uint32).flat[0] ^= 1
+
+
+def _faulty_engine(monkeypatch, at_call, fault):
+    """Make ``Network._step`` run ``fault(network state)`` after its call
+    number ``at_call`` (from 0) of this test: in the sweep, call
+    ``net * n_ticks + tick``."""
+    step = Network._step
+    calls = itertools.count()
+
+    def faulty(self, *args):
+        report = step(self, *args)
+        if next(calls) == at_call:
+            fault(self.state)
+        return report
+
+    monkeypatch.setattr(Network, "_step", faulty)
+
+
+@pytest.mark.parametrize(
+    "net, tick, layer, field",
+    [
+        (2, 5, 1, "theta"),
+        # net 1 hard-clamps its whole top layer at gamma > 0: no stage reads
+        # the layer's b, so only the latch comparison can see this fault
+        (1, 3, 0, "back_in"),
+        (3, 0, 1, "states_in"),
+    ],
+)
+def test_sweep_names_a_one_bit_engine_fault(monkeypatch, net, tick, layer, field):
+    # the sweep converts each net's clamp and step sizes once; a flipped
+    # bit in one engine array at one tick is still found there, and named
+    n_ticks = 8
+    _faulty_engine(
+        monkeypatch,
+        net * n_ticks + tick,
+        lambda st: _flip_low_bit(getattr(st, field)[layer]),
+    )
+    assert run_equivalence_suite(n_nets=6, n_ticks=n_ticks, seed=5) == {
+        "ok": False,
+        "nets": net + 1,
+        "ticks": net * n_ticks + tick + 1,
+        "mismatch": f"net {net} tick {tick}: layer {layer} field {field}",
+    }
+
+
+@pytest.mark.parametrize("field", ["x", "eps", "theta", "states_in", "back_in"])
+def test_compare_names_the_first_differing_field(field):
+    net = build_network(NetworkConfig(layer_sizes=[2, 3, 2], seed=5))
+    clamp = {0: clamp_layer([0.5, -0.5])}
+    for _ in range(2):
+        net.tick(clamp)
+    state = net.snapshot()
+    assert compare_to_network(net, state) is None
+    _flip_low_bit(getattr(state, field)[1])
+    assert compare_to_network(net, state) == f"layer 1 field {field}"
+
+
 def test_f64_tracks_bit32_within_drift_bound():
     # 50 ticks on [-1,1]-scale nets: binary64 and binary32 evaluations
     # agree to 1e-4 absolute per element
@@ -427,3 +494,62 @@ def test_alpha_zero_keeps_weights_under_nan_error(mode, dtype):
     for s in range(3):
         assert out.theta[s].tobytes() == ds.theta[s].tobytes()
     _assert_mode_dtype(out, dtype)
+
+
+# ---------------------------------------------------------------------------
+# the result owns its arrays
+# ---------------------------------------------------------------------------
+
+OWNERSHIP_CLAMPS = {
+    "unclamped": None,
+    "every_core": {0: clamp_layer([0.5, -0.25]), 2: clamp_layer([0.1, -0.3])},
+    "some_cores": {
+        0: [ClampSignal(True, 0.5), ClampSignal(False, 0.0)],
+        2: [ClampSignal(False, 0.0), ClampSignal(True, -0.3)],
+    },
+}
+
+
+@pytest.mark.parametrize("clamp", OWNERSHIP_CLAMPS.values(), ids=OWNERSHIP_CLAMPS)
+@pytest.mark.parametrize("clamp_hard", [True, False], ids=["hard", "soft"])
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+@pytest.mark.parametrize("alpha", [0.0, 0.01])
+@pytest.mark.parametrize("in_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode,dtype", MODE_DTYPES)
+def test_oracle_tick_result_owns_its_arrays(
+    mode, dtype, in_dtype, alpha, gamma, clamp_hard, clamp
+):
+    # an input that has the mode's dtype is read where it lies: the tick
+    # must still leave its bytes alone and hand back arrays of its own
+    ds = _state_in(in_dtype, alpha=alpha, gamma=gamma, clamp_hard=clamp_hard)
+    before = _state_bytes(ds)
+    out = oracle_tick(ds, clamp, mode=mode)
+    assert _state_bytes(ds) == before
+    _assert_mode_dtype(out, dtype)
+    ins = [a for name in FIELDS for a in getattr(ds, name)]
+    outs = [a for name in FIELDS for a in getattr(out, name)]
+    for o in outs:
+        assert not any(np.shares_memory(o, i) for i in ins)
+    for a, b in itertools.combinations(outs, 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_sweep_states_own_their_arrays(monkeypatch):
+    # the sweep converts a net's clamp once and hands the same arrays to
+    # every tick: no state it makes may take one of them, or an array of
+    # the state it came from, as its own
+    step = oracle._step
+    ticks = []
+
+    def checked(state, clamps, *args):
+        out = step(state, clamps, *args)
+        held = [a for layer in clamps if layer for a in layer if a is not None]
+        held += [a for name in FIELDS for a in getattr(state, name)]
+        for o in (a for name in FIELDS for a in getattr(out, name)):
+            assert not any(np.shares_memory(o, h) for h in held)
+        ticks.append(out)
+        return out
+
+    monkeypatch.setattr(oracle, "_step", checked)
+    assert run_equivalence_suite(n_nets=12, n_ticks=3, seed=5)["ok"]
+    assert len(ticks) == 36

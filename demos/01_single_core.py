@@ -22,7 +22,7 @@ from pcsub.core import (
     stage_state,
     stage_wup,
 )
-from pcsub.scalar32 import apply_activation_vec
+from pcsub.scalar32 import ACTIVATIONS_VEC
 
 # a tanh core in the hidden layer (s = 1) of a relu-tanh-identity net,
 # with 2 presynaptic inputs and 3 incoming back-error products
@@ -36,7 +36,7 @@ print(f"initial: x={x}, theta={theta}")
 # the step sizes arrive from outside, like the start pulse
 alpha, gamma = np.float32(0.1), np.float32(0.05)
 presyn = np.array([2.0, 3.0], dtype=np.float32)  # raw upper-layer states
-presyn_f = apply_activation_vec(cfg.activations[s - 1], presyn)  # relu, per lane
+presyn_f = ACTIVATIONS_VEC[cfg.activations[s - 1]](presyn)  # relu, per lane
 back = np.array([0.1, -0.3, 0.05], dtype=np.float32)  # theta*eps products
 clamp = ClampSignal(x_set_en=False)
 

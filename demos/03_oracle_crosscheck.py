@@ -4,8 +4,8 @@
 The oracle is one dense step over whole layers, in the same pinned
 accumulation order as the cores, run in one of two precisions. In bit32
 mode it computes in binary32 and must match the per-core simulator bit
-for bit. In f64 mode the same code computes in binary64, with f and f'
-evaluated per element in binary64, and bounds the rounding drift instead.
+for bit. In f64 mode the same code, with the same activation tables,
+computes in binary64 and bounds the rounding drift instead.
 """
 
 import numpy as np

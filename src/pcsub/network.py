@@ -79,7 +79,6 @@ from .scalar32 import (
     DERIVATIVES,
     F32,
     IDENTITY,
-    activation64,
     is_finite_f32,
 )
 
@@ -536,14 +535,18 @@ class Network:
 
     def energy(self) -> float:
         """Sum of squared prediction errors, recomputed densely in binary64
-        from the current states and weights (diagnostic only). A NaN or
-        infinite state or weight gives a non-finite energy, not a warning."""
+        from the current states and weights (diagnostic only), with the
+        datapath's activation forms. A NaN state or weight, or an infinite
+        weight, gives a non-finite energy, not a warning; so does an
+        infinite state, except one that is read only through an activation
+        that saturates it: a top-layer state of ±inf under tanh, or of -inf
+        under relu."""
         x, theta = self.state.x, self.state.theta
         total = 0.0
         with np.errstate(all="ignore"):
             for s in range(1, len(x)):
-                kind = self.cfg.activations[s - 1]
-                fx = np.array([activation64(kind, float(v)) for v in x[s - 1]])
+                f = ACTIVATIONS_VEC[self.cfg.activations[s - 1]]
+                fx = f(x[s - 1].astype(np.float64))
                 w = theta[s].astype(np.float64)
                 mu = w[:, :-1] @ fx + w[:, -1]
                 d = x[s].astype(np.float64) - mu

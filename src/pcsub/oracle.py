@@ -1,19 +1,19 @@
 """Dense reference implementation of one network tick.
 
 One step function, two precisions. The mode picks only the dtype the
-tick computes in and the tables its activation f and derivative f' are
-looked up in, by activation kind, once per layer; stage order, summation
-order and the structural no-op rules are the same code in both:
+tick computes in. Stage order, summation order, the structural no-op
+rules and the activation tables are the same code in both: f and f' are
+``scalar32.ACTIVATIONS_VEC`` and ``scalar32.DERIVATIVES_VEC``, looked up
+by activation kind once per layer, and they keep their input's dtype.
 
-* ``bit32`` computes in binary32 with the datapath's vector tables
-  (``scalar32.ACTIVATIONS_VEC`` for f, ``scalar32.DERIVATIVES_VEC`` for
-  f'). Its results match the simulator (``Network.tick``) bit for bit, up
-  to NaN sign and payload: numpy's scalar and array operations pick
-  different operands when both are NaN, so tests compare NaN positions,
-  not NaN bytes.
-* ``f64`` computes in binary64 with f/f' evaluated per element by
-  ``activation64``/``derivative64``; it bounds the simulator's rounding
-  drift rather than its bit pattern.
+* ``bit32`` computes in binary32. Its results match the simulator
+  (``Network.tick``) bit for bit, up to NaN sign and payload: numpy's
+  scalar and array operations pick different operands when both are NaN,
+  so tests compare NaN positions, not NaN bytes.
+* ``f64`` computes in binary64; it bounds the simulator's rounding drift
+  rather than its bit pattern. A NaN in the state propagates as it does
+  in ``bit32``; only a binary32 overflow can make a NaN that ``f64``
+  does not.
 
 Whole layers are array operations, with no Python loop over lanes. The
 two ordered sums (PRED's mu and BACKSUM's b) are prefix sums,
@@ -23,8 +23,8 @@ whose pairwise order changes bits from 8 lanes on. WUP is skipped when
 alpha == 0 and the state step when gamma == 0, so a NaN or infinite
 operand cannot reach a weight or a state through a zero step size. The
 step runs only the stages whose results are read: the bias lane's MAC
-with 1.0 is the bias itself, identity has no f' table entry (its f' * b
-is b), and a layer whose every core is hard-clamped takes its
+with 1.0 is the bias itself, identity's f' is skipped (its f' * b is
+b), and a layer whose every core is hard-clamped takes its
 observations without BACKSUM or an Euler step. The bias update is
 ``(alpha * alpha_bias_scale) * eps``.
 
@@ -76,30 +76,13 @@ from .scalar32 import (
     DERIVATIVES_VEC,
     F32,
     IDENTITY,
-    activation64,
-    derivative64,
 )
 
+# mode -> the dtype the step computes in
+_MODES = {"bit32": np.float32, "f64": np.float64}
 
-def _per_element(fn, kind: str):
-    """Vector form of the binary64 scalar function ``fn`` at one kind."""
-    return lambda x: np.array([fn(kind, v) for v in x.tolist()])
-
-
-# mode -> (dtype, f, f'): f and f' map an activation kind to a function of
-# an array of the mode's dtype, into a new array. Identity has no f': its
-# f' is 1, so STATE's f'(x_eff) * b is b itself.
-_MODES = {
-    "bit32": (np.float32, ACTIVATIONS_VEC, {**DERIVATIVES_VEC, IDENTITY: None}),
-    "f64": (
-        np.float64,
-        {kind: _per_element(activation64, kind) for kind in ACTIVATION_KINDS},
-        {
-            kind: None if kind == IDENTITY else _per_element(derivative64, kind)
-            for kind in ACTIVATION_KINDS
-        },
-    ),
-}
+# the equivalence sweep draws layer widths from 1 to this
+_MAX_WIDTH = 16
 
 _FIELDS = ("x", "eps", "theta", "states_in", "back_in")
 
@@ -130,9 +113,9 @@ def oracle_tick(
         raise ConfigurationError(f"unknown oracle mode: {mode!r}")
     av = _binary32("alpha", state.cfg.alpha if alpha is None else alpha)
     gv = _binary32("gamma", state.cfg.gamma if gamma is None else gamma)
-    dtype, fs, fprimes = _MODES[mode]
+    dtype = _MODES[mode]
     clamps = _clamp_arrays(state.layer_sizes, clamp, dtype)
-    return _step(state, clamps, av, gv, dtype, fs, fprimes)
+    return _step(state, clamps, av, gv, dtype)
 
 
 def _check_shapes(state: DenseState) -> None:
@@ -167,7 +150,7 @@ def _ascending_sum(terms: np.ndarray, axis: int) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # NaN/Inf propagate, as in Network._step
-def _step(state: DenseState, clamps, alpha, gamma, dtype, fs, fprimes):
+def _step(state: DenseState, clamps, alpha, gamma, dtype):
     """One tick of every layer in ``dtype``: PRED, ERR, BACKSUM, BACKVEC,
     WUP and STATE, then the latch rebuild. An operand that has ``dtype``
     already and is only read is used as it is; every array of the result
@@ -195,7 +178,7 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype, fs, fprimes):
         if s == 0:  # a top layer runs no PRED, BACKVEC or WUP
             eps = x_eff - zero
         else:
-            fpre = fs[acts[s - 1]](np.asarray(state.states_in[s], dtype))
+            fpre = ACTIVATIONS_VEC[acts[s - 1]](np.asarray(state.states_in[s], dtype))
             w = theta[:, :-1]
             acc = _ascending_sum(w * fpre, axis=1)
             eps = x_eff - (theta[:, -1] + acc)
@@ -214,8 +197,8 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype, fs, fprimes):
                 back = state.back_in[s]
                 # a bottom layer has no back inputs: b is +0.0 on every core
                 b = _ascending_sum(back.astype(dtype), axis=0) if len(back) else zero
-                if fprimes[kind] is not None:
-                    b = fprimes[kind](x_eff) * b
+                if kind != IDENTITY:  # identity's f' is 1: f' * b is b
+                    b = DERIVATIVES_VEC[kind](x_eff) * b
                 x = x_in + gamma * (b - eps)
             if hard and obs is not None:
                 x = np.where(en, obs, x)
@@ -263,22 +246,22 @@ def compare_to_network(net: Network, state: DenseState) -> Optional[str]:
 
 
 def run_equivalence_suite(
-    n_nets: int = 100, n_ticks: int = 50, seed: int = 12345, max_width: int = 16
+    n_nets: int = 100, n_ticks: int = 50, seed: int = 12345
 ) -> dict:
     """Tick random networks alongside the bit32 oracle and compare bitwise.
 
-    Sweeps layer counts 2..4, widths up to ``max_width``, all activation
+    Sweeps layer counts 2..4, widths 1 to ``_MAX_WIDTH``, all activation
     kinds, alpha in {0, 0.01}, gamma in {0, 0.05}, and no/input/boundary
     clamping. Returns a summary dict; ``ok`` is False on the first
     mismatch, with the failing site recorded under ``mismatch``.
     """
     rng = np.random.default_rng(seed)
     kinds = list(ACTIVATION_KINDS)
-    dtype, fs, fprimes = _MODES["bit32"]
+    dtype = _MODES["bit32"]
     total_ticks = 0
     for idx in range(n_nets):
         depth = 2 + idx % 3
-        sizes = [int(rng.integers(1, max_width + 1)) for _ in range(depth)]
+        sizes = [int(rng.integers(1, _MAX_WIDTH + 1)) for _ in range(depth)]
         acts = [kinds[int(rng.integers(0, 3))] for _ in range(depth)]
         alpha = (0.0, 0.01)[idx % 2]
         gamma = (0.05, 0.0)[(idx // 2) % 2]
@@ -310,7 +293,7 @@ def run_equivalence_suite(
         state = net.snapshot()
         for t in range(n_ticks):
             net.tick(clamp)
-            state = _step(state, clamps, av, gv, dtype, fs, fprimes)
+            state = _step(state, clamps, av, gv, dtype)
             total_ticks += 1
             bad = compare_to_network(net, state)
             if bad is not None:

@@ -13,6 +13,12 @@ than a fused single rounding, so the same sequence is reproducible in
 any language. tanh is evaluated by the platform's binary64 ``math.tanh``
 and then rounded once to binary32; this is the reference nonlinearity
 (a synthesizable approximation would replace it wholesale).
+
+Each activation's f and f' is written twice: once as a function of a
+binary32 scalar, for the per-core reference, and once as a vector form,
+in ``ACTIVATIONS_VEC`` and ``DERIVATIVES_VEC``. The vector forms keep
+their input's dtype, so the same entry serves the binary32 datapath and
+the binary64 oracle mode and energy.
 """
 
 from __future__ import annotations
@@ -91,42 +97,19 @@ def activation_derivative(kind: str, x) -> np.float32:
     return DERIVATIVES[kind](x if type(x) is F32 else F32(x))
 
 
-def activation64(kind: str, x: float) -> float:
-    """Binary64 twin of ``apply_activation`` for oracles and teachers."""
-    if kind == IDENTITY:
-        return float(x)
-    if kind == RELU:
-        return float(x) if x > 0.0 else 0.0
-    if kind == TANH:
-        return math.tanh(float(x))
-    raise ValueError(f"unknown activation kind: {kind!r}")
-
-
-def derivative64(kind: str, x: float) -> float:
-    """Binary64 twin of ``activation_derivative``."""
-    if kind == IDENTITY:
-        return 1.0
-    if kind == RELU:
-        return 1.0 if x > 0.0 else 0.0
-    if kind == TANH:
-        t = math.tanh(float(x))
-        return 1.0 - t * t
-    raise ValueError(f"unknown activation kind: {kind!r}")
-
-
 def _relu_vec(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, _ZERO)
+    return np.maximum(x, _ZERO)  # keeps x's dtype; NaN propagates
 
 
 def _tanh_vec(x: np.ndarray) -> np.ndarray:
     # scalar math.tanh per element: immune to SIMD libm divergence; the
-    # binary64 results are rounded to binary32 once, by np.array
-    return np.array([math.tanh(v) for v in x.tolist()], dtype=np.float32)
+    # binary64 results are rounded to x's dtype once, by np.array
+    return np.array([math.tanh(v) for v in x.tolist()], dtype=x.dtype)
 
 
-# kind -> f of a binary32 vector, into a new array: ``apply_activation_vec``
-# with the kind looked up once, by a caller that fixes it (the engine, per
-# layer)
+# kind -> f of a vector, into a new array of its dtype: per element,
+# ``apply_activation`` for a binary32 vector and its binary64 equation for
+# a binary64 one. Looked up once per layer, by a caller that fixes the kind.
 ACTIVATIONS_VEC = {
     IDENTITY: np.ndarray.copy,
     RELU: _relu_vec,
@@ -134,39 +117,24 @@ ACTIVATIONS_VEC = {
 }
 
 
-def apply_activation_vec(kind: str, x: np.ndarray) -> np.ndarray:
-    """Vector form, bit-identical per element to ``apply_activation``."""
-    if kind not in ACTIVATIONS_VEC:
-        raise ValueError(f"unknown activation kind: {kind!r}")
-    return ACTIVATIONS_VEC[kind](np.asarray(x, dtype=np.float32))
-
-
 def _relu_derivative_vec(x: np.ndarray) -> np.ndarray:
-    # the comparison writes 1.0/0.0 straight into one new binary32 array;
-    # a NaN compares false, so its f' is 0, as in ``activation_derivative``
+    # the comparison writes 1.0/0.0 straight into one new array of x's
+    # dtype; a NaN compares false, so its f' is 0, as in
+    # ``activation_derivative``
     return np.greater(x, _ZERO, out=np.empty_like(x))
 
 
 def _tanh_derivative_vec(x: np.ndarray) -> np.ndarray:
     # one math.tanh pass, as in _tanh_vec; each binary64 1 - t*t is rounded
-    # to binary32 once, by np.array
-    return np.array(
-        [1.0 - t * t for t in map(math.tanh, x.tolist())], dtype=np.float32
-    )
+    # to x's dtype once, by np.array
+    return np.array([1.0 - t * t for t in map(math.tanh, x.tolist())], dtype=x.dtype)
 
 
-# kind -> f' of a binary32 vector, into a new array: the vector twin of
-# ``DERIVATIVES``, looked up once by a caller that fixes the kind (the dense
-# oracle step, per layer)
+# kind -> f' of a vector, into a new array of its dtype: the vector twin of
+# ``DERIVATIVES``, in either precision as ``ACTIVATIONS_VEC`` is. Identity's
+# f' is 1 everywhere; a caller may skip it, since f' * b is then b.
 DERIVATIVES_VEC = {
     IDENTITY: np.ones_like,
     RELU: _relu_derivative_vec,
     TANH: _tanh_derivative_vec,
 }
-
-
-def activation_derivative_vec(kind: str, x: np.ndarray) -> np.ndarray:
-    """Vector form, bit-identical per element to ``activation_derivative``."""
-    if kind not in DERIVATIVES_VEC:
-        raise ValueError(f"unknown activation kind: {kind!r}")
-    return DERIVATIVES_VEC[kind](np.asarray(x, dtype=np.float32))

@@ -2,19 +2,40 @@
 
 These deliberately do not import the core's stage functions; they mirror
 the documented accumulation order independently so that agreement means
-something.
+something. The binary64 activation equations are this module's own; the
+package has no binary64 scalar activation.
 """
+
+import math
 
 import numpy as np
 
-from pcsub.scalar32 import (
-    activation_derivative,
-    activation64,
-    apply_activation,
-    derivative64,
-)
+from pcsub.scalar32 import activation_derivative, apply_activation
 
 F32 = np.float32
+
+
+def activation64(kind: str, x: float) -> float:
+    """The activation f in binary64."""
+    if kind == "identity":
+        return float(x)
+    if kind == "relu":
+        return float(x) if x > 0.0 else 0.0
+    if kind == "tanh":
+        return math.tanh(float(x))
+    raise ValueError(f"unknown activation kind: {kind!r}")
+
+
+def derivative64(kind: str, x: float) -> float:
+    """The activation's derivative f' in binary64; relu's is 0 at 0."""
+    if kind == "identity":
+        return 1.0
+    if kind == "relu":
+        return 1.0 if x > 0.0 else 0.0
+    if kind == "tanh":
+        t = math.tanh(float(x))
+        return 1.0 - t * t
+    raise ValueError(f"unknown activation kind: {kind!r}")
 
 
 def reference_f64(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):

@@ -28,7 +28,7 @@ from pcsub.network import (
 )
 from pcsub.oracle import run_equivalence_suite
 from pcsub.prng import Prng
-from pcsub.scalar32 import apply_activation_vec
+from pcsub.scalar32 import ACTIVATIONS_VEC
 
 from refimpl import check_state_gradient, check_weight_gradient, reference_bit32
 
@@ -114,7 +114,7 @@ def test_criterion_4_clamp_semantics():
             alpha, gamma = F32(0.01), F32(0.1)
             theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
             presyn = rng.uniform(-1, 1, n).astype(np.float32)
-            presyn_f = apply_activation_vec(presyn_kind, presyn)
+            presyn_f = ACTIVATIONS_VEC[presyn_kind](presyn)
             back = rng.uniform(-1, 1, m).astype(np.float32)
             x0 = float(rng.uniform(-1, 1))
             obs = float(rng.uniform(-1, 1))

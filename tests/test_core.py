@@ -24,7 +24,7 @@ from pcsub.core import (
     stage_wup,
 )
 from pcsub.network import NO_CLAMP, ClampSignal, NetworkConfig, tick_cycles
-from pcsub.scalar32 import apply_activation_vec
+from pcsub.scalar32 import ACTIVATIONS_VEC
 
 from refimpl import (
     check_state_gradient,
@@ -75,7 +75,7 @@ def test_effective_state():
 
 
 def test_stage_pred_derived():
-    presyn_f = apply_activation_vec("relu", f32s(2.0, 3.0))
+    presyn_f = ACTIVATIONS_VEC["relu"](f32s(2.0, 3.0))
     mu = stage_pred(f32s(0.5, -1.0, 0.25), presyn_f)
     # binary64 reference: 0.5*2 - 1*3 + 0.25 (exact in binary32)
     assert mu == F32(-1.75)
@@ -256,7 +256,7 @@ class Case(NamedTuple):
 
     def tick(self, **change):
         c = self._replace(**change)
-        presyn_f = apply_activation_vec(c.cfg.activations[LOWER - 1], c.presyn)
+        presyn_f = ACTIVATIONS_VEC[c.cfg.activations[LOWER - 1]](c.presyn)
         return core_tick(
             c.cfg, LOWER, c.x, c.theta, c.alpha, c.gamma, presyn_f, c.back,
             c.clamp,

@@ -25,7 +25,9 @@ from pcsub.network import (
 )
 from pcsub.oracle import DenseState, oracle_tick
 from pcsub.prng import Prng
-from pcsub.scalar32 import ACTIVATION_KINDS, activation64, apply_activation_vec
+from pcsub.scalar32 import ACTIVATION_KINDS, ACTIVATIONS_VEC
+
+from refimpl import activation64
 
 F32 = np.float32
 
@@ -477,7 +479,7 @@ def _tick_bottom_up_reversed(net, clamp):
     for s in reversed(range(len(sizes))):
         n = sizes[s]
         kind = cfg.activations[s - 1] if s else "identity"
-        presyn_f = apply_activation_vec(kind, st.states_in[s])
+        presyn_f = ACTIVATIONS_VEC[kind](st.states_in[s])
         signals = clamp.get(s)
         x, eps, rows = [None] * n, [None] * n, [None] * n
         with np.errstate(all="ignore"):  # as in Network.tick
@@ -639,6 +641,26 @@ def test_energy_of_diverged_network_is_non_finite_without_warning():
     net.state.x[1] = np.array([np.nan, 0.0, 0.0], dtype=np.float32)
     net.state.theta[1][0, 1] = F32("inf")
     assert not np.isfinite(net.energy())
+
+
+@pytest.mark.parametrize(
+    "kind,top,finite",
+    [
+        ("relu", np.nan, False),  # f propagates a NaN
+        ("tanh", np.nan, False),
+        ("relu", np.inf, False),  # f passes an infinity on
+        ("identity", -np.inf, False),
+        ("relu", -np.inf, True),  # f saturates an infinity
+        ("tanh", np.inf, True),
+        ("tanh", -np.inf, True),
+    ],
+)
+def test_energy_non_finite_rule(kind, top, finite):
+    # a top-layer state is read only through f; pytest.ini turns a
+    # RuntimeWarning into an error
+    net = mknet([2, 3], seed=3, activations=[kind, "identity"])
+    net.state.x[0] = np.array([top, 0.5], dtype=np.float32)
+    assert np.isfinite(net.energy()) == finite
 
 
 def test_energy_descends_when_clamped_alpha_zero():

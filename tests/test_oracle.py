@@ -376,6 +376,28 @@ def test_f64_tracks_bit32_within_drift_bound():
             assert np.allclose(ds32.eps[s], ds64.eps[s], atol=1e-4)
 
 
+@pytest.mark.parametrize("alpha,gamma", [(0.0, 0.0), (0.01, 0.05)])
+@pytest.mark.parametrize("kind", ["identity", "relu", "tanh"])
+def test_f64_puts_nan_where_bit32_does(kind, alpha, gamma):
+    # a NaN presynaptic state reaches the same x and eps positions in both
+    # precisions: every kind's f propagates it, relu's included
+    cfg = NetworkConfig(
+        layer_sizes=[2, 3, 2], activations=[kind, kind, "identity"],
+        alpha=alpha, gamma=gamma, seed=11,
+    )
+    ds32 = build_network(cfg).snapshot()
+    ds32.states_in[1][0] = np.nan
+    ds64 = ds32
+    for t in range(3):
+        ds32 = oracle_tick(ds32, mode="bit32")
+        ds64 = oracle_tick(ds64, mode="f64")
+        if t == 0:
+            assert np.isnan(ds32.eps[1]).all()
+        for name in ("x", "eps"):
+            for a, b in zip(getattr(ds32, name), getattr(ds64, name)):
+                assert np.array_equal(np.isnan(a), np.isnan(b)), (t, name)
+
+
 # ---------------------------------------------------------------------------
 # lane order of the ordered sums
 # ---------------------------------------------------------------------------

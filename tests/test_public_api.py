@@ -118,3 +118,16 @@ def test_engine_and_oracle_do_not_import_the_per_core_reference():
     for name in ("network.py", "oracle.py"):
         imported = _imported_modules(PACKAGE / name)
         assert "pcsub.core" not in imported, name
+
+
+def test_reference_imports_no_binary64_or_vector_activation():
+    # tests/refimpl.py writes its binary64 equations itself: of the
+    # package's activations it may read only the binary32 scalar ones
+    imported = _imported_modules(ROOT / "tests" / "refimpl.py")
+    names = {n.rpartition(".")[2] for n in imported if n.startswith("pcsub.")}
+    shared = {"ACTIVATIONS_VEC", "DERIVATIVES_VEC", "activation64", "derivative64"}
+    assert not names & shared, names & shared
+    from_scalar32 = {
+        n.rpartition(".")[2] for n in imported if n.startswith("pcsub.scalar32.")
+    }
+    assert from_scalar32 <= {"apply_activation", "activation_derivative"}, from_scalar32

@@ -11,13 +11,15 @@ from pcsub.core import core_tick, stage_pred
 from pcsub.network import DenseState, NetworkConfig
 from pcsub.oracle import oracle_tick
 from pcsub.scalar32 import (
-    activation64,
+    ACTIVATION_KINDS,
+    ACTIVATIONS_VEC,
+    DERIVATIVES_VEC,
     activation_derivative,
-    activation_derivative_vec,
     apply_activation,
-    apply_activation_vec,
     is_finite_f32,
 )
+
+from refimpl import activation64, derivative64
 
 F32 = np.float32
 
@@ -136,17 +138,38 @@ def test_derivative_matches_finite_difference(kind):
         checked += 1
 
 
+def _vector_inputs(dtype):
+    """Finite values in [-3, 3] and the special ones, in ``dtype``."""
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, tiny, -tiny, 3.4e38, -3.4e38]
+    if dtype == np.float64:
+        special += [5e-324, -5e-324, 1e308, -1e308]
+    xs = np.random.default_rng(3).uniform(-3, 3, size=64)
+    return np.concatenate([np.array(special), xs]).astype(dtype)
+
+
 def test_vector_forms_match_scalar_bitwise():
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(-3, 3, size=64).astype(np.float32)
-    xs[0] = 0.0
-    xs[1] = -0.0
-    for kind in ("identity", "relu", "tanh"):
-        va = apply_activation_vec(kind, xs)
-        vd = activation_derivative_vec(kind, xs)
-        for i, x in enumerate(xs):
-            assert va[i].tobytes() == apply_activation(kind, x).tobytes()
-            assert vd[i].tobytes() == activation_derivative(kind, x).tobytes()
+    xs32, xs64 = _vector_inputs(np.float32), _vector_inputs(np.float64)
+    for kind in ACTIVATION_KINDS:
+        f, fprime = ACTIVATIONS_VEC[kind], DERIVATIVES_VEC[kind]
+        va, vd = f(xs32), fprime(xs32)
+        assert va.dtype == vd.dtype == np.float32
+        for i, x in enumerate(xs32):
+            assert va[i].tobytes() == apply_activation(kind, x).tobytes(), x
+            assert vd[i].tobytes() == activation_derivative(kind, x).tobytes(), x
+        # binary64 keeps its dtype and follows the binary64 equations, but
+        # for f of a NaN: NaN here, where the equations' relu gives 0.0
+        va, vd = f(xs64), fprime(xs64)
+        assert va.dtype == vd.dtype == np.float64
+        for i, x in enumerate(xs64.tolist()):
+            want = math.nan if math.isnan(x) else activation64(kind, x)
+            assert _same_value(va[i], want), (kind, x)
+            assert _same_value(vd[i], derivative64(kind, x)), (kind, x)
+
+
+def _same_value(a, b) -> bool:
+    """Equal, or both NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def _numpy_finite_f32(v) -> bool:

@@ -4,8 +4,9 @@ Per-neuron cores run a fixed six-stage schedule (predict, error,
 back-sum, back-emit, weight update, state update) in IEEE-754 binary32,
 communicate only with adjacent layers through registered buses, and
 learn supervised tasks purely through boundary clamping. A dense
-reference oracle reproduces the tick bit-for-bit, and the harness
-reproduces teacher-student learning curves as CSV.
+reference oracle reproduces the tick bit-for-bit, up to NaN sign and
+payload, and the harness reproduces teacher-student learning curves as
+CSV.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -33,7 +34,7 @@ from .network import (
 )
 from .oracle import oracle_tick, run_equivalence_suite
 from .prng import Prng
-from .scalar32 import ACTIVATION_KINDS, activation_derivative, apply_activation
+from .scalar32 import ACTIVATION_KINDS
 
 __version__ = "0.1.0"
 
@@ -54,8 +55,6 @@ __all__ = [
     "TeacherSpec",
     "TickReport",
     "TrainProtocol",
-    "activation_derivative",
-    "apply_activation",
     "build_network",
     "clamp_layer",
     "core_tick",

@@ -21,11 +21,12 @@ below, and its clamp signal. It returns the new x and eps and the BACKVEC
 products, and WUP updates theta in place. The bottom-up sum b is written
 by BACKSUM and read by STATE in the same tick, so it is not stored.
 
-Of the layer's ``NetworkConfig`` it reads ``activations[s]`` (f' in
-STATE), ``clamp_hard``, ``bias_frozen`` and ``alpha_bias_scale``, which
-it rounds to binary32 as the engine does. A core with s == 0 is a top
-core. N and M are the lengths of the row and the back column it is
-handed, so any (N, M) can be ticked, whatever the config's layer sizes.
+Of the layer's ``NetworkConfig`` it reads ``activations[s]`` (STATE's
+f', from ``scalar32.DERIVATIVES``), ``clamp_hard``, ``bias_frozen`` and
+``alpha_bias_scale``, which it rounds to binary32 as the engine does. A
+core with s == 0 is a top core. N and M are the lengths of the row and
+the back column it is handed, so any (N, M) can be ticked, whatever the
+config's layer sizes.
 
 All arithmetic is binary32 (see ``scalar32``). Every stage operand is
 already binary32: a value is rounded once, where it enters the datapath
@@ -64,7 +65,7 @@ from __future__ import annotations
 import numpy as np
 
 from .network import NO_CLAMP, ClampSignal, NetworkConfig
-from .scalar32 import F32, activation_derivative
+from .scalar32 import DERIVATIVES, F32
 
 _ZERO = F32(0.0)
 _ONE = F32(1.0)
@@ -123,7 +124,7 @@ def stage_state(
         return x_eff
     if gamma == _ZERO:
         return x
-    fprime = activation_derivative(cfg.activations[s], x_eff)
+    fprime = DERIVATIVES[cfg.activations[s]](x_eff)
     return x + gamma * (fprime * b - eps)
 
 

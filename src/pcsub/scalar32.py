@@ -14,11 +14,14 @@ any language. tanh is evaluated by the platform's binary64 ``math.tanh``
 and then rounded once to binary32; this is the reference nonlinearity
 (a synthesizable approximation would replace it wholesale).
 
-Each activation's f and f' is written twice: once as a function of a
-binary32 scalar, for the per-core reference, and once as a vector form,
-in ``ACTIVATIONS_VEC`` and ``DERIVATIVES_VEC``. The vector forms keep
-their input's dtype, so the same entry serves the binary32 datapath and
-the binary64 oracle mode and energy.
+Code reaches f and f' only through per-kind tables, looked up once by a
+caller that fixes the kind. Each activation's f is written once, as a
+vector form in ``ACTIVATIONS_VEC``. Its f' is written twice: as a
+function of one binary32 operand in ``DERIVATIVES``, for the STATE stage
+that the engine and ``core`` run core by core, and as a vector form in
+``DERIVATIVES_VEC``. The vector forms keep their input's dtype, so the
+same entry serves the binary32 datapath and the binary64 oracle mode and
+energy.
 """
 
 from __future__ import annotations
@@ -50,18 +53,6 @@ def is_finite_f32(value) -> bool:
     return abs(float(value)) < _F32_OVERFLOW
 
 
-def apply_activation(kind: str, x) -> np.float32:
-    """Elementwise activation, result rounded to binary32."""
-    x = F32(x)
-    if kind == IDENTITY:
-        return x
-    if kind == RELU:
-        return np.maximum(x, _ZERO)  # NaN propagates
-    if kind == TANH:
-        return F32(math.tanh(float(x)))
-    raise ValueError(f"unknown activation kind: {kind!r}")
-
-
 def _identity_derivative(x: np.float32) -> np.float32:
     return _ONE
 
@@ -75,26 +66,14 @@ def _tanh_derivative(x: np.float32) -> np.float32:
     return F32(1.0 - t * t)
 
 
-# kind -> f' of a binary32 operand: ``activation_derivative`` with the kind
-# looked up once, by a caller that fixes it (the engine, per layer)
+# kind -> f' of a binary32 operand, rounded to binary32: relu's is the
+# subgradient 0 at exactly 0 (and 0 at NaN), tanh's is 1 - tanh(x)^2 in
+# binary64 with one final rounding
 DERIVATIVES = {
     IDENTITY: _identity_derivative,
     RELU: _relu_derivative,
     TANH: _tanh_derivative,
 }
-
-
-def activation_derivative(kind: str, x) -> np.float32:
-    """Derivative of ``apply_activation`` at x, rounded to binary32.
-
-    relu uses the subgradient 0 at exactly x == 0 (fixed for determinism);
-    tanh computes 1 - tanh(x)^2 in binary64 with a single final rounding.
-    A binary32 ``x`` (every datapath operand) is used as is; anything else
-    is rounded to binary32 first.
-    """
-    if kind not in DERIVATIVES:
-        raise ValueError(f"unknown activation kind: {kind!r}")
-    return DERIVATIVES[kind](x if type(x) is F32 else F32(x))
 
 
 def _relu_vec(x: np.ndarray) -> np.ndarray:
@@ -107,9 +86,9 @@ def _tanh_vec(x: np.ndarray) -> np.ndarray:
     return np.array([math.tanh(v) for v in x.tolist()], dtype=x.dtype)
 
 
-# kind -> f of a vector, into a new array of its dtype: per element,
-# ``apply_activation`` for a binary32 vector and its binary64 equation for
-# a binary64 one. Looked up once per layer, by a caller that fixes the kind.
+# kind -> f of a vector, into a new array of its dtype: identity copies,
+# relu keeps a NaN and gives +0.0 for -0.0 and negatives, tanh is binary64
+# math.tanh rounded once. Looked up once per layer.
 ACTIVATIONS_VEC = {
     IDENTITY: np.ndarray.copy,
     RELU: _relu_vec,
@@ -119,8 +98,7 @@ ACTIVATIONS_VEC = {
 
 def _relu_derivative_vec(x: np.ndarray) -> np.ndarray:
     # the comparison writes 1.0/0.0 straight into one new array of x's
-    # dtype; a NaN compares false, so its f' is 0, as in
-    # ``activation_derivative``
+    # dtype; a NaN compares false, so its f' is 0, as in ``DERIVATIVES``
     return np.greater(x, _ZERO, out=np.empty_like(x))
 
 

@@ -1,26 +1,26 @@
 """Shared test references: binary64 equations and a second binary32 path.
 
-These deliberately do not import the core's stage functions; they mirror
-the documented accumulation order independently so that agreement means
-something. The binary64 activation equations are this module's own; the
-package has no binary64 scalar activation.
+These deliberately do not import the core's stage functions or the
+package's activation tables; they mirror the documented accumulation
+order independently so that agreement means something. The activation
+equations are this module's own, in binary64, and its binary32 f and f'
+are those equations rounded once.
 """
 
 import math
 
 import numpy as np
 
-from pcsub.scalar32 import activation_derivative, apply_activation
-
 F32 = np.float32
 
 
 def activation64(kind: str, x: float) -> float:
-    """The activation f in binary64."""
+    """The activation f in binary64; relu passes a NaN on and gives +0.0
+    for -0.0 and negatives, as the datapath does."""
     if kind == "identity":
         return float(x)
     if kind == "relu":
-        return float(x) if x > 0.0 else 0.0
+        return float(x) if x > 0.0 or math.isnan(x) else 0.0
     if kind == "tanh":
         return math.tanh(float(x))
     raise ValueError(f"unknown activation kind: {kind!r}")
@@ -36,6 +36,18 @@ def derivative64(kind: str, x: float) -> float:
         t = math.tanh(float(x))
         return 1.0 - t * t
     raise ValueError(f"unknown activation kind: {kind!r}")
+
+
+def activation32(kind: str, x) -> np.float32:
+    """The activation f of a binary32 operand: its binary64 equation,
+    rounded once."""
+    return F32(activation64(kind, x))
+
+
+def derivative32(kind: str, x) -> np.float32:
+    """The derivative f' of a binary32 operand: its binary64 equation,
+    rounded once."""
+    return F32(derivative64(kind, x))
 
 
 def reference_f64(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
@@ -83,7 +95,7 @@ def reference_bit32(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
     x_eff = F32(clamp.x_obs) if clamp.x_set_en else x
     mu = F32(0.0)
     if s > 0:
-        fpre = [apply_activation(cfg.activations[s - 1], v) for v in presyn]
+        fpre = [activation32(cfg.activations[s - 1], v) for v in presyn]
         for j in range(n):
             mu = F32(F32(theta[j] * fpre[j]) + mu)
         mu = F32(F32(theta[n] * F32(1.0)) + mu)
@@ -104,7 +116,7 @@ def reference_bit32(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
     elif gamma == 0:
         x_new = x
     else:
-        fp = activation_derivative(cfg.activations[s], x_eff)
+        fp = derivative32(cfg.activations[s], x_eff)
         x_new = F32(x + F32(gamma * F32(F32(fp * b) - eps)))
     return x_new, theta_new, eps
 
@@ -190,7 +202,7 @@ def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
         x = float(rng.uniform(-1, 1))
         cfg = NetworkConfig((1, 1))  # the core is in layer 1
         theta_new = theta.copy()
-        presyn_f = np.array([apply_activation(kind, v) for v in presyn])
+        presyn_f = np.array([activation32(kind, v) for v in presyn])
         core_tick(
             cfg, 1, F32(x), theta_new, F32(alpha), F32(0.0), presyn_f,
             np.zeros(0, np.float32),

@@ -1,6 +1,7 @@
 """Network composition, tick scheduling, buses, energy, determinism."""
 
 import dataclasses
+import tempfile
 import threading
 import warnings
 from collections import OrderedDict
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from pcsub import core
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
@@ -25,9 +27,9 @@ from pcsub.network import (
 )
 from pcsub.oracle import DenseState, oracle_tick
 from pcsub.prng import Prng
-from pcsub.scalar32 import ACTIVATION_KINDS, ACTIVATIONS_VEC
+from pcsub.scalar32 import ACTIVATION_KINDS
 
-from refimpl import activation64
+from refimpl import activation32, activation64
 
 F32 = np.float32
 
@@ -187,6 +189,9 @@ def test_snapshot_alpha_zero_preserves_weights():
     after = net.snapshot()
     for wa, wb in zip(before.theta, after.theta):
         assert wa.tobytes() == wb.tobytes()
+
+
+FIELDS = ("x", "eps", "theta", "states_in", "back_in")
 
 
 def _snapshot_bytes(net) -> list:
@@ -355,7 +360,7 @@ def _assert_matches_oracle(net, state, where) -> None:
     """x, eps, theta and both latches equal the oracle's bit for bit,
     NaN payloads aside."""
     snap = net.snapshot()
-    for field in ("x", "eps", "theta", "states_in", "back_in"):
+    for field in FIELDS:
         for s, (a, b) in enumerate(zip(getattr(snap, field), getattr(state, field))):
             assert _same_bits_but_nan_payload(a, b), (where, field, s)
 
@@ -396,13 +401,13 @@ _obs = st.one_of(
 
 
 @st.composite
-def _tick_cases(draw):
+def _configs(draw):
     depth = draw(st.integers(2, 4))
     sizes = draw(st.lists(st.integers(1, 6), min_size=depth, max_size=depth))
     acts = draw(
         st.lists(st.sampled_from(ACTIVATION_KINDS), min_size=depth, max_size=depth)
     )
-    cfg = NetworkConfig(
+    return NetworkConfig(
         layer_sizes=sizes,
         activations=acts,
         alpha=draw(st.sampled_from(STEP_CORNERS)),
@@ -410,11 +415,21 @@ def _tick_cases(draw):
         clamp_hard=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
+
+
+@st.composite
+def _clamps(draw, sizes):
     clamp = {}
     for s, n in enumerate(sizes):
         if draw(st.booleans()):
             clamp[s] = [ClampSignal(draw(st.booleans()), draw(_obs)) for _ in range(n)]
-    return cfg, clamp, draw(st.integers(1, 6))
+    return clamp
+
+
+@st.composite
+def _tick_cases(draw):
+    cfg = draw(_configs())
+    return cfg, draw(_clamps(cfg.layer_sizes)), draw(st.integers(1, 6))
 
 
 @given(case=_tick_cases())
@@ -450,7 +465,7 @@ def test_wide_net_matches_oracle_bytes():
         net.tick(clamp, alpha=alpha)
         state = oracle_tick(state, clamp, mode="bit32", alpha=alpha)
         snap = net.snapshot()
-        for field in ("x", "eps", "theta", "states_in", "back_in"):
+        for field in FIELDS:
             pairs = zip(getattr(snap, field), getattr(state, field))
             for s, (a, b) in enumerate(pairs):
                 assert a.tobytes() == b.tobytes(), (t, field, s)
@@ -467,19 +482,23 @@ def _run_ticks(net, n, clamp):
     return net.snapshot()
 
 
-def _tick_bottom_up_reversed(net, clamp):
-    """The per-core reference tick: the layers bottom-up and the cores of
-    each layer last-to-first, each a stateless ``core_tick`` on row i of
-    its layer's arrays against the same latches, then the bus swap."""
-    st = net.state
-    cfg = net.cfg
-    alpha, gamma = F32(cfg.alpha), F32(cfg.gamma)
+def _tick_bottom_up_reversed(st, clamp, alpha=None, gamma=None):
+    """The per-core reference tick of the ``DenseState`` ``st``, in place:
+    the layers bottom-up and the cores of each layer last-to-first, each a
+    stateless ``core_tick`` on row i of its layer's arrays against the same
+    latches, then the bus swap. f(presyn) is the reference's own binary32
+    f; ``alpha``/``gamma`` override the configured step sizes."""
+    cfg = st.cfg
+    alpha = F32(cfg.alpha if alpha is None else alpha)
+    gamma = F32(cfg.gamma if gamma is None else gamma)
     sizes = cfg.layer_sizes
     new = {}
     for s in reversed(range(len(sizes))):
         n = sizes[s]
         kind = cfg.activations[s - 1] if s else "identity"
-        presyn_f = ACTIVATIONS_VEC[kind](st.states_in[s])
+        presyn_f = np.array(
+            [activation32(kind, v) for v in st.states_in[s]], dtype=np.float32
+        )
         signals = clamp.get(s)
         x, eps, rows = [None] * n, [None] * n, [None] * n
         with np.errstate(all="ignore"):  # as in Network.tick
@@ -506,9 +525,9 @@ def test_core_order_does_not_matter():
     a = _run_ticks(mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 20, clamp)
     net = mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1)
     for _ in range(20):
-        _tick_bottom_up_reversed(net, clamp)
+        _tick_bottom_up_reversed(net.state, clamp)
     b = net.snapshot()
-    for field in ("x", "eps", "theta", "states_in", "back_in"):
+    for field in FIELDS:
         for fa, fb in zip(getattr(a, field), getattr(b, field)):
             assert fa.tobytes() == fb.tobytes(), field
 
@@ -532,12 +551,86 @@ def test_engine_matches_per_core_reference(case):
         warnings.simplefilter("error")
         for t in range(n_ticks):
             engine.tick(clamp)
-            _tick_bottom_up_reversed(reference, clamp)
+            _tick_bottom_up_reversed(reference.state, clamp)
             a, b = engine.snapshot(), reference.snapshot()
-            for field in ("x", "eps", "theta", "states_in", "back_in"):
+            for field in FIELDS:
                 pairs = zip(getattr(a, field), getattr(b, field))
                 for s, (fa, fb) in enumerate(pairs):
                     assert _same_bits_but_nan_payload(fa, fb), (t, field, s)
+
+
+_STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
+
+
+class NetworkMachine(RuleBasedStateMachine):
+    """The ``Network`` API, call after call, against a ``DenseState`` model
+    that the test keeps itself: the model ticks by ``core_tick`` and is
+    zeroed by the test's own code, never by a ``Network`` method."""
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.TemporaryDirectory()
+        self.held = []  # snapshots the test has written into
+
+    @initialize(cfg=_configs())
+    def build(self, cfg):
+        self.net = build_network(cfg)
+        self.model = self.net.snapshot()
+
+    def _zero(self, *fields):
+        for name in fields:
+            arrays = getattr(self.model, name)
+            setattr(self.model, name, [np.zeros(a.shape, np.float32) for a in arrays])
+
+    @rule(data=st.data(), alpha=_STEP_OVERRIDES, gamma=_STEP_OVERRIDES)
+    def tick(self, data, alpha, gamma):
+        clamp = data.draw(_clamps(self.net.cfg.layer_sizes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.net.tick(clamp, alpha=alpha, gamma=gamma)
+        _tick_bottom_up_reversed(self.model, clamp, alpha, gamma)
+
+    @rule()
+    def reset_states(self):
+        self.net.reset_states()
+        self._zero("x", "eps", "states_in", "back_in")
+
+    @rule()
+    def checkpoint_round_trip(self):
+        path = f"{self.tmp.name}/net.ckpt"
+        save_checkpoint(self.net, path)
+        self.net = load_checkpoint(path, self.net.cfg)
+        self._zero("eps", "states_in", "back_in")  # x and theta are kept
+
+    @rule()
+    def write_into_snapshot(self):
+        snap = self.net.snapshot()
+        for name in FIELDS:
+            for a in getattr(snap, name):
+                a[...] = F32(-0.375)
+        self.held.append(snap)
+
+    @invariant()
+    def state_matches_model_and_owns_its_arrays(self):
+        state = self.net.state
+        for name in FIELDS:
+            pairs = zip(getattr(state, name), getattr(self.model, name), strict=True)
+            for s, (a, b) in enumerate(pairs):
+                assert _same_bits_but_nan_payload(a, b), (name, s)
+        own = [a for name in FIELDS for a in getattr(state, name)]
+        for snap in self.held:
+            for name in FIELDS:
+                for b in getattr(snap, name):
+                    assert not any(np.shares_memory(a, b) for a in own), name
+
+    def teardown(self):
+        self.tmp.cleanup()
+
+
+TestNetworkMachine = NetworkMachine.TestCase
+TestNetworkMachine.settings = settings(
+    max_examples=40, stateful_step_count=20, deadline=None
+)
 
 
 def test_clamp_rounds_overflow_and_nan_without_warning():

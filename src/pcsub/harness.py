@@ -299,12 +299,17 @@ def write_curve_csv(curve: LearningCurve, path) -> None:
 def run_config(cfg: ConfigFile, csv_path) -> LearningCurve:
     """Train a new network as ``cfg`` says on its teacher's dataset and write
     the curve to ``csv_path``: the one path from a config to a curve, taken
-    by ``pcsub run``, ``pcsub experiment`` and ``run_experiment``. A path
-    that cannot be written fails here, before the network trains."""
+    by ``pcsub run``, ``pcsub experiment`` and ``run_experiment``. The
+    network config and the protocol are checked first, so a rejected value
+    (a seed that ``dataclasses.replace`` set unchecked) leaves no directory
+    behind; then a path that cannot be written fails, before the network
+    trains."""
     csv_path = Path(csv_path)
+    net_cfg = cfg.to_network_config()
+    proto = protocol_for(cfg)
     _check_writable(csv_path)
     ds = dataset_for(cfg)
-    net = build_network(cfg.to_network_config())
-    curve = train_network(net, ds, protocol_for(cfg))
+    net = build_network(net_cfg)
+    curve = train_network(net, ds, proto)
     write_curve_csv(curve, csv_path)
     return curve

@@ -32,7 +32,17 @@ over those arrays with the stage rules, operand order and roundings of
 
 1. a per-core scalar loop for the stages with a lane order or a branch:
    PRED (one MAC per lane, ascending from +0.0, bias lane last), ERR,
-   BACKSUM (one add per back input, ascending from +0.0) and STATE;
+   BACKSUM (one add per back input, ascending from +0.0) and STATE. It
+   runs a stage only where a later stage reads its result, with the
+   oracle step's rules. b is read only by STATE's Euler step, so BACKSUM
+   is skipped on a hard-clamped core and on every core at gamma == 0. An
+   identity layer's f' is 1 and f' * b is b, so it is neither called nor
+   multiplied. The bias lane's MAC with 1.0 adds the bias itself (the add
+   quiets a signalling NaN, as the multiply would). The old x is read
+   only for an unclamped core's x_eff and for STATE. None of this
+   changes a bit, and ``tick_cycles`` still counts every stage: the
+   modelled datapath spends the M BACKSUM cycles whether b is read or
+   not; only the simulator's Python work goes;
 2. one array operation per layer for the stages whose lanes are
    independent: BACKVEC from the pre-update weights, then WUP and the
    bias update (skipped at alpha == 0).
@@ -376,7 +386,7 @@ class Network:
         # what a tick reads of each layer's config, looked up once: (n, N,
         # M, the vector activation f of the layer above, None where
         # f(states_in) is the latch itself, and f' of the layer's own
-        # activation)
+        # activation, None for identity, whose f' * b is b)
         acts = cfg.activations
         self._layers = [
             (
@@ -388,7 +398,7 @@ class Network:
                     if s > 0 and acts[s - 1] != IDENTITY
                     else None
                 ),
-                DERIVATIVES[acts[s]],
+                DERIVATIVES[acts[s]] if acts[s] != IDENTITY else None,
             )
             for s, (n, n_pre, m_back, _) in enumerate(self._wiring)
         ]
@@ -415,9 +425,13 @@ class Network:
         docstring): a loop over its cores for x_eff (the observation of
         an enabled signal, or x), PRED, ERR, BACKSUM and STATE; then
         BACKVEC, WUP and the bias update as one array operation each over
-        the layer. BACKSUM runs on every core with back inputs, as in the
-        per-core schedule, although STATE reads b only in its Euler step
-        (not under a hard clamp, not at gamma == 0).
+        the layer. Pass 1 runs BACKSUM only inside STATE's Euler step,
+        the one stage that reads b: a hard-clamped core takes its
+        observation, and gamma == 0 keeps x, without it. An identity
+        layer's f' (1) is not applied, and the bias lane adds the bias
+        itself, not bias * 1.0. Each skip keeps every stored bit, and the
+        reported cycle count still includes the skipped stages, which the
+        modelled datapath runs.
 
         ``alpha``/``gamma`` override the built-in step sizes for this tick
         (they are supplied externally in the same way the start pulse is)
@@ -468,30 +482,32 @@ class Network:
             x = values[spans[s]]
             eps = values[spans[last + 1 + s]]
 
-            # pass 1: the scalar stages, core by core
+            # pass 1: the scalar stages, core by core, each run only where
+            # a later stage reads its result
             for i in range(n):
-                x_i = x_old[i]
                 sig = signals[i]
                 clamped = sig.x_set_en
-                x_eff = sig.x_obs if clamped else x_i
+                x_eff = sig.x_obs if clamped else x_old[i]
                 mu = _ZERO  # a top core runs no PRED
                 if s > 0:  # PRED: one MAC per lane, ascending, bias last
                     row = theta[i]
                     for j in range(n_pre):
                         mu = row[j] * presyn_f[j] + mu
-                    mu = row[n_pre] * _ONE + mu
+                    mu = row[n_pre] + mu  # the bias lane's MAC with 1.0
                 e = x_eff - mu  # ERR
                 eps[i] = e
-                b = _ZERO  # BACKSUM, read only by the Euler step below
-                if m_back:
-                    for v in back[i]:
-                        b = b + v
-                if hard and clamped:  # STATE
+                if hard and clamped:  # STATE: the observation, no b read
                     x[i] = x_eff
                 elif euler:
-                    x[i] = x_i + gamma * (fprime(x_eff) * b - e)
+                    b = _ZERO  # BACKSUM, read only by this Euler step
+                    if m_back:
+                        for v in back[i]:
+                            b = b + v
+                    if fprime is not None:
+                        b = fprime(x_eff) * b
+                    x[i] = x_old[i] + gamma * (b - e)
                 else:
-                    x[i] = x_i
+                    x[i] = x_old[i]
 
             # pass 2: the lane-parallel stages, one array op per layer
             if s > 0:

@@ -124,6 +124,21 @@ def test_run_file_system_error_exit_1(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: "), args
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be >= 0, got -1"), (2**64, "seed must be < 2**64")],
+    ids=["negative", "2**64"],
+)
+def test_experiment_rejected_seed_leaves_no_files(tmp_path, capsys, seed, message):
+    # --seed replaces the canned config's seed without its rule; the network
+    # config is checked before the output directory is made
+    out = tmp_path / "out"
+    argv = ["experiment", "tanh_ts", "--seed", str(seed), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_run_divergence_exit_2_curve_still_written(tmp_path):
     cfg = tmp_path / "boom.cfg"
     cfg.write_text(DIVERGENT_CFG)

@@ -559,6 +559,95 @@ def test_engine_matches_per_core_reference(case):
                     assert _same_bits_but_nan_payload(fa, fb), (t, field, s)
 
 
+# ---------------------------------------------------------------------------
+# stages the engine skips, against the per-core reference that runs them all
+# ---------------------------------------------------------------------------
+
+NAN, INF = F32("nan"), F32("inf")
+
+
+def _assert_same_as_every_stage_tick(net, clamp, gamma=None) -> None:
+    """One ``Network.tick`` equals one ``core_tick`` pass (which runs every
+    stage, BACKSUM and f' included) from the same state: raw bytes wherever
+    neither side holds a NaN, NaN places and every other byte otherwise."""
+    reference = net.snapshot()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net.tick(clamp, gamma=gamma)
+        _tick_bottom_up_reversed(reference, clamp, gamma=gamma)
+    state = net.state
+    for field in FIELDS:
+        pairs = zip(getattr(state, field), getattr(reference, field), strict=True)
+        for s, (a, b) in enumerate(pairs):
+            if np.isnan(a).any() or np.isnan(b).any():
+                assert _same_bits_but_nan_payload(a, b), (field, s)
+            else:
+                assert a.tobytes() == b.tobytes(), (field, s)
+
+
+def _assert_no_nan(net) -> None:
+    for field in FIELDS:
+        for s, a in enumerate(getattr(net.state, field)):
+            assert not np.isnan(a).any(), (field, s)
+
+
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_hard_clamp_skips_backsum_of_non_finite_back_inputs(kind):
+    # layer 1's cores 0 and 2 are hard-clamped and their back columns hold
+    # NaN and ±inf, which BACKSUM would sum to NaN: STATE takes the
+    # observation, so b is never read and no NaN enters the state
+    net = mknet([2, 4, 3], activations=[kind] * 3, alpha=0.01, gamma=0.05)
+    for _ in range(3):
+        net.tick({0: clamp_layer([0.3, -0.6])})
+    back = net.state.back_in[1]
+    back[:, 0] = [NAN, INF, -INF]
+    back[:, 2] = [INF, -INF, F32(0.25)]
+    net.state.back_in[0][...] = NAN  # the top layer is hard-clamped whole
+    clamp = {
+        0: clamp_layer([0.3, -0.6]),
+        1: [ClampSignal(i % 2 == 0, 0.5 - i) for i in range(4)],
+    }
+    _assert_same_as_every_stage_tick(net, clamp)
+    _assert_no_nan(net)
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["configured", "per-tick"])
+@pytest.mark.parametrize("clamp_hard", [True, False], ids=["hard", "soft"])
+def test_zero_gamma_skips_backsum_of_nan_back_inputs(override, clamp_hard):
+    # gamma == 0 keeps every unclamped x as it is: b is never read, so the
+    # NaN in every back column reaches no stored value
+    net = mknet(
+        [2, 4, 3],
+        activations=["tanh", "relu", "identity"],
+        alpha=0.01,
+        gamma=0.05 if override else 0.0,
+        clamp_hard=clamp_hard,
+    )
+    clamp = {0: clamp_layer([0.3, -0.6])}
+    for _ in range(3):
+        net.tick(clamp, gamma=0.05)
+    for back in net.state.back_in[:-1]:
+        back[...] = NAN
+    _assert_same_as_every_stage_tick(net, clamp, gamma=0.0 if override else None)
+    _assert_no_nan(net)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[-0.0, -0.0, -0.0], [INF, F32(1.0), F32(2.0)], [-INF, -0.0, F32(1.0)],
+     [INF, -INF, F32(1.0)]],
+    ids=["-0", "+inf", "-inf", "nan"],
+)
+def test_identity_layer_skips_its_derivative(column):
+    # identity's f' is 1, and 1.0 * b is b for a b of +0.0 (a column of
+    # -0.0 summed from BACKSUM's +0.0 seed), ±inf or NaN: the engine adds b
+    # as it is; x starts at -0.0 so a sign of zero would show
+    net = mknet([2, 4, 3], alpha=0.0, gamma=0.5, init_scale=0.0)
+    net.state.x[1][...] = F32(-0.0)
+    net.state.back_in[1][...] = np.array(column, np.float32)[:, None]
+    _assert_same_as_every_stage_tick(net, {0: clamp_layer([-0.0, -0.0])})
+
+
 _STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
 
 

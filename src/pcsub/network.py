@@ -39,10 +39,19 @@ over those arrays with the stage rules, operand order and roundings of
    identity layer's f' is 1 and f' * b is b, so it is neither called nor
    multiplied. The bias lane's MAC with 1.0 adds the bias itself (the add
    quiets a signalling NaN, as the multiply would). The old x is read
-   only for an unclamped core's x_eff and for STATE. None of this
-   changes a bit, and ``tick_cycles`` still counts every stage: the
-   modelled datapath spends the M BACKSUM cycles whether b is read or
-   not; only the simulator's Python work goes;
+   only for an unclamped core's x_eff and for STATE. PRED reads only the
+   layer's theta and latched upper states, so each layer keeps its last
+   PRED result, f(states_in) (which WUP reads too) and every core's mu,
+   keyed on the bytes of both arrays, and reuses it while they hold the
+   same bytes. That is the case when the layer above holds its state, a
+   hard-clamped layer from the third tick on, and alpha == 0 leaves theta
+   as it is: evaluation and inference ticks. The key is the arrays'
+   content, not their identity, because ``Network.state`` is public and
+   callers write into it or replace its arrays. None of this changes a
+   bit, and ``tick_cycles`` still counts every stage: the modelled
+   datapath spends the M BACKSUM cycles whether b is read or not, and the
+   N + 1 PRED cycles whether mu is new or not; only the simulator's Python
+   work goes;
 2. one array operation per layer for the stages whose lanes are
    independent: BACKVEC from the pre-update weights, then WUP and the
    bias update (skipped at alpha == 0).
@@ -93,7 +102,6 @@ from .scalar32 import (
 )
 
 _ZERO = F32(0.0)
-_ONE = F32(1.0)
 _INF = F32(np.inf)
 _SEED_END = 1 << 64  # SplitMix64 keeps one u64 of state
 _REAL = (int, float, np.integer, np.floating)
@@ -404,6 +412,10 @@ class Network:
         ]
         # the signals of a layer with no clamp: none enabled
         self._unclamped = [(NO_CLAMP,) * n for n in cfg.layer_sizes]
+        # each layer's last PRED below the top, None until its first tick:
+        # (the bytes of its latch and theta, f(latch), each core's mu)
+        self._pred = [None] * len(self._layers)
+        self._top_mus = (_ZERO,) * cfg.layer_sizes[0]  # a top core runs no PRED
 
     # ------------------------------------------------------------------
     # tick
@@ -429,9 +441,13 @@ class Network:
         the one stage that reads b: a hard-clamped core takes its
         observation, and gamma == 0 keeps x, without it. An identity
         layer's f' (1) is not applied, and the bias lane adds the bias
-        itself, not bias * 1.0. Each skip keeps every stored bit, and the
-        reported cycle count still includes the skipped stages, which the
-        modelled datapath runs.
+        itself, not bias * 1.0. A layer reuses its last PRED, f(states_in)
+        and every mu, while its theta and states_in latch hold the same
+        bytes as then: under alpha == 0 below a layer that holds its
+        state, such as a hard-clamped input from a sample's third tick on.
+        Each skip or reuse keeps every stored bit, and the reported cycle
+        count still includes the skipped and reused stages, which the
+        modelled datapath runs every tick.
 
         ``alpha``/``gamma`` override the built-in step sizes for this tick
         (they are supplied externally in the same way the start pulse is)
@@ -470,11 +486,29 @@ class Network:
 
         for s, (n, n_pre, m_back, f_vec, fprime) in enumerate(self._layers):
             theta = state.theta[s]
-            # the latch is never written in place, so an identity f
+            # the tick never writes the latch in place, so an identity f
             # reads it as it is
-            presyn_f = state.states_in[s]
-            if f_vec is not None:
-                presyn_f = f_vec(presyn_f)
+            latch = state.states_in[s]
+            if s == 0:
+                mus = self._top_mus
+            else:
+                # PRED, one MAC per lane, ascending, bias last, unless the
+                # layer's theta and latch hold the bytes of its last PRED
+                key = (latch.tobytes(), theta.tobytes())
+                pred = self._pred[s]
+                if pred is None or pred[0] != key:
+                    presyn_f = latch if f_vec is None else f_vec(latch)
+                    mus = []
+                    for row in theta:
+                        mu = _ZERO
+                        for j in range(n_pre):
+                            mu = row[j] * presyn_f[j] + mu
+                        mus.append(row[n_pre] + mu)  # the bias lane, 1.0
+                    pred = self._pred[s] = (key, presyn_f, mus)
+                # the saved f(latch) unless f is the identity: a caller may
+                # have written the array that was the latch then
+                presyn_f = latch if f_vec is None else pred[1]
+                mus = pred[2]
             # row i: core i's back column; a bottom layer has none
             back = state.back_in[s].T if m_back else None
             signals = clamp.get(s, self._unclamped[s])
@@ -488,13 +522,7 @@ class Network:
                 sig = signals[i]
                 clamped = sig.x_set_en
                 x_eff = sig.x_obs if clamped else x_old[i]
-                mu = _ZERO  # a top core runs no PRED
-                if s > 0:  # PRED: one MAC per lane, ascending, bias last
-                    row = theta[i]
-                    for j in range(n_pre):
-                        mu = row[j] * presyn_f[j] + mu
-                    mu = row[n_pre] + mu  # the bias lane's MAC with 1.0
-                e = x_eff - mu  # ERR
+                e = x_eff - mus[i]  # ERR
                 eps[i] = e
                 if hard and clamped:  # STATE: the observation, no b read
                     x[i] = x_eff
@@ -517,7 +545,7 @@ class Network:
                     w[...] = (alpha * eps)[:, None] * presyn_f + w
                     if not cfg.bias_frozen:
                         coeff_b = (alpha * self._bias_scale) * eps
-                        theta[:, -1] = coeff_b * _ONE + theta[:, -1]
+                        theta[:, -1] = coeff_b + theta[:, -1]
             states.append(x)
             errors.append(eps)
 

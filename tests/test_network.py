@@ -566,15 +566,16 @@ def test_engine_matches_per_core_reference(case):
 NAN, INF = F32("nan"), F32("inf")
 
 
-def _assert_same_as_every_stage_tick(net, clamp, gamma=None) -> None:
+def _assert_same_as_every_stage_tick(net, clamp, gamma=None, alpha=None) -> None:
     """One ``Network.tick`` equals one ``core_tick`` pass (which runs every
-    stage, BACKSUM and f' included) from the same state: raw bytes wherever
-    neither side holds a NaN, NaN places and every other byte otherwise."""
+    stage, BACKSUM, f' and PRED included) from the same state: raw bytes
+    wherever neither side holds a NaN, NaN places and every other byte
+    otherwise."""
     reference = net.snapshot()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        net.tick(clamp, gamma=gamma)
-        _tick_bottom_up_reversed(reference, clamp, gamma=gamma)
+        net.tick(clamp, alpha=alpha, gamma=gamma)
+        _tick_bottom_up_reversed(reference, clamp, alpha=alpha, gamma=gamma)
     state = net.state
     for field in FIELDS:
         pairs = zip(getattr(state, field), getattr(reference, field), strict=True)
@@ -648,6 +649,43 @@ def test_identity_layer_skips_its_derivative(column):
     _assert_same_as_every_stage_tick(net, {0: clamp_layer([-0.0, -0.0])})
 
 
+def _write_theta(net, clamp):
+    net.state.theta[1][2, 0] = F32(0.75)  # a weight
+    net.state.theta[1][3, -1] = F32(-0.5)  # a bias
+
+
+def _write_latch(net, clamp):
+    net.state.states_in[1][1] = F32(0.125)
+
+
+def _assign_snapshot(net, clamp):
+    net.state = net.snapshot()  # new arrays, the same bytes
+
+
+def _new_observation(net, clamp):
+    clamp[0] = clamp_layer([-0.2, 0.9])
+
+
+@pytest.mark.parametrize(
+    "write", [_write_theta, _write_latch, _assign_snapshot, _new_observation]
+)
+@pytest.mark.parametrize("top", ["identity", "tanh"])
+def test_pred_reuse_follows_what_layer_1_reads(write, top):
+    # the top layer hard-clamped at alpha = 0: from the third tick on,
+    # layer 1's theta and latch hold the bytes of its last PRED, which the
+    # engine then reuses. After a write that changes them (or, for an
+    # equal-bytes snapshot, keeps them), every tick equals the reference's,
+    # which recomputes every PRED: two eval-style ticks, then two learn
+    # ticks, the first of which reuses f(latch) for WUP
+    net = mknet([2, 4, 3], activations=[top, "relu", "tanh"], alpha=0.01, gamma=0.05)
+    clamp = {0: clamp_layer([0.3, -0.6])}
+    for _ in range(3):
+        _assert_same_as_every_stage_tick(net, clamp, alpha=0.0)
+    write(net, clamp)
+    for alpha in (0.0, 0.0, None, None):
+        _assert_same_as_every_stage_tick(net, clamp, alpha=alpha)
+
+
 _STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
 
 
@@ -690,6 +728,19 @@ class NetworkMachine(RuleBasedStateMachine):
         save_checkpoint(self.net, path)
         self.net = load_checkpoint(path, self.net.cfg)
         self._zero("eps", "states_in", "back_in")  # x and theta are kept
+
+    @rule(data=st.data(), value=_obs)
+    def write_into_state(self, data, value):
+        # an in-place write that no tick made, to what PRED reads: the next
+        # tick must not reuse a PRED computed before it
+        name = data.draw(st.sampled_from(("theta", "states_in")))
+        arrays = getattr(self.net.state, name)
+        s = data.draw(st.sampled_from([s for s, a in enumerate(arrays) if a.size]))
+        index = tuple(data.draw(st.integers(0, k - 1)) for k in arrays[s].shape)
+        with np.errstate(over="ignore"):  # 1e39 becomes inf
+            value = F32(value)
+        for state in (self.net.state, self.model):
+            getattr(state, name)[s][index] = value
 
     @rule()
     def write_into_snapshot(self):

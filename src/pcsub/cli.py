@@ -20,7 +20,7 @@ from .checkpoint import load_checkpoint
 from .config import EXPERIMENTS, load_config, run_experiment
 from .errors import CheckpointError, ConfigParseError, ConfigurationError
 from .harness import dataset_for, evaluate_dataset, output_dir, run_config
-from .network import layer_wiring
+from .network import _integer, layer_wiring
 from .oracle import run_equivalence_suite
 
 EXIT_OK = 0
@@ -87,8 +87,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_tick(args) -> int:
-    if args.ticks < 1:  # before the checkpoint is read: a bad count fails at once
-        raise ConfigurationError("--ticks must be >= 1")
+    _integer("--ticks", args.ticks, 1)  # before the checkpoint is read
     net = load_checkpoint(args.checkpoint)
     diverged = False
     for _ in range(args.ticks):

@@ -6,10 +6,13 @@ comma-separated, booleans are ``true``/``false``. Unknown and duplicate
 keys are rejected; missing keys fall back to the built-in defaults and
 the fallback is logged once per parse.
 
-Each key's value rule and default are written once, by the object that
-consumes the key: ``NETWORK_RULES`` and ``NetworkConfig`` in ``network``,
-``HARNESS_RULES`` and ``TrainProtocol`` in ``harness``. ``parse_config``
-applies those rules and reports every failure with its key's line.
+``ConfigFile`` declares the key set and each key's default, once: a
+field per key, whose default is read from the consumer's class where the
+consumer declares one (``NetworkConfig``, ``TrainProtocol``). Each key's
+value rule is written once, by the module that consumes the key:
+``NETWORK_RULES`` in ``network``, ``HARNESS_RULES`` in ``harness``.
+``parse_config`` applies those rules and reports every failure with its
+key's line.
 
 The canned experiments are config files under ``configs/``;
 ``run_experiment`` runs one through ``harness.run_config``, the path
@@ -25,7 +28,7 @@ from typing import Optional
 
 from .errors import ConfigParseError, ConfigurationError
 from .harness import HARNESS_RULES, TrainProtocol, output_dir, run_config
-from .network import NETWORK_RULES, NetworkConfig, _activations
+from .network import NETWORK_RULES, NetworkConfig, _activations, _choice
 
 log = logging.getLogger(__name__)
 
@@ -33,59 +36,47 @@ EXPERIMENTS = ("relu_ts", "tanh_ts", "scale_small", "scale_medium", "scale_large
 
 _CONFIG_DIR = Path(__file__).parent / "configs"
 
-
-def _declared(cls) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
-# a missing key takes the default its consumer declares, or the one here
-DEFAULTS = {
-    "layer_sizes": [2, 4, 3],
-    **_declared(NetworkConfig),
-    "infer_ticks": 20,
-    "learn_ticks": 5,
-    "epochs": 25,
-    "eval_ticks": 100,
-    **_declared(TrainProtocol),
-    "n_samples": 64,
-    "teacher_kind": "relu_teacher",
-    "teacher_seed": 101,
-    "teacher_weight_scale": 1.0,
-    "out_csv": None,
-}
-
 _RULES = {**NETWORK_RULES, **HARNESS_RULES}
 
 
 @dataclass
 class ConfigFile:
-    """Validated flat configuration; see DEFAULTS for the key set."""
+    """Validated flat configuration: one field per config key, with the
+    key's default."""
 
-    layer_sizes: list
-    activations: Optional[list]
-    alpha: float
-    gamma: float
-    clamp_hard: bool
-    seed: int
-    init_scale: float
-    alpha_bias_scale: float
-    bias_frozen: bool
-    infer_ticks: int
-    learn_ticks: int
-    epochs: int
-    eval_ticks: int
-    reset_between_samples: bool
-    n_samples: int
-    teacher_kind: str
-    teacher_seed: int
-    teacher_weight_scale: float
-    out_csv: Optional[str]
+    layer_sizes: list = field(default_factory=lambda: [2, 4, 3])
+    activations: Optional[list] = NetworkConfig.activations
+    alpha: float = NetworkConfig.alpha
+    gamma: float = NetworkConfig.gamma
+    clamp_hard: bool = NetworkConfig.clamp_hard
+    seed: int = NetworkConfig.seed
+    init_scale: float = NetworkConfig.init_scale
+    alpha_bias_scale: float = NetworkConfig.alpha_bias_scale
+    bias_frozen: bool = NetworkConfig.bias_frozen
+    infer_ticks: int = 20
+    learn_ticks: int = 5
+    epochs: int = 25
+    eval_ticks: int = 100
+    reset_between_samples: bool = TrainProtocol.reset_between_samples
+    n_samples: int = 64
+    teacher_kind: str = "relu_teacher"
+    teacher_seed: int = 101
+    teacher_weight_scale: float = 1.0
+    out_csv: Optional[str] = None
     defaulted: list = field(default_factory=list)
 
     def to_network_config(self) -> NetworkConfig:
         # every NetworkConfig field is a config key of the same name
         keys = [f.name for f in fields(NetworkConfig)]
         return NetworkConfig(**{key: getattr(self, key) for key in keys})
+
+
+# the key set, key -> default, as ConfigFile declares it
+DEFAULTS = {
+    f.name: f.default_factory() if f.default is MISSING else f.default
+    for f in fields(ConfigFile)
+    if f.name != "defaulted"
+}
 
 
 def _parse_value(key: str, raw: str):
@@ -119,8 +110,7 @@ def parse_config(text: str) -> ConfigFile:
     Raises ConfigParseError carrying (line, message) pairs for every
     problem found, in line order, rather than stopping at the first.
     """
-    values = dict(DEFAULTS)
-    values["layer_sizes"] = list(DEFAULTS["layer_sizes"])
+    values: dict = {}
     seen: dict = {}
     errors: list = []
 
@@ -146,6 +136,8 @@ def parse_config(text: str) -> ConfigFile:
         except ValueError as exc:
             errors.append((lineno, f"{key}: {exc}"))
 
+    cfg = ConfigFile(**values, defaulted=sorted(set(DEFAULTS) - set(seen)))
+
     def check(key, rule, *args):
         try:
             rule(*args)
@@ -153,16 +145,13 @@ def parse_config(text: str) -> ConfigFile:
             errors.append((seen.get(key, 0), str(exc)))
 
     for key, rule in _RULES.items():
-        check(key, rule, key, values[key])
-    n_layers = len(values["layer_sizes"])
-    check("activations", _activations, values["activations"], n_layers)
+        check(key, rule, key, getattr(cfg, key))
+    check("activations", _activations, cfg.activations, len(cfg.layer_sizes))
     if errors:
         raise ConfigParseError(sorted(errors, key=lambda error: error[0]))
-
-    defaulted = sorted(set(DEFAULTS) - set(seen))
-    if defaulted:
-        log.info("config: using defaults for: %s", ", ".join(defaulted))
-    return ConfigFile(**values, defaulted=defaulted)
+    if cfg.defaulted:
+        log.info("config: using defaults for: %s", ", ".join(cfg.defaulted))
+    return cfg
 
 
 def load_config(path) -> ConfigFile:
@@ -176,10 +165,7 @@ def load_config(path) -> ConfigFile:
 
 
 def experiment_config(name: str) -> ConfigFile:
-    if name not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; choose from {EXPERIMENTS}"
-        )
+    name = _choice("experiment", name, EXPERIMENTS)
     return load_config(_CONFIG_DIR / f"{name}.cfg")
 
 

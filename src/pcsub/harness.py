@@ -42,9 +42,11 @@ from .errors import ConfigurationError
 from .network import (
     Network,
     _boolean,
+    _choice,
     _integer,
     _real,
     _seed,
+    _sizes,
     build_network,
     clamp_layer,
 )
@@ -60,12 +62,6 @@ TEACHER_KINDS = ("relu_teacher", "tanh_teacher")
 _ALPHA_ZERO = np.float32(0.0)
 
 
-def _teacher_kind(key: str, kind) -> str:
-    if kind not in TEACHER_KINDS:
-        raise ConfigurationError(f"unknown teacher kind: {kind!r}")
-    return kind
-
-
 _count = partial(_integer, lo=1)
 
 # rule(key, value) of each config key the harness consumes: TrainProtocol
@@ -78,7 +74,7 @@ HARNESS_RULES = {
     "eval_ticks": _count,
     "reset_between_samples": _boolean,
     "n_samples": _count,
-    "teacher_kind": _teacher_kind,
+    "teacher_kind": partial(_choice, choices=TEACHER_KINDS),
     "teacher_seed": _seed,
     "teacher_weight_scale": _real,
 }
@@ -98,10 +94,7 @@ class TeacherSpec:
 
     def __post_init__(self):
         _check("teacher_kind", self.kind)
-        if len(self.dims) != 3:
-            raise ConfigurationError(f"teacher dims must be 3 sizes: {self.dims}")
-        for d in self.dims:
-            _integer("teacher dims", d, 1)
+        _sizes("teacher dims", self.dims, 3, 3)
         _check("teacher_seed", self.seed)
         _check("teacher_weight_scale", self.weight_scale)
 

@@ -107,46 +107,6 @@ _SEED_END = 1 << 64  # SplitMix64 keeps one u64 of state
 _REAL = (int, float, np.integer, np.floating)
 
 
-def _observation(value) -> np.float32:
-    """A real ``value`` rounded to binary32: NaN stays NaN, and a magnitude
-    past the binary32 range, 1e39 or a huge int, becomes a signed infinity
-    without a warning."""
-    try:
-        finite = is_finite_f32(value)
-    except OverflowError:  # an int past the binary64 range
-        finite = False
-    if finite or value != value:
-        return F32(value)
-    return _INF if value > 0 else -_INF
-
-
-@dataclass(frozen=True)
-class ClampSignal:
-    """Per-neuron external observation; x_obs is read only when enabled.
-
-    x_obs enters the datapath here: any real number but a bool is stored
-    rounded to binary32, once, so a tick reads it as it is."""
-
-    x_set_en: bool = False
-    x_obs: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.x_set_en, (bool, np.bool_)):
-            raise ConfigurationError(
-                f"x_set_en must be a bool, got {self.x_set_en!r}"
-            )
-        if not isinstance(self.x_obs, _REAL) or isinstance(self.x_obs, bool):
-            raise ConfigurationError(
-                f"x_obs must be a real number, got {self.x_obs!r}"
-            )
-        object.__setattr__(self, "x_obs", _observation(self.x_obs))
-
-
-NO_CLAMP = ClampSignal()
-
-ClampMap = dict[int, Sequence[ClampSignal]]
-
-
 def tick_cycles(n_presyn: int, m_back: int, has_upper: bool = True) -> int:
     """Per-tick cycle count of the sequential datapath."""
     if has_upper:
@@ -168,15 +128,30 @@ def layer_wiring(layer_sizes) -> list:
     return wiring
 
 
+# ---------------------------------------------------------------------------
+# input rules: one per kind of input, each of which returns the value as the
+# datapath takes it, or raises ConfigurationError naming the key, for any
+# Python object
+# ---------------------------------------------------------------------------
+
+
+def _real_number(key: str, value):
+    """``value`` once it is a Python or numpy real number, and not a bool:
+    the one type rule of an observation, a step size and a scale."""
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        raise ConfigurationError(f"{key} must be a real number, got {value!r}")
+    return value
+
+
 def _binary32(key: str, value, nonneg: bool = True) -> np.float32:
-    """``value`` rounded to binary32, rejecting NaN, infinities, binary32
-    overflow and (when ``nonneg``) negatives: the one rule for configured
-    values and for per-tick step-size overrides. A binary32 value that is
-    finite and >= 0 is returned as it is: a harness passes one binary32
-    zero to every tick of a phase."""
+    """``value`` rounded to binary32, rejecting a non-real, NaN,
+    infinities, binary32 overflow and (when ``nonneg``) negatives: the one
+    rule for configured values and for per-tick step-size overrides. A
+    binary32 value that is finite and >= 0 is returned as it is: a harness
+    passes one binary32 zero to every tick of a phase."""
     if nonneg and type(value) is F32 and _ZERO <= value < _INF:
         return value
-    if not is_finite_f32(value):
+    if not is_finite_f32(_real_number(key, value)):
         raise ConfigurationError(f"{key} must be finite in binary32, got {value!r}")
     if nonneg and value < 0:
         raise ConfigurationError(f"{key} must be >= 0, got {value!r}")
@@ -190,8 +165,7 @@ def _is_integer(value) -> bool:
 
 def _integer(key: str, value, lo: int) -> int:
     """``value`` as an int, rejecting a bool, a non-integer (2.0 too) and a
-    value below ``lo``: the one rule for layer sizes, seeds and tick
-    counts."""
+    value below ``lo``: the one rule for sizes, seeds and tick counts."""
     if not _is_integer(value):
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     if value < lo:
@@ -261,32 +235,76 @@ def _check_clamp(clamp: Optional[ClampMap], sizes) -> ClampMap:
     return clamp
 
 
-def _layer_sizes(key: str, sizes) -> tuple:
-    """At least two layers, each of an integer size >= 1."""
-    sizes = tuple(_integer("layer size", n, 1) for n in sizes)
-    if len(sizes) < 2:
-        raise ConfigurationError("need at least 2 layers")
-    return sizes
+def _sizes(key: str, sizes, n_min: int, n_max: float = math.inf) -> tuple:
+    """``sizes`` as a tuple of ints, once it is a list or tuple of
+    ``n_min`` to ``n_max`` integers >= 1: the one rule for layer sizes and
+    teacher dims."""
+    if not isinstance(sizes, (list, tuple)) or not n_min <= len(sizes) <= n_max:
+        count = n_min if n_max == n_min else f"{n_min} or more"
+        raise ConfigurationError(
+            f"{key} must be a list or tuple of {count} sizes, got {sizes!r}"
+        )
+    return tuple(_integer(key, n, 1) for n in sizes)
+
+
+def _choice(key: str, value, choices):
+    """``value`` once it is one of the strings ``choices``: the one rule for
+    a named kind, mode or experiment. Any other object, a list or an array
+    too, is unknown."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigurationError(
+            f"unknown {key}: {value!r}; choose from {', '.join(choices)}"
+        )
+    return value
 
 
 def _activations(kinds, n_layers: int) -> tuple:
-    """One known activation kind per layer; None is identity everywhere."""
+    """One known activation kind per layer, in a list or tuple; None is
+    identity everywhere."""
     if kinds is None:
-        return ("identity",) * n_layers
-    kinds = tuple(kinds)
-    if len(kinds) != n_layers:
-        raise ConfigurationError("need one activation per layer")
-    for kind in kinds:
-        if kind not in ACTIVATION_KINDS:
-            raise ConfigurationError(f"unknown activation kind: {kind!r}")
-    return kinds
+        return (IDENTITY,) * n_layers
+    if not isinstance(kinds, (list, tuple)) or len(kinds) != n_layers:
+        raise ConfigurationError(
+            f"activations must be a list or tuple of {n_layers} kinds, got {kinds!r}"
+        )
+    return tuple(_choice("activation kind", kind, ACTIVATION_KINDS) for kind in kinds)
+
+
+def _observation(value) -> np.float32:
+    """A real ``value`` rounded to binary32: NaN stays NaN, and a magnitude
+    past the binary32 range, 1e39 or a huge int, becomes a signed infinity
+    without a warning."""
+    if is_finite_f32(value) or value != value:
+        return F32(value)
+    return _INF if value > 0 else -_INF
+
+
+@dataclass(frozen=True)
+class ClampSignal:
+    """Per-neuron external observation; x_obs is read only when enabled.
+
+    x_obs enters the datapath here: any real number but a bool is stored
+    rounded to binary32, once, so a tick reads it as it is."""
+
+    x_set_en: bool = False
+    x_obs: float = 0.0
+
+    def __post_init__(self):
+        _boolean("x_set_en", self.x_set_en)
+        x_obs = _observation(_real_number("x_obs", self.x_obs))
+        object.__setattr__(self, "x_obs", x_obs)
+
+
+NO_CLAMP = ClampSignal()
+
+ClampMap = dict[int, Sequence[ClampSignal]]
 
 
 # rule(key, value) of each NetworkConfig field but ``activations``, whose
 # rule also reads the layer count: a NetworkConfig applies them when it is
 # built, and parse_config applies them to the same keys of a file
 NETWORK_RULES = {
-    "layer_sizes": _layer_sizes,
+    "layer_sizes": partial(_sizes, n_min=2),
     "alpha": _real,
     "gamma": _real,
     "clamp_hard": _boolean,
@@ -297,8 +315,13 @@ NETWORK_RULES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConfig:
+    """A network's shape, activations, step sizes and seed. Every field
+    passes its rule when the config is built, ``dataclasses.replace``
+    included, and cannot be written after: a ``Network`` and the oracle
+    read the same checked values."""
+
     layer_sizes: tuple
     activations: Optional[tuple] = None  # default: identity everywhere
     alpha: float = 0.01
@@ -311,8 +334,9 @@ class NetworkConfig:
 
     def __post_init__(self):
         for key, rule in NETWORK_RULES.items():
-            setattr(self, key, rule(key, getattr(self, key)))
-        self.activations = _activations(self.activations, len(self.layer_sizes))
+            object.__setattr__(self, key, rule(key, getattr(self, key)))
+        kinds = _activations(self.activations, len(self.layer_sizes))
+        object.__setattr__(self, "activations", kinds)
 
 
 @dataclass(frozen=True)
@@ -433,27 +457,16 @@ class Network:
         of one ``ClampSignal`` per core, such as ``clamp_layer`` returns.
         Each signal's observation became binary32 when it was built.
 
-        Each layer, top to bottom, runs two passes (see the module
-        docstring): a loop over its cores for x_eff (the observation of
-        an enabled signal, or x), PRED, ERR, BACKSUM and STATE; then
-        BACKVEC, WUP and the bias update as one array operation each over
-        the layer. Pass 1 runs BACKSUM only inside STATE's Euler step,
-        the one stage that reads b: a hard-clamped core takes its
-        observation, and gamma == 0 keeps x, without it. An identity
-        layer's f' (1) is not applied, and the bias lane adds the bias
-        itself, not bias * 1.0. A layer reuses its last PRED, f(states_in)
-        and every mu, while its theta and states_in latch hold the same
-        bytes as then: under alpha == 0 below a layer that holds its
-        state, such as a hard-clamped input from a sample's third tick on.
-        Each skip or reuse keeps every stored bit, and the reported cycle
-        count still includes the skipped and reused stages, which the
-        modelled datapath runs every tick.
+        Each layer, top to bottom, runs the two passes of the module
+        docstring, which also gives the stages each pass skips and when a
+        layer reuses its last PRED; none of that changes a bit or the
+        reported cycle count.
 
         ``alpha``/``gamma`` override the built-in step sizes for this tick
         (they are supplied externally in the same way the start pulse is)
-        and follow the configured values' rule: finite in binary32 and
-        >= 0. A binary32 override that keeps the rule is used as it is. A
-        rejected tick changes nothing.
+        and follow the configured values' rule: a real number, not a bool,
+        finite in binary32 and >= 0. A binary32 override that keeps the
+        rule is used as it is. A rejected tick changes nothing.
 
         Once the clamp and overrides are checked, the step runs with
         numpy's floating-point errors ignored, so NaN and infinities

@@ -67,6 +67,7 @@ from .network import (
     NetworkConfig,
     _binary32,
     _check_clamp,
+    _choice,
     build_network,
     layer_wiring,
 )
@@ -109,11 +110,9 @@ def oracle_tick(
     """Pure function: one tick applied to a dense snapshot. A state whose
     arrays do not have its config's shapes raises ``ConfigurationError``."""
     _check_shapes(state)
-    if mode not in _MODES:
-        raise ConfigurationError(f"unknown oracle mode: {mode!r}")
+    dtype = _MODES[_choice("oracle mode", mode, _MODES)]
     av = _binary32("alpha", state.cfg.alpha if alpha is None else alpha)
     gv = _binary32("gamma", state.cfg.gamma if gamma is None else gamma)
-    dtype = _MODES[mode]
     clamps = _clamp_arrays(state.layer_sizes, clamp, dtype)
     return _step(state, clamps, av, gv, dtype)
 

@@ -48,8 +48,11 @@ _F32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 def is_finite_f32(value) -> bool:
-    """True when ``value`` is finite and stays finite rounded to binary32:
-    the rule for every configured value that is cast to binary32."""
+    """True when the real ``value`` is finite and stays finite rounded to
+    binary32: the rule for every configured value that is cast to binary32.
+    An int past the binary64 range is False, not an OverflowError."""
+    if isinstance(value, int) and not -_F32_OVERFLOW < value < _F32_OVERFLOW:
+        return False  # compared exactly, with no float() to overflow
     return abs(float(value)) < _F32_OVERFLOW
 
 

@@ -1,5 +1,6 @@
 """PRNG golden vectors, config parsing, checkpoint round trips."""
 
+import contextlib
 import logging
 import tracemalloc
 from pathlib import Path
@@ -8,19 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
-from pcsub.config import DEFAULTS, parse_config
+from pcsub.config import DEFAULTS, experiment_config, parse_config
 from pcsub.errors import CheckpointError, ConfigParseError, ConfigurationError
 from pcsub.harness import HARNESS_RULES, TeacherSpec, TrainProtocol, generate_dataset
 from pcsub.network import (
     NETWORK_RULES,
     ClampSignal,
     NetworkConfig,
+    _activations,
     _boolean,
     build_network,
     clamp_layer,
 )
+from pcsub.oracle import oracle_tick
 from pcsub.prng import Prng
 
 F32 = np.float32
@@ -186,7 +190,7 @@ def test_network_config_negative_rejected(key):
 )
 def test_network_config_non_integer_layer_size_rejected(sizes):
     # int() would turn 2.7 into 2 and True into 1
-    with pytest.raises(ConfigurationError, match="layer size"):
+    with pytest.raises(ConfigurationError, match="layer_sizes must be an integer"):
         NetworkConfig(sizes)
 
 
@@ -353,6 +357,124 @@ def test_switches_accept_python_and_numpy_bools(key, value):
     assert getattr(built, key) == value
     if key != "x_set_en":  # a ClampSignal keeps the value it is given
         assert type(getattr(built, key)) is bool
+
+
+_DTYPES = st.sampled_from(
+    [np.bool_, np.int8, np.int64, np.uint64, np.float16, np.float32, np.float64,
+     np.complex128]
+).map(np.dtype)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.complex_numbers(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([10**400, -(10**400), 2**64, 2**128]),
+    st.floats(),  # NaN and infinities included
+    _DTYPES.flatmap(lambda dtype: npst.from_dtype(dtype).map(dtype.type)),
+    npst.arrays(_DTYPES, npst.array_shapes(min_dims=0, max_dims=2, max_side=3)),
+    # names that some rule accepts, so its accepting path runs too
+    st.sampled_from(["relu", "tanh", "bit32", "f64", "tanh_teacher", "tanh_ts"]),
+)
+_ANY_VALUE = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    ),
+    max_leaves=4,
+)
+
+
+def _net22():
+    return build_network(NetworkConfig((2, 2)))
+
+
+def _entry_points(value) -> list:
+    """Calls that each hand ``value`` to one input rule, with every other
+    argument valid."""
+    net = _net22()
+    calls = [
+        lambda key=key, rule=rule: rule(key, value)
+        for key, rule in {**NETWORK_RULES, **HARNESS_RULES}.items()
+    ]
+    calls += [
+        lambda: _activations(value, 2),
+        lambda: ClampSignal(True, value),
+        lambda: ClampSignal(value, 0.0),
+        lambda: net.tick(alpha=value),
+        lambda: net.tick(gamma=value),
+        lambda: oracle_tick(net.snapshot(), mode=value),
+        lambda: experiment_config(value),
+    ]
+    calls += [
+        lambda name=name: TeacherSpec(**dict(_SPEC, **{name: value}))
+        for name in _SPEC
+    ]
+    calls += [
+        lambda name=name: TrainProtocol(**dict(_PROTO, **{name: value}))
+        for name in [*_PROTO, "reset_between_samples"]
+    ]
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_ANY_VALUE)
+@example(value=None)
+@example(value=True)
+@example(value="0.1")
+@example(value=10**400)
+@example(value=["bit32"])
+def test_every_input_rule_returns_or_raises_configuration_error(value):
+    # any Python object: a rule returns, or raises ConfigurationError and
+    # nothing else (pytest.ini makes a RuntimeWarning an error too)
+    for call in _entry_points(value):
+        with contextlib.suppress(ConfigurationError):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(
+            lambda: NetworkConfig((2, 2), alpha=True),
+            "alpha must be a real number",
+            id="alpha-bool",
+        ),
+        pytest.param(
+            lambda: NetworkConfig((2, 2), alpha="0.1"),
+            "alpha must be a real number",
+            id="alpha-text",
+        ),
+        pytest.param(
+            lambda: _net22().tick(gamma=10**400),
+            "gamma must be finite",
+            id="tick-gamma-huge-int",
+        ),
+        pytest.param(
+            lambda: oracle_tick(_net22().snapshot(), mode=["bit32"]),
+            "unknown oracle mode",
+            id="oracle-mode-list",
+        ),
+        pytest.param(
+            lambda: NetworkConfig(layer_sizes=5),
+            "layer_sizes must be a list or tuple",
+            id="layer_sizes-int",
+        ),
+        pytest.param(
+            lambda: TeacherSpec("relu_teacher", 3, 1, 1.0),
+            "teacher dims must be a list or tuple",
+            id="teacher-dims-int",
+        ),
+    ],
+)
+def test_bad_value_rejected_naming_its_key(call, message):
+    # each was accepted, or escaped as TypeError or OverflowError, before
+    # every kind of input had one rule
+    with pytest.raises(ConfigurationError, match=message):
+        call()
 
 
 def test_to_network_config():

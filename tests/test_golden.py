@@ -14,7 +14,9 @@ proof that they never changed a bit.
 The sha256 of each canned experiment's full 25-epoch CSV is checked on
 the CSV of the session-wide ``canned_curves`` fixture (``conftest.py``),
 which acceptance criteria 5, 6 and 7 also read, so in a full run each
-curve is computed once.
+curve is computed once. ``relu_ts_8x2_no_reset`` pins the one curve that
+trains without a reset between samples: ``relu_ts`` cut to 8 samples and
+2 epochs.
 
 Regenerate (only when a change is meant to alter the bits, and say so):
 
@@ -24,13 +26,14 @@ Regenerate (only when a change is meant to alter the bits, and say so):
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcsub.config import EXPERIMENTS, experiment_config, run_experiment
-from pcsub.harness import dataset_for, evaluate_dataset
+from pcsub.harness import dataset_for, evaluate_dataset, run_config
 from pcsub.network import NetworkConfig, build_network, clamp_layer
 from pcsub.prng import Prng
 
@@ -147,6 +150,20 @@ def curve_sha(name: str, out_dir) -> str:
     return _sha(path.read_bytes())
 
 
+NO_RESET = "relu_ts_8x2_no_reset"
+
+
+def short_relu_ts_csv(reset: bool, out_dir) -> bytes:
+    """The curve CSV of ``relu_ts`` cut to 8 samples and 2 epochs, with
+    ``reset_between_samples = reset``."""
+    cfg = replace(
+        experiment_config("relu_ts"), n_samples=8, epochs=2, reset_between_samples=reset
+    )
+    path = Path(out_dir) / f"relu_ts_8x2_reset_{reset}.csv"
+    run_config(cfg, path)
+    return path.read_bytes()
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -169,6 +186,13 @@ def test_full_curve_csv(name, canned_curves):
     canned_curves.assert_golden(name)
 
 
+def test_curve_without_reset_between_samples(tmp_path):
+    # states carried from one sample into the next change the curve
+    no_reset = short_relu_ts_csv(False, tmp_path)
+    assert _sha(no_reset) == _golden()["curve_csv_sha256"][NO_RESET]
+    assert no_reset != short_relu_ts_csv(True, tmp_path)
+
+
 def _write(path: Path) -> None:
     import tempfile
 
@@ -182,6 +206,8 @@ def _write(path: Path) -> None:
         golden["epoch0_mse"][name] = {"hex": mse.hex(), "csv": f"{mse:.6f}"}
         with tempfile.TemporaryDirectory() as tmp:
             golden["curve_csv_sha256"][name] = curve_sha(name, tmp)
+    with tempfile.TemporaryDirectory() as tmp:
+        golden["curve_csv_sha256"][NO_RESET] = _sha(short_relu_ts_csv(False, tmp))
     path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
 
 

@@ -68,6 +68,18 @@ def test_build_rejects_zero_width():
         mknet([2, 0, 3])
 
 
+def test_network_config_is_frozen():
+    # a field written after the build would pass no rule, and the oracle
+    # would read it while the engine keeps the value it was built with
+    net = mknet([2, 3], alpha=0.01)
+    for field in dataclasses.fields(net.cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net.cfg, field.name, getattr(net.cfg, field.name))
+    # replace builds a new config, so the rules run again
+    with pytest.raises(ConfigurationError, match="alpha must be >= 0"):
+        dataclasses.replace(net.cfg, alpha=-1.0)
+
+
 def test_same_seed_same_weights():
     a = mknet([3, 5, 2], seed=77)
     b = mknet([3, 5, 2], seed=77)
@@ -749,6 +761,27 @@ class NetworkMachine(RuleBasedStateMachine):
             for a in getattr(snap, name):
                 a[...] = F32(-0.375)
         self.held.append(snap)
+
+    @invariant()
+    def energy_matches_per_core_sum(self):
+        # the model's energy in binary64, core by core and lane by lane with
+        # the test's own f, and no @: where both are finite, they agree
+        # within 1e-12 of the terms' magnitude (a dot product's error bound,
+        # which holds where the terms cancel)
+        acts, x, theta = self.net.cfg.activations, self.model.x, self.model.theta
+        want = magnitude = 0.0
+        for s in range(1, len(x)):
+            fx = [activation64(acts[s - 1], v) for v in x[s - 1].tolist()]
+            for x_i, row in zip(x[s].tolist(), theta[s].tolist()):
+                terms = [w * f for w, f in zip(row, fx)] + [row[-1]]
+                d = x_i - sum(terms)
+                want += d * d
+                size = abs(x_i) + sum(abs(t) for t in terms)
+                magnitude += size * size
+        got = self.net.energy()
+        assert np.isfinite(got) == np.isfinite(want), (got, want)
+        if np.isfinite(want):
+            assert abs(got - want) <= 1e-12 * magnitude, (got, want)
 
     @invariant()
     def state_matches_model_and_owns_its_arrays(self):

@@ -187,6 +187,16 @@ def test_is_finite_f32_boundary_matches_numpy_rounding():
     assert is_finite_f32(top) and not is_finite_f32(limit)
 
 
+def test_is_finite_f32_ints_past_binary64_are_not_finite():
+    # numpy rounds an int to binary64 first, so ints just below the
+    # midpoint that round to it are not finite either
+    limit = 2**128 - 2**103
+    ints = [0, 2**64, limit - 2**75, limit - 2**74, limit - 1, limit, 10**400]
+    for v in ints + [-v for v in ints]:
+        want = abs(v) < 2**1024 and _numpy_finite_f32(v)
+        assert is_finite_f32(v) == want, v
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True))
 @settings(max_examples=300)
 def test_is_finite_f32_matches_numpy_rounding(v):

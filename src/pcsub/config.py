@@ -2,9 +2,9 @@
 
 The format is deliberately minimal so it parses identically in any
 language: one assignment per line, ``#`` starts a comment, lists are
-comma-separated, booleans are ``true``/``false``. Unknown and duplicate
-keys are rejected; missing keys fall back to the built-in defaults and
-the fallback is logged once per parse.
+comma-separated with no empty item, booleans are ``true``/``false``.
+Unknown and duplicate keys are rejected; missing keys fall back to the
+built-in defaults and the fallback is logged once per parse.
 
 ``ConfigFile`` declares the key set and each key's default, once: a
 field per key, whose default is read from the consumer's class where the
@@ -95,10 +95,11 @@ def _parse_value(key: str, raw: str):
         return int(raw, 0)
     if kind is float:
         return float(raw)
-    if key == "layer_sizes":
-        return [int(tok.strip(), 0) for tok in raw.split(",") if tok.strip()]
-    if key == "activations":
-        return [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if key in ("layer_sizes", "activations"):
+        items = [tok.strip() for tok in raw.split(",")]
+        if "" in items:
+            raise ValueError(f"empty list item in {raw!r}")
+        return [int(tok, 0) for tok in items] if key == "layer_sizes" else items
     if key == "out_csv" and not raw:
         raise ValueError("must name a file, got an empty value")
     return raw

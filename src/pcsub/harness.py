@@ -93,10 +93,14 @@ class TeacherSpec:
     weight_scale: float
 
     def __post_init__(self):
-        _check("teacher_kind", self.kind)
-        _sizes("teacher dims", self.dims, 3, 3)
-        _check("teacher_seed", self.seed)
-        _check("teacher_weight_scale", self.weight_scale)
+        checked = {
+            "kind": _check("teacher_kind", self.kind),
+            "dims": _sizes("teacher dims", self.dims, 3, 3),
+            "seed": _check("teacher_seed", self.seed),
+            "weight_scale": _check("teacher_weight_scale", self.weight_scale),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -112,8 +116,12 @@ class Dataset:
         return self.inputs.shape[1], self.targets.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainProtocol:
+    """The tick counts and reset rule of a training run. Every field passes
+    its rule when the protocol is built, ``dataclasses.replace`` included,
+    and cannot be written after."""
+
     infer_ticks: int
     learn_ticks: int
     epochs: int
@@ -122,7 +130,7 @@ class TrainProtocol:
 
     def __post_init__(self):
         for f in fields(self):
-            setattr(self, f.name, _check(f.name, getattr(self, f.name)))
+            object.__setattr__(self, f.name, _check(f.name, getattr(self, f.name)))
 
 
 @dataclass

@@ -368,10 +368,6 @@ class DenseState:
     def layer_sizes(self) -> tuple:
         return self.cfg.layer_sizes
 
-    @property
-    def activations(self) -> tuple:
-        return self.cfg.activations
-
     @classmethod
     def from_network(cls, net: Network) -> DenseState:
         return net.snapshot()

@@ -1,17 +1,31 @@
-"""Shared test references: binary64 equations and a second binary32 path.
+"""Shared test references: binary64 equations, a second binary32 path,
+and the two ticks every differential test of ``Network.tick`` runs
+against.
 
-These deliberately do not import the core's stage functions or the
-package's activation tables; they mirror the documented accumulation
+The equations deliberately do not import the core's stage functions or
+the package's activation tables; they mirror the documented accumulation
 order independently so that agreement means something. The activation
 equations are this module's own, in binary64, and its binary32 f and f'
 are those equations rounded once.
+
+``REFERENCES`` holds the two reference ticks of a whole ``DenseState``:
+the dense oracle's bit32 step and ``per_core_tick``, ``core_tick`` driven
+core by core. ``assert_same_state`` is the one comparison of two states,
+and ``assert_ticks_match`` ticks a network beside a reference through it.
 """
 
 import math
+import warnings
 
 import numpy as np
 
+from pcsub.core import core_tick
+from pcsub.network import NO_CLAMP, DenseState, NetworkConfig
+from pcsub.oracle import oracle_tick
+
 F32 = np.float32
+
+FIELDS = ("x", "eps", "theta", "states_in", "back_in")
 
 
 def activation64(kind: str, x: float) -> float:
@@ -136,9 +150,6 @@ def local_energy(x_i, i, mu_i, x_layer, x_low, theta_low, kind):
 
 def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
     """FD check of the state increment against -(gamma/2) dE/dx."""
-    from pcsub.core import core_tick
-    from pcsub.network import NetworkConfig
-
     h = 1e-4
     kinds = ["identity", "relu", "tanh"]
     checked = 0
@@ -188,9 +199,6 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
 
 def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
     """FD check of weight increments against -(alpha/2) dE/dtheta."""
-    from pcsub.core import core_tick
-    from pcsub.network import NetworkConfig
-
     h = 1e-4
     kinds = ["identity", "relu", "tanh"]
     checked = 0
@@ -242,3 +250,85 @@ def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
         if lanes:
             checked += 1
     return checked
+
+
+def per_core_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
+    """The per-core reference tick of the ``DenseState`` ``state``, into a
+    new one: the layers bottom-up and the cores of each layer last-to-first,
+    each a stateless ``core_tick`` on row i of its layer's arrays against
+    the same latches, then the bus swap. f(presyn) is this module's own
+    binary32 f; ``alpha``/``gamma`` override the configured step sizes."""
+    cfg, clamp = state.cfg, clamp or {}
+    alpha = F32(cfg.alpha if alpha is None else alpha)
+    gamma = F32(cfg.gamma if gamma is None else gamma)
+    theta = [w.copy() for w in state.theta]  # core_tick updates a row in place
+    n_layers = len(cfg.layer_sizes)
+    x, eps, products = [None] * n_layers, [None] * n_layers, [None] * n_layers
+    for s in reversed(range(n_layers)):
+        kind = cfg.activations[s - 1] if s else "identity"
+        presyn_f = np.array(
+            [activation32(kind, v) for v in state.states_in[s]], dtype=np.float32
+        )
+        signals = clamp.get(s)
+        cores = []
+        with np.errstate(all="ignore"):  # as in Network.tick
+            for i in reversed(range(cfg.layer_sizes[s])):
+                cores.append(core_tick(
+                    cfg, s, state.x[s][i], theta[s][i], alpha, gamma,
+                    presyn_f, state.back_in[s][:, i],
+                    signals[i] if signals else NO_CLAMP,
+                ))
+        x_s, eps_s, rows = zip(*reversed(cores))
+        x[s], eps[s] = np.array(x_s, np.float32), np.array(eps_s, np.float32)
+        products[s] = np.array(rows, np.float32).reshape(len(rows), -1)
+    return DenseState(
+        cfg=cfg,
+        x=x,
+        eps=eps,
+        theta=theta,
+        states_in=[a.copy() for a in state.states_in[:1] + state.x[:-1]],
+        back_in=products[1:] + [state.back_in[-1].copy()],
+    )
+
+
+# name -> tick(state, clamp, alpha=, gamma=): a new DenseState, the input
+# left as it was
+REFERENCES = {"oracle": oracle_tick, "per_core": per_core_tick}
+
+
+def assert_same_state(got, want, where=None, exact=False) -> None:
+    """Every field of the ``DenseState`` ``got`` equals ``want``'s, layer by
+    layer: dtype, shape and raw bytes where neither array holds a NaN, else
+    NaN at the same places and every other element byte-identical. With
+    ``exact``, for two states of one implementation, raw bytes everywhere.
+
+    NaN sign and payload are left out between implementations: numpy's
+    scalar ``+`` (the per-core reference) returns the second of two NaN
+    operands and its array add (the engine and the oracle) the first, so a
+    sum of two differently signed NaNs differs. One NaN rule for every tick
+    is ROADMAP item 4.
+    """
+    for field in FIELDS:
+        pairs = zip(getattr(got, field), getattr(want, field), strict=True)
+        for s, (a, b) in enumerate(pairs):
+            site = (where, field, s)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), site
+            nan_a, nan_b = np.isnan(a), np.isnan(b)
+            if not exact and (nan_a.any() or nan_b.any()):
+                assert np.array_equal(nan_a, nan_b), site
+                a, b = a[~nan_a], b[~nan_b]
+            assert a.tobytes() == b.tobytes(), site
+
+
+def assert_ticks_match(reference, net, ticks) -> None:
+    """Tick ``net`` and a ``REFERENCES`` tick side by side from the same
+    state, once per (clamp, alpha, gamma) of ``ticks`` (None for a
+    configured step size), and compare every field after every tick; a
+    warning is an error."""
+    state = net.snapshot()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, (clamp, alpha, gamma) in enumerate(ticks):
+            net.tick(clamp, alpha=alpha, gamma=gamma)
+            state = reference(state, clamp, alpha=alpha, gamma=gamma)
+            assert_same_state(net.state, state, (reference.__name__, t))

@@ -152,6 +152,16 @@ def test_parse_layer_sizes():
     assert cfg.layer_sizes == [2, 4, 3]
 
 
+@pytest.mark.parametrize(
+    "key, raw", [("layer_sizes", "2,,3"), ("layer_sizes", "2, 3,"),
+                 ("activations", "relu,, identity"), ("activations", ", relu")],
+)
+def test_empty_list_item_rejected_on_its_line(key, raw):
+    with pytest.raises(ConfigParseError) as exc:
+        parse_config(f"seed = 2\n{key} = {raw}\n")
+    assert exc.value.errors == [(2, f"{key}: empty list item in {raw!r}")]
+
+
 def test_parse_negative_gamma_rejected():
     with pytest.raises(ConfigParseError) as exc:
         parse_config("gamma = -0.1\n")

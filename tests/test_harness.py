@@ -1,5 +1,7 @@
 """Dataset generation, training protocol, MSE evaluation, experiments."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,14 @@ def test_teacher_seed_validation(seed):
         TeacherSpec("relu_teacher", (2, 3, 1), seed, 1.0)
 
 
+def test_teacher_spec_stores_checked_values():
+    # what the rules return is what the spec holds: a tuple of dims, a
+    # Python int seed and a Python float scale
+    spec = TeacherSpec("relu_teacher", [2, 3, 1], np.uint64(7), np.float32(0.5))
+    assert spec.dims == (2, 3, 1)
+    assert type(spec.seed) is int and type(spec.weight_scale) is float
+
+
 @pytest.mark.parametrize(
     "dims, n_samples, field",
     [
@@ -125,6 +135,18 @@ def test_protocol_validation():
         TrainProtocol(infer_ticks=0, learn_ticks=1, epochs=1, eval_ticks=1)
     with pytest.raises(ConfigurationError):
         TrainProtocol(infer_ticks=1, learn_ticks=-1, epochs=1, eval_ticks=1)
+
+
+def test_protocol_is_frozen():
+    # a field written after the build would pass no rule: infer_ticks = -5
+    # would train with no inference ticks
+    proto = TrainProtocol(infer_ticks=5, learn_ticks=2, epochs=3, eval_ticks=10)
+    for field in dataclasses.fields(proto):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(proto, field.name, getattr(proto, field.name))
+    # replace builds a new protocol, so the rules run again
+    with pytest.raises(ConfigurationError, match="infer_ticks must be >= 1"):
+        dataclasses.replace(proto, infer_ticks=-5)
 
 
 @pytest.mark.parametrize(

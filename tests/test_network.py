@@ -15,21 +15,26 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from pcsub import core
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
-from pcsub.core import core_tick
 from pcsub.errors import ConfigurationError
 from pcsub.network import (
-    NO_CLAMP,
     ClampSignal,
     NetworkConfig,
     build_network,
     clamp_layer,
     layer_wiring,
 )
-from pcsub.oracle import DenseState, oracle_tick
+from pcsub.oracle import oracle_tick
 from pcsub.prng import Prng
 from pcsub.scalar32 import ACTIVATION_KINDS
 
-from refimpl import activation32, activation64
+from refimpl import (
+    FIELDS,
+    REFERENCES,
+    activation64,
+    assert_same_state,
+    assert_ticks_match,
+    per_core_tick,
+)
 
 F32 = np.float32
 
@@ -82,9 +87,7 @@ def test_network_config_is_frozen():
 
 def test_same_seed_same_weights():
     a = mknet([3, 5, 2], seed=77)
-    b = mknet([3, 5, 2], seed=77)
-    for wa, wb in zip(a.state.theta, b.state.theta):
-        assert wa.tobytes() == wb.tobytes()
+    assert_same_state(a.state, mknet([3, 5, 2], seed=77).state, exact=True)
     c = mknet([3, 5, 2], seed=78)
     assert any(
         wa.tobytes() != wc.tobytes() for wa, wc in zip(a.state.theta, c.state.theta)
@@ -157,7 +160,7 @@ def test_any_mapping_clamps_like_a_dict(as_map):
     for _ in range(4):
         nets[0].tick(clamp)
         nets[1].tick(as_map(clamp))
-    assert _snapshot_bytes(nets[0]) == _snapshot_bytes(nets[1])
+    assert_same_state(nets[0].state, nets[1].state, exact=True)
 
 
 def test_clamp_length_validation():
@@ -203,18 +206,6 @@ def test_snapshot_alpha_zero_preserves_weights():
         assert wa.tobytes() == wb.tobytes()
 
 
-FIELDS = ("x", "eps", "theta", "states_in", "back_in")
-
-
-def _snapshot_bytes(net) -> list:
-    snap = net.snapshot()
-    return [
-        a.tobytes()
-        for field in (snap.x, snap.eps, snap.theta, snap.states_in, snap.back_in)
-        for a in field
-    ]
-
-
 # binary32 ones too, as a finite, non-negative binary32 override is taken
 # as it is, and a binary64 one past the binary32 range
 BAD_STEP_OVERRIDES = {
@@ -239,10 +230,10 @@ def test_bad_step_override_rejected_network_untouched(key, value):
     clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
     for _ in range(3):
         net.tick(clamp)
-    before = _snapshot_bytes(net)
+    before = net.snapshot()
     with pytest.raises(ConfigurationError, match=key):
         net.tick(clamp, **{key: value})
-    assert _snapshot_bytes(net) == before
+    assert_same_state(net.state, before, exact=True)
 
 
 @pytest.mark.parametrize("key", ["alpha", "gamma"])
@@ -253,13 +244,11 @@ def test_zero_step_override_same_bits_in_any_form(key):
     runs = []
     for value in (F32(0.0), F32(-0.0), 0.0):
         net = mknet([2, 4, 3], seed=19, alpha=0.01, gamma=0.05)
-        state = net.snapshot()
-        for t in range(4):
-            net.tick(clamp, **{key: value})
-            state = oracle_tick(state, clamp, **{key: value})
-            _assert_matches_oracle(net, state, t)
-        runs.append(_snapshot_bytes(net))
-    assert runs[0] == runs[1] == runs[2]
+        tick = (clamp, value, None) if key == "alpha" else (clamp, None, value)
+        assert_ticks_match(oracle_tick, net, [tick] * 4)
+        runs.append(net.state)
+    assert_same_state(runs[0], runs[1], exact=True)
+    assert_same_state(runs[0], runs[2], exact=True)
 
 
 @pytest.mark.parametrize("obs", [float("inf"), float("nan")], ids=["inf", "nan"])
@@ -340,7 +329,7 @@ def test_snapshot_shapes():
 
 
 # ---------------------------------------------------------------------------
-# differential checks against the dense bit32 oracle
+# differential checks: the engine against both references
 # ---------------------------------------------------------------------------
 
 # NaN, infinities, binary32 overflow, the smallest subnormal and -0.0
@@ -350,61 +339,40 @@ SPECIAL_OBS = (
     np.float32(-1e-45), np.float64(1e39), -1,
 )
 STEP_CORNERS = (0.0, 1e-40, 0.01, 0.5)
+_STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
 
 
-def _same_bits_but_nan_payload(a, b) -> bool:
-    """NaN at the same places and every other element byte-identical.
-
-    NaN sign and payload are left out: numpy's scalar ``+`` (the per-core
-    engine) returns the second of two NaN operands and its array add (the
-    oracle) the first, so a sum of two differently signed NaNs differs.
-    """
-    a, b = np.asarray(a, np.float32), np.asarray(b, np.float32)
-    nan_a, nan_b = np.isnan(a), np.isnan(b)
-    return (
-        a.shape == b.shape
-        and np.array_equal(nan_a, nan_b)
-        and a[~nan_a].tobytes() == b[~nan_b].tobytes()
-    )
-
-
-def _assert_matches_oracle(net, state, where) -> None:
-    """x, eps, theta and both latches equal the oracle's bit for bit,
-    NaN payloads aside."""
-    snap = net.snapshot()
+def _assert_no_nan(net) -> None:
     for field in FIELDS:
-        for s, (a, b) in enumerate(zip(getattr(snap, field), getattr(state, field))):
-            assert _same_bits_but_nan_payload(a, b), (where, field, s)
+        for s, a in enumerate(getattr(net.state, field)):
+            assert not np.isnan(a).any(), (field, s)
 
 
 @pytest.mark.parametrize("clamp_hard", [True, False], ids=["hard", "soft"])
 def test_special_clamp_observations_match_oracle(clamp_hard):
-    # every observation is read inside the tick; a binary32 conversion that
-    # runs outside the tick's errstate raises here instead of warning
-    net = mknet(
-        [3, 4, 3],
+    # against both references; every observation is read inside the tick,
+    # whose warnings are errors
+    cfg = NetworkConfig(
+        layer_sizes=[3, 4, 3],
         seed=17,
         activations=["tanh", "relu", "tanh"],
         alpha=0.01,
         gamma=0.05,
         clamp_hard=clamp_hard,
     )
-    state = DenseState.from_network(net)
     k = len(SPECIAL_OBS)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for t in range(2 * k):
-            # rotate the specials over the boundary neurons; a disabled
-            # signal carries one too and must never be read
-            clamp = {
-                0: [ClampSignal(i != 1 or t % 2 == 0, SPECIAL_OBS[(t + i) % k])
-                    for i in range(3)],
-                2: [ClampSignal(True, SPECIAL_OBS[(t + i + 3) % k])
-                    for i in range(3)],
-            }
-            net.tick(clamp)
-            state = oracle_tick(state, clamp, mode="bit32")
-            _assert_matches_oracle(net, state, t)
+    # rotate the specials over the boundary neurons; a disabled signal
+    # carries one too and must never be read
+    ticks = [
+        ({
+            0: [ClampSignal(i != 1 or t % 2 == 0, SPECIAL_OBS[(t + i) % k])
+                for i in range(3)],
+            2: [ClampSignal(True, SPECIAL_OBS[(t + i + 3) % k]) for i in range(3)],
+        }, None, None)
+        for t in range(2 * k)
+    ]
+    for reference in REFERENCES.values():
+        assert_ticks_match(reference, build_network(cfg), ticks)
 
 
 _obs = st.one_of(
@@ -440,52 +408,65 @@ def _clamps(draw, sizes):
 
 @st.composite
 def _tick_cases(draw):
+    """A config and 1-6 ticks of one clamp map, each with drawn overrides."""
     cfg = draw(_configs())
-    return cfg, draw(_clamps(cfg.layer_sizes)), draw(st.integers(1, 6))
+    clamp = draw(_clamps(cfg.layer_sizes))
+    steps = st.tuples(_STEP_OVERRIDES, _STEP_OVERRIDES)
+    steps = draw(st.lists(steps, min_size=1, max_size=6))
+    return cfg, [(clamp, alpha, gamma) for alpha, gamma in steps]
 
 
 @given(case=_tick_cases())
 @settings(max_examples=300, deadline=None)
 def test_tick_matches_oracle_property(case):
-    cfg, clamp, n_ticks = case
-    net = build_network(cfg)
-    state = DenseState.from_network(net)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for t in range(n_ticks):
-            net.tick(clamp)
-            state = oracle_tick(state, clamp, mode="bit32")
-            _assert_matches_oracle(net, state, t)
+    """``Network.tick`` equals the dense oracle's tick on every field after
+    every tick, as ``refimpl.assert_same_state`` compares them."""
+    cfg, ticks = case
+    assert_ticks_match(oracle_tick, build_network(cfg), ticks)
+
+
+@given(case=_tick_cases())
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_per_core_reference(case):
+    """The same property against ``core_tick`` driven core by core,
+    bottom-up and last core first."""
+    cfg, ticks = case
+    assert_ticks_match(per_core_tick, build_network(cfg), ticks)
+
+
+_CLAMP_243 = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
+
+
+def test_core_order_does_not_matter():
+    # 20 ticks at the configured step sizes against both references; no
+    # NaN arises, so every field compares as raw bytes
+    cfg = NetworkConfig(layer_sizes=[2, 4, 3], seed=13, alpha=0.02, gamma=0.1)
+    for reference in REFERENCES.values():
+        net = build_network(cfg)
+        assert_ticks_match(reference, net, [(_CLAMP_243, None, None)] * 20)
+        _assert_no_nan(net)
 
 
 def test_wide_net_matches_oracle_bytes():
-    # widths past the 8-lane point where a pairwise sum would change bits
-    net = mknet(
-        [64, 128, 64],
-        seed=5,
-        activations=["identity", "tanh", "identity"],
-        alpha=0.01,
-        gamma=0.05,
-    )
+    # against both references, at widths past the 8-lane point where a
+    # pairwise sum would change bits; no NaN arises, so every field
+    # compares as raw bytes
     rng = Prng(77)
     clamp = {
         0: clamp_layer([rng.uniform(-1, 1) for _ in range(64)]),
         2: clamp_layer([rng.uniform(-1, 1) for _ in range(64)]),
     }
-    state = DenseState.from_network(net)
-    for t, alpha in enumerate([0.0] * 4 + [0.01] * 4):
-        net.tick(clamp, alpha=alpha)
-        state = oracle_tick(state, clamp, mode="bit32", alpha=alpha)
-        snap = net.snapshot()
-        for field in FIELDS:
-            pairs = zip(getattr(snap, field), getattr(state, field))
-            for s, (a, b) in enumerate(pairs):
-                assert a.tobytes() == b.tobytes(), (t, field, s)
-
-
-# ---------------------------------------------------------------------------
-# schedule independence
-# ---------------------------------------------------------------------------
+    ticks = [(clamp, alpha, None) for alpha in [0.0] * 4 + [0.01] * 4]
+    for reference in REFERENCES.values():
+        net = mknet(
+            [64, 128, 64],
+            seed=5,
+            activations=["identity", "tanh", "identity"],
+            alpha=0.01,
+            gamma=0.05,
+        )
+        assert_ticks_match(reference, net, ticks)
+        _assert_no_nan(net)
 
 
 def _run_ticks(net, n, clamp):
@@ -494,114 +475,12 @@ def _run_ticks(net, n, clamp):
     return net.snapshot()
 
 
-def _tick_bottom_up_reversed(st, clamp, alpha=None, gamma=None):
-    """The per-core reference tick of the ``DenseState`` ``st``, in place:
-    the layers bottom-up and the cores of each layer last-to-first, each a
-    stateless ``core_tick`` on row i of its layer's arrays against the same
-    latches, then the bus swap. f(presyn) is the reference's own binary32
-    f; ``alpha``/``gamma`` override the configured step sizes."""
-    cfg = st.cfg
-    alpha = F32(cfg.alpha if alpha is None else alpha)
-    gamma = F32(cfg.gamma if gamma is None else gamma)
-    sizes = cfg.layer_sizes
-    new = {}
-    for s in reversed(range(len(sizes))):
-        n = sizes[s]
-        kind = cfg.activations[s - 1] if s else "identity"
-        presyn_f = np.array(
-            [activation32(kind, v) for v in st.states_in[s]], dtype=np.float32
-        )
-        signals = clamp.get(s)
-        x, eps, rows = [None] * n, [None] * n, [None] * n
-        with np.errstate(all="ignore"):  # as in Network.tick
-            for i in reversed(range(n)):
-                x[i], eps[i], rows[i] = core_tick(
-                    cfg, s, st.x[s][i], st.theta[s][i], alpha, gamma,
-                    presyn_f, st.back_in[s][:, i],
-                    signals[i] if signals else NO_CLAMP,
-                )
-        new[s] = (
-            np.array(x, dtype=np.float32),
-            np.array(eps, dtype=np.float32),
-            np.array(rows, dtype=np.float32).reshape(n, -1),
-        )
-    last = len(sizes) - 1
-    st.states_in = st.states_in[:1] + st.x[:-1]
-    st.back_in = [new[s + 1][2] for s in range(last)] + st.back_in[-1:]
-    st.x = [new[s][0] for s in range(last + 1)]
-    st.eps = [new[s][1] for s in range(last + 1)]
-
-
-def test_core_order_does_not_matter():
-    clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
-    a = _run_ticks(mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1), 20, clamp)
-    net = mknet([2, 4, 3], seed=13, alpha=0.02, gamma=0.1)
-    for _ in range(20):
-        _tick_bottom_up_reversed(net.state, clamp)
-    b = net.snapshot()
-    for field in FIELDS:
-        for fa, fb in zip(getattr(a, field), getattr(b, field)):
-            assert fa.tobytes() == fb.tobytes(), field
-
-
-@given(case=_tick_cases())
-@settings(max_examples=300, deadline=None)
-def test_engine_matches_per_core_reference(case):
-    """``Network.tick`` equals ``core_tick`` driven core by core over the
-    latches, on every field after every tick: NaN at the same places and
-    every other element byte-identical.
-
-    NaN sign and payload are left out. The engine's BACKVEC and bias update
-    are one array operation per layer, and an array operation can keep the
-    other of two NaN operands than the reference's per-core scalar one, so
-    theta and back_in can differ in NaN bytes on special-value ticks. One
-    NaN rule for every implementation is ROADMAP item 4.
-    """
-    cfg, clamp, n_ticks = case
-    engine, reference = build_network(cfg), build_network(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for t in range(n_ticks):
-            engine.tick(clamp)
-            _tick_bottom_up_reversed(reference.state, clamp)
-            a, b = engine.snapshot(), reference.snapshot()
-            for field in FIELDS:
-                pairs = zip(getattr(a, field), getattr(b, field))
-                for s, (fa, fb) in enumerate(pairs):
-                    assert _same_bits_but_nan_payload(fa, fb), (t, field, s)
-
-
 # ---------------------------------------------------------------------------
 # stages the engine skips, against the per-core reference that runs them all
+# (BACKSUM, f' and PRED included)
 # ---------------------------------------------------------------------------
 
 NAN, INF = F32("nan"), F32("inf")
-
-
-def _assert_same_as_every_stage_tick(net, clamp, gamma=None, alpha=None) -> None:
-    """One ``Network.tick`` equals one ``core_tick`` pass (which runs every
-    stage, BACKSUM, f' and PRED included) from the same state: raw bytes
-    wherever neither side holds a NaN, NaN places and every other byte
-    otherwise."""
-    reference = net.snapshot()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        net.tick(clamp, alpha=alpha, gamma=gamma)
-        _tick_bottom_up_reversed(reference, clamp, alpha=alpha, gamma=gamma)
-    state = net.state
-    for field in FIELDS:
-        pairs = zip(getattr(state, field), getattr(reference, field), strict=True)
-        for s, (a, b) in enumerate(pairs):
-            if np.isnan(a).any() or np.isnan(b).any():
-                assert _same_bits_but_nan_payload(a, b), (field, s)
-            else:
-                assert a.tobytes() == b.tobytes(), (field, s)
-
-
-def _assert_no_nan(net) -> None:
-    for field in FIELDS:
-        for s, a in enumerate(getattr(net.state, field)):
-            assert not np.isnan(a).any(), (field, s)
 
 
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
@@ -620,7 +499,7 @@ def test_hard_clamp_skips_backsum_of_non_finite_back_inputs(kind):
         0: clamp_layer([0.3, -0.6]),
         1: [ClampSignal(i % 2 == 0, 0.5 - i) for i in range(4)],
     }
-    _assert_same_as_every_stage_tick(net, clamp)
+    assert_ticks_match(per_core_tick, net, [(clamp, None, None)])
     _assert_no_nan(net)
 
 
@@ -641,7 +520,7 @@ def test_zero_gamma_skips_backsum_of_nan_back_inputs(override, clamp_hard):
         net.tick(clamp, gamma=0.05)
     for back in net.state.back_in[:-1]:
         back[...] = NAN
-    _assert_same_as_every_stage_tick(net, clamp, gamma=0.0 if override else None)
+    assert_ticks_match(per_core_tick, net, [(clamp, None, 0.0 if override else None)])
     _assert_no_nan(net)
 
 
@@ -658,7 +537,8 @@ def test_identity_layer_skips_its_derivative(column):
     net = mknet([2, 4, 3], alpha=0.0, gamma=0.5, init_scale=0.0)
     net.state.x[1][...] = F32(-0.0)
     net.state.back_in[1][...] = np.array(column, np.float32)[:, None]
-    _assert_same_as_every_stage_tick(net, {0: clamp_layer([-0.0, -0.0])})
+    clamp = {0: clamp_layer([-0.0, -0.0])}
+    assert_ticks_match(per_core_tick, net, [(clamp, None, None)])
 
 
 def _write_theta(net, clamp):
@@ -691,11 +571,10 @@ def test_pred_reuse_follows_what_layer_1_reads(write, top):
     # ticks, the first of which reuses f(latch) for WUP
     net = mknet([2, 4, 3], activations=[top, "relu", "tanh"], alpha=0.01, gamma=0.05)
     clamp = {0: clamp_layer([0.3, -0.6])}
-    for _ in range(3):
-        _assert_same_as_every_stage_tick(net, clamp, alpha=0.0)
+    assert_ticks_match(per_core_tick, net, [(clamp, 0.0, None)] * 3)
     write(net, clamp)
-    for alpha in (0.0, 0.0, None, None):
-        _assert_same_as_every_stage_tick(net, clamp, alpha=alpha)
+    ticks = [(clamp, alpha, None) for alpha in (0.0, 0.0, None, None)]
+    assert_ticks_match(per_core_tick, net, ticks)
 
 
 _STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
@@ -703,7 +582,7 @@ _STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
 
 class NetworkMachine(RuleBasedStateMachine):
     """The ``Network`` API, call after call, against a ``DenseState`` model
-    that the test keeps itself: the model ticks by ``core_tick`` and is
+    that the test keeps itself: the model ticks by ``per_core_tick`` and is
     zeroed by the test's own code, never by a ``Network`` method."""
 
     def __init__(self):
@@ -721,13 +600,21 @@ class NetworkMachine(RuleBasedStateMachine):
             arrays = getattr(self.model, name)
             setattr(self.model, name, [np.zeros(a.shape, np.float32) for a in arrays])
 
-    @rule(data=st.data(), alpha=_STEP_OVERRIDES, gamma=_STEP_OVERRIDES)
-    def tick(self, data, alpha, gamma):
-        clamp = data.draw(_clamps(self.net.cfg.layer_sizes))
+    def _tick(self, clamp, alpha=None, gamma=None):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.net.tick(clamp, alpha=alpha, gamma=gamma)
-        _tick_bottom_up_reversed(self.model, clamp, alpha, gamma)
+        self.model = per_core_tick(self.model, clamp, alpha=alpha, gamma=gamma)
+
+    @rule(data=st.data(), alpha=_STEP_OVERRIDES, gamma=_STEP_OVERRIDES)
+    def tick(self, data, alpha, gamma):
+        self._tick(data.draw(_clamps(self.net.cfg.layer_sizes)), alpha, gamma)
+
+    @rule(value=st.sampled_from(SPECIAL_OBS))
+    def clamp_top_layer(self, value):
+        # only the top layer clamped to a special value: a NaN there becomes
+        # an x that only f reads (the energy), above finite lower layers
+        self._tick({0: clamp_layer([value] * self.net.cfg.layer_sizes[0])})
 
     @rule()
     def reset_states(self):
@@ -786,10 +673,7 @@ class NetworkMachine(RuleBasedStateMachine):
     @invariant()
     def state_matches_model_and_owns_its_arrays(self):
         state = self.net.state
-        for name in FIELDS:
-            pairs = zip(getattr(state, name), getattr(self.model, name), strict=True)
-            for s, (a, b) in enumerate(pairs):
-                assert _same_bits_but_nan_payload(a, b), (name, s)
+        assert_same_state(state, self.model)
         own = [a for name in FIELDS for a in getattr(state, name)]
         for snap in self.held:
             for name in FIELDS:
@@ -831,12 +715,7 @@ def test_tick_calls_no_per_core_reference(monkeypatch):
         if name == "core_tick" or name.startswith("stage_"):
             monkeypatch.setattr(core, name, unreachable)
     net = mknet([2, 4, 3], seed=37, alpha=0.02, gamma=0.1, clamp_hard=False)
-    clamp = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
-    state = net.snapshot()
-    for t in range(5):
-        net.tick(clamp)
-        state = oracle_tick(state, clamp)
-        _assert_matches_oracle(net, state, t)
+    assert_ticks_match(oracle_tick, net, [(_CLAMP_243, None, None)] * 5)
 
 
 def test_thread_count_does_not_matter():
@@ -854,11 +733,7 @@ def test_thread_count_does_not_matter():
     )
     worker.start()
     worker.join()
-    b = result["b"]
-    for xa, xb in zip(a.x, b.x):
-        assert xa.tobytes() == xb.tobytes()
-    for ta, tb in zip(a.theta, b.theta):
-        assert ta.tobytes() == tb.tobytes()
+    assert_same_state(a, result["b"], exact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dense oracle tests: hand cases, bit-exact equivalence, f64 drift bound."""
 
+import copy
 import itertools
 import warnings
 
@@ -21,6 +22,8 @@ from pcsub.oracle import (
     oracle_tick,
     run_equivalence_suite,
 )
+
+from refimpl import FIELDS, REFERENCES, assert_same_state, assert_ticks_match
 
 F32 = np.float32
 
@@ -108,14 +111,6 @@ def test_bad_step_override_rejected_like_network(key, value):
             tick(**{key: value})
 
 
-def _state_bytes(state) -> list:
-    return [
-        a.tobytes()
-        for name in ("x", "eps", "theta", "states_in", "back_in")
-        for a in getattr(state, name)
-    ]
-
-
 _TOP = clamp_layer([0.3, -0.6])  # a good clamp of layer 0 of a 2-4-3 net
 
 # each builds its clamp map when called, as building some of them raises
@@ -157,13 +152,12 @@ def test_bad_clamp_rejected_like_network(clamp):
     )
     net.tick({0: _TOP, 2: clamp_layer([0.5, 0.3, 0.1])})
     ds = net.snapshot()
-    before = _state_bytes(ds)
     with pytest.raises(ConfigurationError) as from_net:
         net.tick(clamp())
     with pytest.raises(ConfigurationError) as from_oracle:
         oracle_tick(ds, clamp())
     assert str(from_oracle.value) == str(from_net.value)
-    assert _state_bytes(net.state) == before
+    assert_same_state(net.state, ds, exact=True)
 
 
 # an int past the binary64 range, as a plain list and through clamp_layer,
@@ -201,8 +195,8 @@ def test_huge_int_observation_enters_as_infinity(clamp, as_inf):
         net.tick(built)
         from_oracle = oracle_tick(ds, built)
     twin.tick(as_inf)
-    assert _state_bytes(net.state) == _state_bytes(twin.state)
-    assert _state_bytes(from_oracle) == _state_bytes(oracle_tick(ds, as_inf))
+    assert_same_state(net.state, twin.state, exact=True)
+    assert_same_state(from_oracle, oracle_tick(ds, as_inf), exact=True)
 
 
 def test_shape_validation():
@@ -265,6 +259,8 @@ def test_integer_clamp_keys_accepted(key):
 
 
 def test_random_net_bit_identical_to_simulator():
+    # against both references: 25 ticks at the configured step sizes, then
+    # 16 distinct per-tick overrides interleaved with the configured ones
     cfg = NetworkConfig(
         layer_sizes=[2, 4, 3],
         activations=["identity", "relu", "identity"],
@@ -272,20 +268,13 @@ def test_random_net_bit_identical_to_simulator():
         gamma=0.05,
         seed=314,
     )
-    net = build_network(cfg)
-    ds = DenseState.from_network(net)
     clamp = {0: clamp_layer([0.4, -0.2]), 2: clamp_layer([0.1, 0.0, -0.5])}
-    for _ in range(25):
-        net.tick(clamp)
-        ds = oracle_tick(ds, clamp)
-        assert compare_to_network(net, ds) is None
-    # 16 distinct per-tick step-size overrides, interleaved with the
-    # built-in step sizes
-    for t in range(24):
-        steps = {} if t % 3 == 0 else {"alpha": 0.001 * t, "gamma": 0.1 - 0.002 * t}
-        net.tick(clamp, **steps)
-        ds = oracle_tick(ds, clamp, **steps)
-        assert compare_to_network(net, ds) is None
+    ticks = [(clamp, None, None)] * 25 + [
+        (clamp, None, None) if t % 3 == 0 else (clamp, 0.001 * t, 0.1 - 0.002 * t)
+        for t in range(24)
+    ]
+    for reference in REFERENCES.values():
+        assert_ticks_match(reference, build_network(cfg), ticks)
 
 
 def test_equivalence_suite_small():
@@ -465,7 +454,6 @@ def test_oracle_sums_start_from_positive_zero():
 # ---------------------------------------------------------------------------
 
 MODE_DTYPES = [("bit32", np.float32), ("f64", np.float64)]
-FIELDS = ("x", "eps", "theta", "states_in", "back_in")
 
 
 def _state_in(dtype, **kw):
@@ -544,9 +532,9 @@ def test_oracle_tick_result_owns_its_arrays(
     # an input that has the mode's dtype is read where it lies: the tick
     # must still leave its bytes alone and hand back arrays of its own
     ds = _state_in(in_dtype, alpha=alpha, gamma=gamma, clamp_hard=clamp_hard)
-    before = _state_bytes(ds)
+    before = copy.deepcopy(ds)
     out = oracle_tick(ds, clamp, mode=mode)
-    assert _state_bytes(ds) == before
+    assert_same_state(ds, before, exact=True)
     _assert_mode_dtype(out, dtype)
     ins = [a for name in FIELDS for a in getattr(ds, name)]
     outs = [a for name in FIELDS for a in getattr(out, name)]

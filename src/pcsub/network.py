@@ -47,11 +47,23 @@ over those arrays with the stage rules, operand order and roundings of
    hard-clamped layer from the third tick on, and alpha == 0 leaves theta
    as it is: evaluation and inference ticks. The key is the arrays'
    content, not their identity, because ``Network.state`` is public and
-   callers write into it or replace its arrays. None of this changes a
-   bit, and ``tick_cycles`` still counts every stage: the modelled
-   datapath spends the M BACKSUM cycles whether b is read or not, and the
-   N + 1 PRED cycles whether mu is new or not; only the simulator's Python
-   work goes;
+   callers write into it or replace its arrays. Two more rules skip
+   relu's exact zeros, and only on relu layers; identity and tanh layers
+   scan for no zeros. A layer below a relu layer runs PRED only over the
+   lanes whose f(latch) is not zero (a NaN lane is live): mu starts at
+   +0.0 and, under round-to-nearest-even, is never -0.0, so adding
+   w * (+-0.0) for a finite w leaves every bit of it. While the layer's
+   theta holds an inf or a NaN it runs every lane, since inf * 0 is NaN;
+   that check is kept with the theta bytes of the PRED key. A relu core
+   skips BACKSUM, and b stays +0.0, when not x_eff > 0 (so f' is +0.0)
+   and e != 0, while its layer's back products, summed as binary64
+   magnitudes, stay below FLT_MAX / 2: no ascending binary32 sum of them
+   can then overflow, so b is finite, f' * b is +-0.0, and +-0.0 - e is
+   -e as +0.0 - e is. At e == 0 the zero's sign would reach x. None of
+   this changes a bit, and ``tick_cycles`` still counts every stage: the
+   modelled datapath spends the M BACKSUM cycles whether b is read or
+   not, and the N + 1 PRED cycles whether mu is new or not and whatever
+   a lane's operand; only the simulator's Python work goes;
 2. one array operation per layer for the stages whose lanes are
    independent: BACKVEC from the pre-update weights, then WUP and the
    bias update (skipped at alpha == 0).
@@ -98,11 +110,15 @@ from .scalar32 import (
     DERIVATIVES,
     F32,
     IDENTITY,
+    RELU,
     is_finite_f32,
 )
 
 _ZERO = F32(0.0)
 _INF = F32(np.inf)
+# while a layer's back products sum below this in magnitude, no ascending
+# binary32 sum of them overflows
+_HALF_F32_MAX = float(np.finfo(np.float32).max) / 2
 _SEED_END = 1 << 64  # SplitMix64 keeps one u64 of state
 _REAL = (int, float, np.integer, np.floating)
 
@@ -413,8 +429,10 @@ class Network:
         self._bias_scale = F32(cfg.alpha_bias_scale)
         # what a tick reads of each layer's config, looked up once: (n, N,
         # M, the vector activation f of the layer above, None where
-        # f(states_in) is the latch itself, and f' of the layer's own
-        # activation, None for identity, whose f' * b is b)
+        # f(states_in) is the latch itself, f' of the layer's own
+        # activation, None for identity, whose f' * b is b, whether the
+        # layer above is relu, so PRED may skip its zero lanes, and whether
+        # the layer is relu with back inputs, so a core may skip BACKSUM)
         acts = cfg.activations
         self._layers = [
             (
@@ -427,13 +445,16 @@ class Network:
                     else None
                 ),
                 DERIVATIVES[acts[s]] if acts[s] != IDENTITY else None,
+                s > 0 and acts[s - 1] == RELU,
+                m_back > 0 and acts[s] == RELU,
             )
             for s, (n, n_pre, m_back, _) in enumerate(self._wiring)
         ]
         # the signals of a layer with no clamp: none enabled
         self._unclamped = [(NO_CLAMP,) * n for n in cfg.layer_sizes]
         # each layer's last PRED below the top, None until its first tick:
-        # (the bytes of its latch and theta, f(latch), each core's mu)
+        # (the bytes of its latch and theta, f(latch), each core's mu, and
+        # below a relu layer whether theta is finite, else None)
         self._pred = [None] * len(self._layers)
         self._top_mus = (_ZERO,) * cfg.layer_sizes[0]  # a top core runs no PRED
 
@@ -454,9 +475,9 @@ class Network:
         Each signal's observation became binary32 when it was built.
 
         Each layer, top to bottom, runs the two passes of the module
-        docstring, which also gives the stages each pass skips and when a
-        layer reuses its last PRED; none of that changes a bit or the
-        reported cycle count.
+        docstring, which also gives the stages each pass skips, the relu
+        zeros it skips and when a layer reuses its last PRED; none of that
+        changes a bit or the reported cycle count.
 
         ``alpha``/``gamma`` override the built-in step sizes for this tick
         (they are supplied externally in the same way the start pulse is)
@@ -493,7 +514,8 @@ class Network:
         values = np.empty(spans[-1].stop, dtype=np.float32)
         states, errors, emitted = [], [], [None]
 
-        for s, (n, n_pre, m_back, f_vec, fprime) in enumerate(self._layers):
+        for s, layer in enumerate(self._layers):
+            n, n_pre, m_back, f_vec, fprime, relu_fed, relu_back = layer
             theta = state.theta[s]
             # the tick never writes the latch in place, so an identity f
             # reads it as it is
@@ -507,13 +529,22 @@ class Network:
                 pred = self._pred[s]
                 if pred is None or pred[0] != key:
                     presyn_f = latch if f_vec is None else f_vec(latch)
+                    lanes = range(n_pre)
+                    finite = None
+                    if relu_fed:  # only the live lanes of a finite theta
+                        if pred is not None and pred[0][1] == key[1]:
+                            finite = pred[3]
+                        else:
+                            finite = bool(np.isfinite(theta).all())
+                        if finite:
+                            lanes = presyn_f.nonzero()[0].tolist()
                     mus = []
                     for row in theta:
                         mu = _ZERO
-                        for j in range(n_pre):
+                        for j in lanes:
                             mu = row[j] * presyn_f[j] + mu
                         mus.append(row[n_pre] + mu)  # the bias lane, 1.0
-                    pred = self._pred[s] = (key, presyn_f, mus)
+                    pred = self._pred[s] = (key, presyn_f, mus, finite)
                 # the saved f(latch) unless f is the identity: a caller may
                 # have written the array that was the latch then
                 presyn_f = latch if f_vec is None else pred[1]
@@ -524,6 +555,12 @@ class Network:
             x_old = state.x[s]
             x = values[spans[s]]
             eps = values[spans[last + 1 + s]]
+            # whether a dead relu core may skip BACKSUM: its b is finite
+            skip_dead = (
+                relu_back
+                and euler
+                and np.abs(state.back_in[s]).sum(dtype=np.float64) < _HALF_F32_MAX
+            )
 
             # pass 1: the scalar stages, core by core, each run only where
             # a later stage reads its result
@@ -537,11 +574,13 @@ class Network:
                     x[i] = x_eff
                 elif euler:
                     b = _ZERO  # BACKSUM, read only by this Euler step
-                    if m_back:
-                        for v in back[i]:
-                            b = b + v
-                    if fprime is not None:
-                        b = fprime(x_eff) * b
+                    # a dead relu core's f' * b - e is -e, as +0.0 - e is
+                    if not (skip_dead and not x_eff > _ZERO and e != _ZERO):
+                        if m_back:
+                            for v in back[i]:
+                                b = b + v
+                        if fprime is not None:
+                            b = fprime(x_eff) * b
                     x[i] = x_old[i] + gamma * (b - e)
                 else:
                     x[i] = x_old[i]

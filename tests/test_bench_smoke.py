@@ -18,7 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["tick_wide", "exp_tanh_ts", "verify"])
+@pytest.mark.parametrize(
+    "workload", ["tick_wide", "exp_tanh_ts", "exp_scale_large", "verify"]
+)
 def test_bench_workload_passes_its_checks(workload):
     proc = subprocess.run(
         [

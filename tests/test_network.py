@@ -577,6 +577,78 @@ def test_pred_reuse_follows_what_layer_1_reads(write, top):
     assert_ticks_match(per_core_tick, net, ticks)
 
 
+# ---------------------------------------------------------------------------
+# relu's exact zeros: the engine skips the PRED lanes of a relu-fed layer
+# where f(latch) is zero and the BACKSUM of a dead relu core, each only where
+# that keeps every bit; the references run every MAC and every add
+# ---------------------------------------------------------------------------
+
+_RELU_CLAMP = {0: clamp_layer([0.3, -0.6])}
+
+
+def _relu_ticks_match(prepare, ticks, **kw):
+    """``prepare`` a 2-4-3 identity/relu/identity network, whose layer 1
+    is relu with back inputs and whose layer 2 is relu-fed, then tick it
+    against both references."""
+    kw = {"alpha": 0.01, "gamma": 0.05, **kw}
+    for reference in REFERENCES.values():
+        net = mknet([2, 4, 3], activations=["identity", "relu", "identity"], **kw)
+        prepare(net)
+        assert_ticks_match(reference, net, ticks)
+
+
+@pytest.mark.parametrize("weight", [INF, -INF, NAN], ids=["inf", "-inf", "nan"])
+def test_relu_fed_pred_runs_every_lane_of_a_non_finite_theta(weight):
+    # lanes 1-3 of layer 2's latch are dead (f = +0.0) and core 1 holds a
+    # non-finite weight in lane 2: inf * 0 is NaN, so that core's mu is
+    # NaN. The weight is written after two ticks, so the finiteness kept
+    # with the old theta bytes must not be reused
+    def prepare(net):
+        for _ in range(2):
+            net.tick(_RELU_CLAMP)
+        net.state.states_in[2][...] = [0.5, -0.25, -0.0, 0.0]
+        net.state.theta[2][1, 2] = weight
+
+    _relu_ticks_match(prepare, [(_RELU_CLAMP, None, None)] * 2)
+
+
+def test_relu_fed_pred_keeps_a_nan_lane_live():
+    # f(NaN) is NaN, not zero: lane 0 stays live and every mu of layer 2
+    # is NaN, while lanes 1-3 are dead
+    def prepare(net):
+        net.state.states_in[2][...] = [NAN, -0.25, -0.0, 0.0]
+
+    _relu_ticks_match(prepare, [(_RELU_CLAMP, None, None)] * 2)
+
+
+def test_dead_relu_core_runs_backsum_at_zero_error():
+    # soft-clamped to obs == mu == -0.5 (a bias of -0.5 over a zero latch),
+    # each layer 1 core has e = +0.0 and f' = +0.0, and its back column
+    # sums to a negative b: f' * b - e is -0.0 - +0.0 = -0.0, so x stays
+    # -0.0, where a skipped BACKSUM's +0.0 - e would make it +0.0
+    def prepare(net):
+        net.state.theta[1][:, -1] = F32(-0.5)
+        net.state.x[1][...] = F32(-0.0)
+        net.state.back_in[1][...] = F32(-0.25)
+
+    clamp = {0: clamp_layer([0.0, 0.0]), 1: clamp_layer([-0.5] * 4)}
+    _relu_ticks_match(prepare, [(clamp, None, None)], clamp_hard=False)
+
+
+def test_dead_relu_core_runs_backsum_that_overflows():
+    # dead cores (x = -1) of layer 1 whose back products are finite but
+    # sum to +inf in binary32, ascending: f' * b is 0 * inf = NaN, so x is
+    # NaN. Column 0 overflows; column 1 holds one large product, so its b
+    # is finite
+    def prepare(net):
+        net.state.x[1][...] = F32(-1.0)
+        back = net.state.back_in[1]
+        back[:, 0] = F32(3e38)
+        back[:, 1] = [F32(3e38), F32(0.5), F32(-0.5)]
+
+    _relu_ticks_match(prepare, [(_RELU_CLAMP, None, None)])
+
+
 _STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
 
 

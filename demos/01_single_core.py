@@ -5,13 +5,16 @@ A core is a single scalar neuron: its activity x, its prediction error
 eps, and one weight per presynaptic lane plus a bias lane. In a network
 these are row i of its layer's arrays; a core tick is a stateless step
 over that row, configured by the network's ``NetworkConfig`` and the
-core's layer index. Everything below is binary32, exactly what the
-network scheduler runs.
+core's layer index. The caller applies the activations: it hands the
+core f of the upper layer's states and f' of the core's own layer, here
+tanh's, 1 - tanh(x)^2 in binary64 rounded once. Everything below is
+binary32, exactly what the network scheduler runs.
 """
 
-import numpy as np
-
+import math
 from dataclasses import replace
+
+import numpy as np
 
 from pcsub import ClampSignal, NetworkConfig, core_tick, tick_cycles
 from pcsub.core import (
@@ -37,6 +40,13 @@ print(f"initial: x={x}, theta={theta}")
 alpha, gamma = np.float32(0.1), np.float32(0.05)
 presyn = np.array([2.0, 3.0], dtype=np.float32)  # raw upper-layer states
 presyn_f = ACTIVATIONS_VEC[cfg.activations[s - 1]](presyn)  # relu, per lane
+
+
+def fprime(v):  # the layer's f', tanh'(v), of one binary32 operand
+    t = math.tanh(float(v))
+    return np.float32(1.0 - t * t)
+
+
 back = np.array([0.1, -0.3, 0.05], dtype=np.float32)  # theta*eps products
 clamp = ClampSignal(x_set_en=False)
 
@@ -63,14 +73,16 @@ stage_wup(cfg, theta, presyn_f, eps, alpha)
 print(f"WUP     theta = {theta}")
 
 # STATE: x += gamma * (tanh'(x_eff) * b - eps)
-x_next = stage_state(cfg, s, x, x_eff, eps, b, clamp, gamma)
+x_next = stage_state(cfg, fprime, x, x_eff, eps, b, clamp, gamma)
 print(f"STATE   x = {x_next}")
 
 # the same thing as one call, which returns the next x, eps and the
 # BACKVEC products and updates its weight row in place; the state emitted
 # downward is the one held before the tick
 theta2 = init_theta.copy()
-x2, eps2, backvec = core_tick(cfg, s, x, theta2, alpha, gamma, presyn_f, back, clamp)
+x2, eps2, backvec = core_tick(
+    cfg, s, x, theta2, alpha, gamma, presyn_f, fprime, back, clamp
+)
 print(f"\ncore_tick: backvec={backvec}, eps={eps2}, x={x2}")
 assert x2 == x_next and (theta2 == theta).all()
 
@@ -81,6 +93,6 @@ print(f"cycles = 3N + M + 4 = {cycles} (N=2 lanes, M=3 back inputs)")
 # clamping: soft affects the tick's computation, hard also overwrites x
 x3, eps3, _ = core_tick(
     replace(cfg, clamp_hard=True), s, x, init_theta.copy(), alpha, gamma,
-    presyn_f, back, ClampSignal(True, 0.7),
+    presyn_f, fprime, back, ClampSignal(True, 0.7),
 )
 print(f"\nhard clamp to 0.7: eps={eps3} (from 0.7), stored x={x3}")

@@ -16,17 +16,19 @@ arrays. ``core_tick`` is a stateless step over that row. Per tick it runs
 
 on the row plus the inputs it is handed for the tick: the step sizes
 alpha and gamma (supplied from outside, like the start pulse), f(presyn)
-of the latched upper-layer states, the latched back column from the layer
-below, and its clamp signal. It returns the new x and eps and the BACKVEC
-products, and WUP updates theta in place. The bottom-up sum b is written
-by BACKSUM and read by STATE in the same tick, so it is not stored.
+of the latched upper-layer states, the layer's f', the latched back
+column from the layer below, and its clamp signal. It returns the new x
+and eps and the BACKVEC products, and WUP updates theta in place. The
+bottom-up sum b is written by BACKSUM and read by STATE in the same tick,
+so it is not stored.
 
-Of the layer's ``NetworkConfig`` it reads ``activations[s]`` (STATE's
-f', from ``scalar32.DERIVATIVES``), ``clamp_hard``, ``bias_frozen`` and
-``alpha_bias_scale``, which it rounds to binary32 as the engine does. A
-core with s == 0 is a top core. N and M are the lengths of the row and
-the back column it is handed, so any (N, M) can be ticked, whatever the
-config's layer sizes.
+The caller applies the activations: it hands over f(presyn) as values
+and f' as a function of one binary32 operand, so this module holds no
+activation code. Of the layer's ``NetworkConfig`` it reads
+``clamp_hard``, ``bias_frozen`` and ``alpha_bias_scale``, which it rounds
+to binary32 as the engine does. A core with s == 0 is a top core. N and M
+are the lengths of the row and the back column it is handed, so any
+(N, M) can be ticked, whatever the config's layer sizes.
 
 All arithmetic is binary32 (see ``scalar32``). Every stage operand is
 already binary32: a value is rounded once, where it enters the datapath
@@ -65,7 +67,7 @@ from __future__ import annotations
 import numpy as np
 
 from .network import NO_CLAMP, ClampSignal, NetworkConfig
-from .scalar32 import DERIVATIVES, F32
+from .scalar32 import F32
 
 _ZERO = F32(0.0)
 _ONE = F32(1.0)
@@ -116,16 +118,15 @@ def stage_wup(cfg: NetworkConfig, theta, presyn_f, eps, alpha) -> None:
 
 
 def stage_state(
-    cfg: NetworkConfig, s: int, x, x_eff, eps, b, clamp: ClampSignal, gamma
+    cfg: NetworkConfig, fprime, x, x_eff, eps, b, clamp: ClampSignal, gamma
 ) -> np.float32:
-    """Next x: the explicit Euler step, or the clamp's binary32 observation
-    ``x_eff`` under a hard clamp."""
+    """Next x: the explicit Euler step with the layer's f' ``fprime``, or
+    the clamp's binary32 observation ``x_eff`` under a hard clamp."""
     if cfg.clamp_hard and clamp.x_set_en:
         return x_eff
     if gamma == _ZERO:
         return x
-    fprime = DERIVATIVES[cfg.activations[s]](x_eff)
-    return x + gamma * (fprime * b - eps)
+    return x + gamma * (fprime(x_eff) * b - eps)
 
 
 def core_tick(
@@ -136,6 +137,7 @@ def core_tick(
     alpha: np.float32,
     gamma: np.float32,
     presyn_f,
+    fprime,
     back,
     clamp: ClampSignal = NO_CLAMP,
 ):
@@ -148,10 +150,11 @@ def core_tick(
     core's (N+1,) weight row, which WUP updates in place. ``alpha`` and
     ``gamma`` are the tick's binary32 step sizes, ``presyn_f`` holds
     f(presyn) of the N latched upper-layer states (a pure per-lane
-    function, computed once per layer) and ``back`` the M latched products
-    from the layer below. The clamp observation is read as the binary32
-    value its signal holds; ``alpha_bias_scale`` is rounded to binary32
-    here. Run it under ``np.errstate(all="ignore")``, as the engine runs
+    function, computed once per layer), ``fprime`` maps a binary32 operand
+    to the layer's f' rounded to binary32, and ``back`` holds the M latched
+    products from the layer below. The clamp observation is read as the
+    binary32 value its signal holds; ``alpha_bias_scale`` is rounded to
+    binary32 here. Run it under ``np.errstate(all="ignore")``, as the engine runs
     its own stages, so that NaN and infinite operands propagate without a
     warning.
     """
@@ -163,5 +166,5 @@ def core_tick(
     products = _NO_PRODUCTS if top else stage_backvec(theta, eps)
     if not top:
         stage_wup(cfg, theta, presyn_f, eps, alpha)
-    x = stage_state(cfg, s, x, x_eff, eps, b, clamp, gamma)
+    x = stage_state(cfg, fprime, x, x_eff, eps, b, clamp, gamma)
     return x, eps, products

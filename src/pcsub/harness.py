@@ -20,7 +20,9 @@ Teacher parameters and inputs are drawn from a SplitMix64 stream (see
 ``prng``): first the parameter matrices row-major in the order listed
 above, each entry uniform in [-weight_scale, +weight_scale], then the
 inputs sample-major with components uniform in [-1, 1]. Targets are
-evaluated in binary64 and rounded once to binary32.
+evaluated in binary64, with the datapath's relu and tanh
+(``scalar32.ACTIVATIONS_VEC``: tanh is ``math.tanh`` per element, whose
+bits do not depend on numpy's vector code), and rounded once to binary32.
 
 ``HARNESS_RULES`` holds the rule of each config key the harness consumes;
 the objects here and ``config.parse_config`` apply the same rules.
@@ -51,6 +53,7 @@ from .network import (
     clamp_layer,
 )
 from .prng import Prng
+from .scalar32 import ACTIVATIONS_VEC, RELU, TANH
 
 if TYPE_CHECKING:
     from .config import ConfigFile
@@ -164,8 +167,8 @@ def teacher_apply(kind: str, params: dict, x) -> np.ndarray:
     b_mat = params["B"].astype(np.float64)
     a_mat = params["A"].astype(np.float64)
     if kind == "relu_teacher":
-        return a_mat @ np.maximum(b_mat @ x, 0.0)
-    hidden = np.tanh(b_mat @ x + params["b1"].astype(np.float64))
+        return a_mat @ ACTIVATIONS_VEC[RELU](b_mat @ x)
+    hidden = ACTIVATIONS_VEC[TANH](b_mat @ x + params["b1"].astype(np.float64))
     return a_mat @ hidden + params["b2"].astype(np.float64)
 
 

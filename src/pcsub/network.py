@@ -35,10 +35,12 @@ over those arrays with the stage rules, operand order and roundings of
    BACKSUM (one add per back input, ascending from +0.0) and STATE. It
    runs a stage only where a later stage reads its result, with the
    oracle step's rules. b is read only by STATE's Euler step, so BACKSUM
-   is skipped on a hard-clamped core and on every core at gamma == 0. An
-   identity layer's f' is 1 and f' * b is b, so it is neither called nor
-   multiplied. The bias lane's MAC with 1.0 adds the bias itself (the add
-   quiets a signalling NaN, as the multiply would). The old x is read
+   is skipped on a hard-clamped core and on every core at gamma == 0.
+   STATE's f' * b is this module's own, with no table: identity's f' is
+   1, so b is read as it is; relu's f' * b is b where x_eff > 0, else
+   +0.0 * b; tanh's f' is 1 - tanh(x_eff)^2 in binary64, rounded once,
+   one call per core. The bias lane's MAC with 1.0 adds the bias itself
+   (the add quiets a signalling NaN, as the multiply would). The old x is read
    only for an unclamped core's x_eff and for STATE. PRED reads only the
    layer's theta and latched upper states, so each layer keeps its last
    PRED result, f(states_in) (which WUP reads too) and every core's mu,
@@ -74,14 +76,16 @@ and rounded to binary32 there, once, and 1e39 or a huge int becomes +inf
 without a warning. A clamp map gives a layer a list or tuple of signals,
 such as ``clamp_layer`` returns (the harness makes one per sample and
 ticks it many times), and pass 1 reads each signal's fields as they are.
-``core.core_tick`` runs the same schedule one core at a time;
-it is the per-core reference the engine is tested against, and this
-module imports none of it. The tick fills fresh x and eps arrays and
-never writes the old ones in place: the old x array becomes the lower
-layer's ``states_in`` latch as it is, with no copy. ``reset_states`` and
-``load_checkpoint`` also assign new arrays. The ``TickReport`` a tick
-returns holds no arrays, and each network builds its two possible reports
-once: the post-tick x and eps are ``Network.state``'s.
+``core.core_tick`` runs the same schedule one core at a time; it is the
+per-core reference the engine is tested against, and this module imports
+none of it. Its callers hand it f', and the oracle reads
+``scalar32.DERIVATIVES_VEC``: no f' of the engine's is shared. The tick
+fills fresh x and eps arrays and never writes the old ones in place: the
+old x array becomes the lower layer's ``states_in`` latch as it is, with
+no copy. ``reset_states`` and ``load_checkpoint`` also assign new
+arrays. The ``TickReport`` a tick returns holds no arrays, and each
+network builds its two possible reports once: the post-tick x and eps
+are ``Network.state``'s.
 ``Network.snapshot`` returns a copy of the state, and the oracle ticks
 such copies.
 
@@ -107,10 +111,10 @@ from .prng import Prng
 from .scalar32 import (
     ACTIVATION_KINDS,
     ACTIVATIONS_VEC,
-    DERIVATIVES,
     F32,
     IDENTITY,
     RELU,
+    TANH,
     is_finite_f32,
 )
 
@@ -128,6 +132,13 @@ def tick_cycles(n_presyn: int, m_back: int, has_upper: bool = True) -> int:
     if has_upper:
         return 3 * n_presyn + m_back + 4
     return m_back + 2
+
+
+def _tanh_derivative(x: np.float32) -> np.float32:
+    """tanh's f' of a binary32 operand: 1 - tanh(x)^2 in binary64, rounded
+    once to binary32."""
+    t = math.tanh(float(x))
+    return F32(1.0 - t * t)
 
 
 def layer_wiring(layer_sizes) -> list:
@@ -429,10 +440,11 @@ class Network:
         self._bias_scale = F32(cfg.alpha_bias_scale)
         # what a tick reads of each layer's config, looked up once: (n, N,
         # M, the vector activation f of the layer above, None where
-        # f(states_in) is the latch itself, f' of the layer's own
-        # activation, None for identity, whose f' * b is b, whether the
-        # layer above is relu, so PRED may skip its zero lanes, and whether
-        # the layer is relu with back inputs, so a core may skip BACKSUM)
+        # f(states_in) is the latch itself, tanh's f' on a tanh layer, else
+        # None, whether the layer above is relu, so PRED may skip its zero
+        # lanes, and whether the layer is relu with back inputs, so a core
+        # may skip BACKSUM and applies relu's f' by a comparison; with no
+        # back inputs b is +0.0, and so is relu's f' * b)
         acts = cfg.activations
         self._layers = [
             (
@@ -444,7 +456,7 @@ class Network:
                     if s > 0 and acts[s - 1] != IDENTITY
                     else None
                 ),
-                DERIVATIVES[acts[s]] if acts[s] != IDENTITY else None,
+                _tanh_derivative if acts[s] == TANH else None,
                 s > 0 and acts[s - 1] == RELU,
                 m_back > 0 and acts[s] == RELU,
             )
@@ -579,8 +591,10 @@ class Network:
                         if m_back:
                             for v in back[i]:
                                 b = b + v
-                        if fprime is not None:
+                        if fprime is not None:  # tanh's
                             b = fprime(x_eff) * b
+                        elif relu_back and not x_eff > _ZERO:  # relu's f' is 0
+                            b = _ZERO * b
                     x[i] = x_old[i] + gamma * (b - e)
                 else:
                     x[i] = x_old[i]

@@ -14,14 +14,13 @@ any language. tanh is evaluated by the platform's binary64 ``math.tanh``
 and then rounded once to binary32; this is the reference nonlinearity
 (a synthesizable approximation would replace it wholesale).
 
-Code reaches f and f' only through per-kind tables, looked up once by a
-caller that fixes the kind. Each activation's f is written once, as a
-vector form in ``ACTIVATIONS_VEC``. Its f' is written twice: as a
-function of one binary32 operand in ``DERIVATIVES``, for the STATE stage
-that the engine and ``core`` run core by core, and as a vector form in
-``DERIVATIVES_VEC``. The vector forms keep their input's dtype, so the
-same entry serves the binary32 datapath and the binary64 oracle mode and
-energy.
+Each activation's f and f' are written once here, as vector forms in the
+per-kind tables ``ACTIVATIONS_VEC`` and ``DERIVATIVES_VEC``, looked up
+once by a caller that fixes the kind. They keep their input's dtype, so
+the same entry serves the binary32 datapath and the binary64 oracle mode
+and energy. This module has no scalar f': the engine's STATE stage runs
+core by core and applies f' itself (``network``), and ``core.core_tick``
+takes f' from its caller, so neither shares the oracle's f'.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ TANH = "tanh"
 ACTIVATION_KINDS = (IDENTITY, RELU, TANH)
 
 _ZERO = F32(0.0)
-_ONE = F32(1.0)
 
 
 # Smallest magnitude that rounds to infinity in binary32: halfway between
@@ -54,29 +52,6 @@ def is_finite_f32(value) -> bool:
     if isinstance(value, int) and not -_F32_OVERFLOW < value < _F32_OVERFLOW:
         return False  # compared exactly, with no float() to overflow
     return abs(float(value)) < _F32_OVERFLOW
-
-
-def _identity_derivative(x: np.float32) -> np.float32:
-    return _ONE
-
-
-def _relu_derivative(x: np.float32) -> np.float32:
-    return _ONE if x > _ZERO else _ZERO
-
-
-def _tanh_derivative(x: np.float32) -> np.float32:
-    t = math.tanh(float(x))
-    return F32(1.0 - t * t)
-
-
-# kind -> f' of a binary32 operand, rounded to binary32: relu's is the
-# subgradient 0 at exactly 0 (and 0 at NaN), tanh's is 1 - tanh(x)^2 in
-# binary64 with one final rounding
-DERIVATIVES = {
-    IDENTITY: _identity_derivative,
-    RELU: _relu_derivative,
-    TANH: _tanh_derivative,
-}
 
 
 def _relu_vec(x: np.ndarray) -> np.ndarray:
@@ -101,7 +76,8 @@ ACTIVATIONS_VEC = {
 
 def _relu_derivative_vec(x: np.ndarray) -> np.ndarray:
     # the comparison writes 1.0/0.0 straight into one new array of x's
-    # dtype; a NaN compares false, so its f' is 0, as in ``DERIVATIVES``
+    # dtype: the subgradient 0 at exactly 0, and a NaN compares false, so
+    # its f' is 0 too
     return np.greater(x, _ZERO, out=np.empty_like(x))
 
 
@@ -111,9 +87,9 @@ def _tanh_derivative_vec(x: np.ndarray) -> np.ndarray:
     return np.array([1.0 - t * t for t in map(math.tanh, x.tolist())], dtype=x.dtype)
 
 
-# kind -> f' of a vector, into a new array of its dtype: the vector twin of
-# ``DERIVATIVES``, in either precision as ``ACTIVATIONS_VEC`` is. Identity's
-# f' is 1 everywhere; a caller may skip it, since f' * b is then b.
+# kind -> f' of a vector, into a new array of its dtype, in either precision
+# as ``ACTIVATIONS_VEC`` is. Identity's f' is 1 everywhere; a caller may
+# skip it, since f' * b is then b.
 DERIVATIVES_VEC = {
     IDENTITY: np.ones_like,
     RELU: _relu_derivative_vec,

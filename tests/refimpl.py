@@ -16,6 +16,7 @@ and ``assert_ticks_match`` ticks a network beside a reference through it.
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -185,7 +186,7 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
             continue
         x_new, _, _ = core_tick(
             cfg, 1, x_start, np.array([0.0, F32(mu_i)], np.float32), F32(0.0),
-            F32(gamma), np.zeros(1, np.float32), back,
+            F32(gamma), np.zeros(1, np.float32), partial(derivative32, kind), back,
         )
         got = float(x_new) - x0
 
@@ -213,7 +214,7 @@ def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
         presyn_f = np.array([activation32(kind, v) for v in presyn])
         core_tick(
             cfg, 1, F32(x), theta_new, F32(alpha), F32(0.0), presyn_f,
-            np.zeros(0, np.float32),
+            partial(derivative32, "identity"), np.zeros(0, np.float32),
         )
         mu64 = sum(
             float(theta[j]) * activation64(kind, float(presyn[j])) for j in range(n)
@@ -256,8 +257,9 @@ def per_core_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
     """The per-core reference tick of the ``DenseState`` ``state``, into a
     new one: the layers bottom-up and the cores of each layer last-to-first,
     each a stateless ``core_tick`` on row i of its layer's arrays against
-    the same latches, then the bus swap. f(presyn) is this module's own
-    binary32 f; ``alpha``/``gamma`` override the configured step sizes."""
+    the same latches, then the bus swap. f(presyn) and f' are this module's
+    own binary32 f and f'; ``alpha``/``gamma`` override the configured step
+    sizes."""
     cfg, clamp = state.cfg, clamp or {}
     alpha = F32(cfg.alpha if alpha is None else alpha)
     gamma = F32(cfg.gamma if gamma is None else gamma)
@@ -269,13 +271,14 @@ def per_core_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
         presyn_f = np.array(
             [activation32(kind, v) for v in state.states_in[s]], dtype=np.float32
         )
+        fprime = partial(derivative32, cfg.activations[s])
         signals = clamp.get(s)
         cores = []
         with np.errstate(all="ignore"):  # as in Network.tick
             for i in reversed(range(cfg.layer_sizes[s])):
                 cores.append(core_tick(
                     cfg, s, state.x[s][i], theta[s][i], alpha, gamma,
-                    presyn_f, state.back_in[s][:, i],
+                    presyn_f, fprime, state.back_in[s][:, i],
                     signals[i] if signals else NO_CLAMP,
                 ))
         x_s, eps_s, rows = zip(*reversed(cores))

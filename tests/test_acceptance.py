@@ -10,6 +10,7 @@ import dataclasses
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,12 @@ from pcsub.oracle import run_equivalence_suite
 from pcsub.prng import Prng
 from pcsub.scalar32 import ACTIVATIONS_VEC
 
-from refimpl import check_state_gradient, check_weight_gradient, reference_bit32
+from refimpl import (
+    check_state_gradient,
+    check_weight_gradient,
+    derivative32,
+    reference_bit32,
+)
 
 F32 = np.float32
 
@@ -61,18 +67,19 @@ def test_criterion_2_cycle_model():
         # a core of layer 1 (0: the top) with N lanes and M back inputs;
         # N and M are the lengths of the arrays it is handed
         cfg = NetworkConfig((1, 1), clamp_hard=False)
+        identity_fprime = partial(derivative32, "identity")
         for n in range(17):
             for m in range(17):
                 _, _, out = core_tick(
                     cfg, 1, F32(0.0), np.zeros(n + 1, np.float32), alpha, gamma,
-                    np.zeros(n, np.float32), np.zeros(m, np.float32),
+                    np.zeros(n, np.float32), identity_fprime, np.zeros(m, np.float32),
                 )
                 assert out.shape == (n,)
                 assert tick_cycles(n, m) == 3 * n + m + 4
         for m in range(17):
             core_tick(
                 cfg, 0, F32(0.0), np.zeros(1, np.float32), alpha, gamma,
-                np.zeros(0, np.float32), np.zeros(m, np.float32),
+                np.zeros(0, np.float32), identity_fprime, np.zeros(m, np.float32),
             )
             assert tick_cycles(0, m, has_upper=False) == m + 2
         # a network's wiring gives the model for every N, M in 1..16 (its
@@ -115,6 +122,7 @@ def test_criterion_4_clamp_semantics():
             theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
             presyn = rng.uniform(-1, 1, n).astype(np.float32)
             presyn_f = ACTIVATIONS_VEC[presyn_kind](presyn)
+            fprime = partial(derivative32, activation)
             back = rng.uniform(-1, 1, m).astype(np.float32)
             x0 = float(rng.uniform(-1, 1))
             obs = float(rng.uniform(-1, 1))
@@ -122,7 +130,8 @@ def test_criterion_4_clamp_semantics():
 
             # hard clamp: stored state is exactly the observation
             x, _, _ = core_tick(
-                hard, 1, F32(x0), theta.copy(), alpha, gamma, presyn_f, back, clamp
+                hard, 1, F32(x0), theta.copy(), alpha, gamma, presyn_f, fprime,
+                back, clamp,
             )
             assert x.tobytes() == F32(obs).tobytes()
 
@@ -133,7 +142,7 @@ def test_criterion_4_clamp_semantics():
                 F32(x0), theta, presyn, back, soft, 1, alpha, gamma, clamp
             )
             x, eps, _ = core_tick(
-                soft, 1, F32(x0), row, alpha, gamma, presyn_f, back, clamp
+                soft, 1, F32(x0), row, alpha, gamma, presyn_f, fprime, back, clamp
             )
             assert eps.tobytes() == ref_eps.tobytes()
             assert x.tobytes() == ref_x.tobytes()

@@ -7,6 +7,7 @@ same pinned accumulation order (bit-exactness).
 """
 
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -29,12 +30,14 @@ from pcsub.scalar32 import ACTIVATIONS_VEC
 from refimpl import (
     check_state_gradient,
     check_weight_gradient,
+    derivative32,
     reference_bit32,
     reference_f64,
 )
 
 F32 = np.float32
 TOP, LOWER = 0, 1  # the layer of a core without and with an upper layer
+ONE = partial(derivative32, "identity")  # identity's f', which mkcfg's cores have
 
 
 def mkcfg(activation="identity", presyn_kind="identity", **kw):
@@ -61,7 +64,7 @@ def test_effective_state():
 
     def eps_of(x, clamp):
         _, eps, _ = core_tick(cfg, TOP, F32(x), f32s(0.0), F32(0.0), F32(0.0),
-                              f32s(), f32s(), clamp)
+                              f32s(), ONE, f32s(), clamp)
         return eps
 
     assert eps_of(0.3, ClampSignal(False, 9.9)) == F32(0.3)
@@ -146,7 +149,7 @@ def test_stage_wup_bias_scale():
 
 def test_stage_state_derived():
     x = stage_state(
-        mkcfg(), TOP, F32(1.0), F32(1.0), F32(0.1), F32(0.2), NO_CLAMP, F32(0.05)
+        mkcfg(), ONE, F32(1.0), F32(1.0), F32(0.1), F32(0.2), NO_CLAMP, F32(0.05)
     )
     # binary64 reference 1.005; frozen binary32 path value
     assert x.tobytes() == F32(1.005).tobytes()
@@ -155,7 +158,7 @@ def test_stage_state_derived():
 
 def test_stage_state_hard_clamp_overrides():
     x = stage_state(
-        mkcfg(clamp_hard=True), TOP, F32(1.0), F32(0.7), F32(123.0), F32(-55.0),
+        mkcfg(clamp_hard=True), ONE, F32(1.0), F32(0.7), F32(123.0), F32(-55.0),
         ClampSignal(True, 0.7), F32(0.5),
     )
     assert x.tobytes() == F32(0.7).tobytes()
@@ -163,7 +166,7 @@ def test_stage_state_hard_clamp_overrides():
 
 def test_stage_state_fixed_point():
     x0 = F32(0.875)
-    x = stage_state(mkcfg(), TOP, x0, x0, F32(0.0), F32(0.0), NO_CLAMP, F32(0.25))
+    x = stage_state(mkcfg(), ONE, x0, x0, F32(0.0), F32(0.0), NO_CLAMP, F32(0.25))
     assert x == F32(0.875)
 
 
@@ -194,14 +197,15 @@ def test_cycles_formula_sweep():
             theta = np.zeros(n + 1, np.float32)
             zeros = np.zeros(n, np.float32)
             _, _, out = core_tick(
-                cfg, LOWER, F32(0.0), theta, A01, G05, zeros, np.zeros(m, np.float32)
+                cfg, LOWER, F32(0.0), theta, A01, G05, zeros, ONE,
+                np.zeros(m, np.float32),
             )
             assert out.shape == (n,)
             assert tick_cycles(n, m) == 3 * n + m + 4
     for m in range(17):
         theta = np.zeros(1, np.float32)
         _, _, out = core_tick(
-            cfg, TOP, F32(0.0), theta, A01, G05, f32s(), np.zeros(m, np.float32)
+            cfg, TOP, F32(0.0), theta, A01, G05, f32s(), ONE, np.zeros(m, np.float32)
         )
         assert out.shape == (0,)
         assert tick_cycles(0, m, has_upper=False) == m + 2
@@ -210,7 +214,7 @@ def test_cycles_formula_sweep():
 def test_tick_all_zero_is_identity():
     theta = f32s(0.0, 0.0, 0.0)
     x, eps, out = core_tick(
-        mkcfg(), LOWER, F32(0.25), theta, A01, G05, f32s(0.0, 0.0),
+        mkcfg(), LOWER, F32(0.25), theta, A01, G05, f32s(0.0, 0.0), ONE,
         np.zeros(3, np.float32),
     )
     assert eps == F32(0.25)  # mu = 0, eps = x_start
@@ -228,7 +232,8 @@ def test_tick_registered_output_is_pre_tick_state():
     # while the core's own weights and state move
     theta = f32s(0.5, 0.0)
     x, eps, out = core_tick(
-        mkcfg(), LOWER, F32(1.0), theta, F32(0.1), F32(0.5), f32s(1.0), f32s()
+        mkcfg(), LOWER, F32(1.0), theta, F32(0.1), F32(0.5), f32s(1.0), ONE,
+        f32s(),
     )
     assert eps == F32(0.5)  # mu = 0.5*1 + 0
     assert out.tolist() == [0.25]  # 0.5 * eps, pre-update theta
@@ -257,9 +262,10 @@ class Case(NamedTuple):
     def tick(self, **change):
         c = self._replace(**change)
         presyn_f = ACTIVATIONS_VEC[c.cfg.activations[LOWER - 1]](c.presyn)
+        fprime = partial(derivative32, c.cfg.activations[LOWER])
         return core_tick(
-            c.cfg, LOWER, c.x, c.theta, c.alpha, c.gamma, presyn_f, c.back,
-            c.clamp,
+            c.cfg, LOWER, c.x, c.theta, c.alpha, c.gamma, presyn_f, fprime,
+            c.back, c.clamp,
         )
 
     def reference(self, ref, **change):
@@ -352,7 +358,8 @@ def test_hard_clamp_absorption(obs, x0):
         F32(0.3), clamp,
     )
     x, eps, _ = core_tick(
-        cfg, LOWER, F32(x0), theta, F32(0.1), F32(0.3), f32s(0.3), f32s(0.9), clamp
+        cfg, LOWER, F32(x0), theta, F32(0.1), F32(0.3), f32s(0.3), ONE, f32s(0.9),
+        clamp,
     )
     assert x.tobytes() == F32(obs).tobytes()
     # the tick's error is computed from the observation

@@ -21,6 +21,8 @@ from pcsub.harness import (
 )
 from pcsub.network import NetworkConfig, build_network
 
+from refimpl import activation64
+
 F32 = np.float32
 
 
@@ -46,6 +48,24 @@ def test_tanh_teacher_constant_when_b_zero():
     for x in ([0.5, -0.5], [1.0, 1.0]):
         y = teacher_apply("tanh_teacher", params, np.array(x))
         assert y == pytest.approx(params["b2"].astype(np.float64))
+
+
+def test_tanh_teacher_uses_the_datapath_tanh():
+    # tanh_ts's teacher on its own inputs: the binary64 output has the bits
+    # of the same sums around refimpl's per-element math.tanh; numpy's
+    # vector tanh may differ from it in the last bit, by host
+    cfg = experiment_config("tanh_ts")
+    spec = TeacherSpec(
+        "tanh_teacher", (2, 2, 1), cfg.teacher_seed, cfg.teacher_weight_scale
+    )
+    params = teacher_params(spec)
+    b_mat, a_mat = params["B"].astype(np.float64), params["A"].astype(np.float64)
+    b1, b2 = params["b1"].astype(np.float64), params["b2"].astype(np.float64)
+    for x in generate_dataset(spec, cfg.n_samples).inputs.astype(np.float64):
+        pre = b_mat @ x + b1
+        hidden = np.array([activation64("tanh", v) for v in pre.tolist()])
+        want = a_mat @ hidden + b2
+        assert teacher_apply("tanh_teacher", params, x).tobytes() == want.tobytes()
 
 
 def test_dataset_deterministic():

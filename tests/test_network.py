@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from pcsub import core
+from pcsub import core, network
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.errors import ConfigurationError
 from pcsub.network import (
@@ -788,6 +788,27 @@ def test_tick_calls_no_per_core_reference(monkeypatch):
             monkeypatch.setattr(core, name, unreachable)
     net = mknet([2, 4, 3], seed=37, alpha=0.02, gamma=0.1, clamp_hard=False)
     assert_ticks_match(oracle_tick, net, [(_CLAMP_243, None, None)] * 5)
+
+
+def test_references_see_a_fault_in_the_engines_tanh_derivative(monkeypatch):
+    # the engine's scalar f' is its own: the per-core reference ticks with
+    # refimpl's f' and the oracle with the vector table, so an engine tanh
+    # f' one binary32 step too high fails against each, where the right
+    # one passes
+    right = network._tanh_derivative
+
+    def one_step_high(x):
+        return np.nextafter(right(x), F32(np.inf))
+
+    cfg = NetworkConfig((2, 2, 1), ("identity", "tanh", "identity"), seed=5)
+    clamp = {0: clamp_layer([0.5, -0.25]), 2: clamp_layer([0.75])}
+    ticks = [(clamp, None, None)] * 4
+    for reference in REFERENCES.values():
+        assert_ticks_match(reference, build_network(cfg), ticks)
+    monkeypatch.setattr(network, "_tanh_derivative", one_step_high)
+    for reference in REFERENCES.values():
+        with pytest.raises(AssertionError):
+            assert_ticks_match(reference, build_network(cfg), ticks)
 
 
 def test_thread_count_does_not_matter():

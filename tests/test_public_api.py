@@ -118,6 +118,14 @@ def test_engine_and_oracle_do_not_import_the_per_core_reference():
         assert "pcsub.core" not in imported, name
 
 
+def test_per_core_reference_imports_no_activation():
+    # core_tick takes f(presyn) and f' from its caller: of pcsub.scalar32,
+    # core.py imports the binary32 type alone
+    imported = _imported_modules(PACKAGE / "core.py")
+    from_scalar32 = {n for n in imported if n.startswith("pcsub.scalar32")}
+    assert from_scalar32 == {"pcsub.scalar32", "pcsub.scalar32.F32"}, from_scalar32
+
+
 def test_reference_imports_no_binary64_or_vector_activation():
     # tests/refimpl.py writes its activations itself, binary64 equations
     # and their binary32 roundings: it imports no activation of the

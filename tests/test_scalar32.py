@@ -1,20 +1,22 @@
 """Binary32 arithmetic and activation function tests."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcsub import network
 from pcsub.core import core_tick, stage_pred
 from pcsub.network import DenseState, NetworkConfig
 from pcsub.oracle import oracle_tick
 from pcsub.scalar32 import (
     ACTIVATION_KINDS,
     ACTIVATIONS_VEC,
-    DERIVATIVES,
     DERIVATIVES_VEC,
+    TANH,
     is_finite_f32,
 )
 
@@ -46,7 +48,7 @@ def test_mul_add_two_rounding_derived():
     # with x = +0.0 the tick's eps is -mu (for a core of layer 1)
     _, eps, _ = core_tick(
         NetworkConfig((1, 1)), 1, F32(0.0), theta.copy(), F32(0.0), F32(0.0),
-        presyn_f, np.zeros(0, np.float32),
+        presyn_f, partial(derivative32, "identity"), np.zeros(0, np.float32),
     )
     assert eps.tobytes() == zero
 
@@ -96,11 +98,14 @@ def test_activation_values(kind, x, expected):
         ("relu", -1e-30, 0.0),
         ("relu", 1e-30, 1.0),
         ("tanh", 0.0, 1.0),
+        ("tanh", 20.0, 0.0),  # tanh(20) rounds to 1.0 in binary64
     ],
 )
 def test_derivative_values(kind, x, expected):
-    assert DERIVATIVES[kind](F32(x)) == F32(expected)
+    # the vector table, and the engine's own scalar f' where it has one
     assert DERIVATIVES_VEC[kind](f32(x))[0] == F32(expected)
+    if kind == TANH:
+        assert network._tanh_derivative(F32(x)) == F32(expected)
 
 
 @given(x=finite32)
@@ -126,8 +131,11 @@ def test_derivative_matches_finite_difference(kind):
         if kind == "relu" and abs(x) < 2 * h:
             continue
         fd = (activation64(kind, x + h) - activation64(kind, x - h)) / (2 * h)
-        got = float(DERIVATIVES[kind](F32(x)))
+        got = float(DERIVATIVES_VEC[kind](f32(x))[0])
         assert abs(got - fd) < 1e-3, (kind, x, got, fd)
+        if kind == TANH:  # the engine's own scalar f'
+            got = float(network._tanh_derivative(F32(x)))
+            assert abs(got - fd) < 1e-3, (kind, x, got, fd)
         checked += 1
 
 
@@ -144,7 +152,8 @@ def _vector_inputs(dtype):
 
 def test_vector_forms_match_scalar_bitwise():
     # every table, element by element, has the bytes of the reference's
-    # binary64 equations rounded once to binary32, NaN payloads included
+    # binary64 equations rounded once to binary32, NaN payloads included;
+    # so has the engine's own scalar f' of tanh
     xs32, xs64 = _vector_inputs(np.float32), _vector_inputs(np.float64)
     for kind in ACTIVATION_KINDS:
         f, fprime = ACTIVATIONS_VEC[kind], DERIVATIVES_VEC[kind]
@@ -154,7 +163,8 @@ def test_vector_forms_match_scalar_bitwise():
             assert va[i].tobytes() == activation32(kind, x).tobytes(), (kind, x)
             want = derivative32(kind, x).tobytes()
             assert vd[i].tobytes() == want, (kind, x)
-            assert DERIVATIVES[kind](x).tobytes() == want, (kind, x)
+            if kind == TANH:
+                assert network._tanh_derivative(x).tobytes() == want, (kind, x)
         # binary64 keeps its dtype and follows the binary64 equations
         va, vd = f(xs64), fprime(xs64)
         assert va.dtype == vd.dtype == np.float64

@@ -63,7 +63,6 @@ class ConfigFile:
     teacher_seed: int = 101
     teacher_weight_scale: float = 1.0
     out_csv: Optional[str] = None
-    defaulted: list = field(default_factory=list)
 
     def to_network_config(self) -> NetworkConfig:
         # every NetworkConfig field is a config key of the same name
@@ -75,7 +74,6 @@ class ConfigFile:
 DEFAULTS = {
     f.name: f.default_factory() if f.default is MISSING else f.default
     for f in fields(ConfigFile)
-    if f.name != "defaulted"
 }
 
 
@@ -137,7 +135,7 @@ def parse_config(text: str) -> ConfigFile:
         except ValueError as exc:
             errors.append((lineno, f"{key}: {exc}"))
 
-    cfg = ConfigFile(**values, defaulted=sorted(set(DEFAULTS) - set(seen)))
+    cfg = ConfigFile(**values)
 
     def check(key, rule, *args):
         try:
@@ -150,8 +148,9 @@ def parse_config(text: str) -> ConfigFile:
     check("activations", _activations, cfg.activations, len(cfg.layer_sizes))
     if errors:
         raise ConfigParseError(sorted(errors, key=lambda error: error[0]))
-    if cfg.defaulted:
-        log.info("config: using defaults for: %s", ", ".join(cfg.defaulted))
+    defaulted = sorted(set(DEFAULTS) - set(seen))
+    if defaulted:
+        log.info("config: using defaults for: %s", ", ".join(defaulted))
     return cfg
 
 

@@ -78,14 +78,16 @@ such as ``clamp_layer`` returns (the harness makes one per sample and
 ticks it many times), and pass 1 reads each signal's fields as they are.
 ``core.core_tick`` runs the same schedule one core at a time; it is the
 per-core reference the engine is tested against, and this module imports
-none of it. Its callers hand it f', and the oracle reads
-``scalar32.DERIVATIVES_VEC``: no f' of the engine's is shared. The tick
-fills fresh x and eps arrays and never writes the old ones in place: the
-old x array becomes the lower layer's ``states_in`` latch as it is, with
-no copy. ``reset_states`` and ``load_checkpoint`` also assign new
-arrays. The ``TickReport`` a tick returns holds no arrays, and each
-network builds its two possible reports once: the post-tick x and eps
-are ``Network.state``'s.
+none of it. The engine's f (of the layer above, for PRED, WUP and
+``energy``) and f' are this module's own: ``core_tick``'s callers hand it
+both, and the oracle reads ``scalar32``'s tables, so neither reference
+shares an activation with the engine. The tick fills fresh x and eps
+arrays and never writes the old ones in place: the old x array becomes
+the lower layer's ``states_in`` latch as it is, with no copy.
+``reset_states`` and ``load_checkpoint`` also assign new arrays. The
+``TickReport`` a tick returns holds no arrays, and each network builds
+its two possible reports once: the post-tick x and eps are
+``Network.state``'s.
 ``Network.snapshot`` returns a copy of the state, and the oracle ticks
 such copies.
 
@@ -110,7 +112,6 @@ from .errors import ConfigurationError
 from .prng import Prng
 from .scalar32 import (
     ACTIVATION_KINDS,
-    ACTIVATIONS_VEC,
     F32,
     IDENTITY,
     RELU,
@@ -132,6 +133,22 @@ def tick_cycles(n_presyn: int, m_back: int, has_upper: bool = True) -> int:
     if has_upper:
         return 3 * n_presyn + m_back + 4
     return m_back + 2
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, _ZERO)  # keeps x's dtype; NaN propagates
+
+
+def _tanh(x: np.ndarray) -> np.ndarray:
+    # scalar math.tanh per element: immune to SIMD libm divergence; the
+    # binary64 results are rounded to x's dtype once, by np.array
+    return np.array([math.tanh(v) for v in x.tolist()], dtype=x.dtype)
+
+
+# kind -> the engine's f of a vector, into a new array of its dtype: relu
+# gives +0.0 for -0.0 and negatives and keeps a NaN, tanh is binary64
+# math.tanh rounded once. Identity has none: its f(x) is x itself.
+_ACTIVATIONS = {RELU: _relu, TANH: _tanh}
 
 
 def _tanh_derivative(x: np.float32) -> np.float32:
@@ -451,11 +468,7 @@ class Network:
                 n,
                 n_pre,
                 m_back,
-                (
-                    ACTIVATIONS_VEC[acts[s - 1]]
-                    if s > 0 and acts[s - 1] != IDENTITY
-                    else None
-                ),
+                _ACTIVATIONS.get(acts[s - 1]) if s > 0 else None,
                 _tanh_derivative if acts[s] == TANH else None,
                 s > 0 and acts[s - 1] == RELU,
                 m_back > 0 and acts[s] == RELU,
@@ -642,17 +655,18 @@ class Network:
     def energy(self) -> float:
         """Sum of squared prediction errors, recomputed densely in binary64
         from the current states and weights (diagnostic only), with the
-        datapath's activation forms. A NaN state or weight, or an infinite
-        weight, gives a non-finite energy, not a warning; so does an
-        infinite state, except one that is read only through an activation
-        that saturates it: a top-layer state of ±inf under tanh, or of -inf
+        engine's own f. A NaN state or weight, or an infinite weight,
+        gives a non-finite energy, not a warning; so does an infinite
+        state, except one that is read only through an activation that
+        saturates it: a top-layer state of ±inf under tanh, or of -inf
         under relu."""
         x, theta = self.state.x, self.state.theta
         total = 0.0
         with np.errstate(all="ignore"):
             for s in range(1, len(x)):
-                f = ACTIVATIONS_VEC[self.cfg.activations[s - 1]]
-                fx = f(x[s - 1].astype(np.float64))
+                f = _ACTIVATIONS.get(self.cfg.activations[s - 1])
+                fx = x[s - 1].astype(np.float64)
+                fx = fx if f is None else f(fx)
                 w = theta[s].astype(np.float64)
                 mu = w[:, :-1] @ fx + w[:, -1]
                 d = x[s].astype(np.float64) - mu

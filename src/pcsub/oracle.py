@@ -5,6 +5,8 @@ tick computes in. Stage order, summation order, the structural no-op
 rules and the activation tables are the same code in both: f and f' are
 ``scalar32.ACTIVATIONS_VEC`` and ``scalar32.DERIVATIVES_VEC``, looked up
 by activation kind once per layer, and they keep their input's dtype.
+The engine writes its own f and f', so a fault in either side's
+activation shows in the comparison.
 
 * ``bit32`` computes in binary32. Its results match the simulator
   (``Network.tick``) bit for bit, up to NaN sign and payload: numpy's

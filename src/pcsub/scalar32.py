@@ -17,10 +17,10 @@ and then rounded once to binary32; this is the reference nonlinearity
 Each activation's f and f' are written once here, as vector forms in the
 per-kind tables ``ACTIVATIONS_VEC`` and ``DERIVATIVES_VEC``, looked up
 once by a caller that fixes the kind. They keep their input's dtype, so
-the same entry serves the binary32 datapath and the binary64 oracle mode
-and energy. This module has no scalar f': the engine's STATE stage runs
-core by core and applies f' itself (``network``), and ``core.core_tick``
-takes f' from its caller, so neither shares the oracle's f'.
+the same entry serves the oracle's binary32 and binary64 modes and the
+teacher. The engine writes its own f and f' (``network``), and
+``core.core_tick`` takes both from its caller, so neither shares the
+oracle's activations.
 """
 
 from __future__ import annotations

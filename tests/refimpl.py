@@ -1,12 +1,20 @@
 """Shared test references: binary64 equations, a second binary32 path,
-and the two ticks every differential test of ``Network.tick`` runs
-against.
+the one single-core case, and the two ticks every differential test of
+``Network.tick`` runs against.
 
 The equations deliberately do not import the core's stage functions or
 the package's activation tables; they mirror the documented accumulation
 order independently so that agreement means something. The activation
 equations are this module's own, in binary64, and its binary32 f and f'
-are those equations rounded once.
+are those equations rounded once. The engine writes its own f and f' and
+the oracle reads ``scalar32``'s tables, so no activation is shared by a
+tick and the reference it is checked against.
+
+``Case`` is the one single core a test builds: ``Case.tick`` runs
+``core.core_tick`` on this module's f and f', and ``Case.reference``
+runs ``reference_bit32`` or ``reference_f64`` on the same inputs. Every
+per-core check goes through it, so a change of ``core_tick``'s signature
+touches ``Case.tick`` and ``per_core_tick`` alone.
 
 ``REFERENCES`` holds the two reference ticks of a whole ``DenseState``:
 the dense oracle's bit32 step and ``per_core_tick``, ``core_tick`` driven
@@ -16,17 +24,36 @@ and ``assert_ticks_match`` ticks a network beside a reference through it.
 
 import math
 import warnings
+from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from pcsub.core import core_tick
-from pcsub.network import NO_CLAMP, DenseState, NetworkConfig
+from pcsub.network import NO_CLAMP, ClampSignal, DenseState, Network, NetworkConfig
+from pcsub.network import clamp_layer, tick_cycles
 from pcsub.oracle import oracle_tick
+from pcsub.prng import Prng
 
 F32 = np.float32
 
 FIELDS = ("x", "eps", "theta", "states_in", "back_in")
+
+# step sizes that ``Network.tick`` and ``oracle_tick`` reject as overrides:
+# binary32 ones too, as a finite, non-negative binary32 override is taken
+# as it is, and a binary64 one past the binary32 range
+BAD_STEP_OVERRIDES = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": -float("inf"),
+    "1e+39": 1e39,
+    "-0.01": -0.01,
+    "f32-nan": F32("nan"),
+    "f32-inf": F32("inf"),
+    "f32--0.01": F32(-0.01),
+    "f64-1e+39": np.float64(1e39),
+}
 
 
 def activation64(kind: str, x: float) -> float:
@@ -63,6 +90,13 @@ def derivative32(kind: str, x) -> np.float32:
     """The derivative f' of a binary32 operand: its binary64 equation,
     rounded once."""
     return F32(derivative64(kind, x))
+
+
+def presyn_f32(cfg, s, presyn) -> np.ndarray:
+    """f(presyn) of a core of layer ``s`` under ``cfg``: this module's
+    binary32 f of the layer above, lane by lane (a top core has no lanes)."""
+    kind = cfg.activations[s - 1] if s else "identity"
+    return np.array([activation32(kind, v) for v in presyn], dtype=np.float32)
 
 
 def reference_f64(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
@@ -136,6 +170,129 @@ def reference_bit32(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
     return x_new, theta_new, eps
 
 
+def dense_zeros(sizes, acts=None, **kw) -> DenseState:
+    """The all-zero state of a net of ``sizes``, weights included; step
+    sizes default to 0 unless given in ``kw``."""
+    kw = {"alpha": 0.0, "gamma": 0.0, **kw}
+    state = Network(NetworkConfig(sizes, acts, **kw)).snapshot()
+    for theta in state.theta:
+        theta[...] = 0.0
+    return state
+
+
+class Case(NamedTuple):
+    """One core of layer ``s`` under the ``NetworkConfig`` ``cfg``, with
+    the inputs of one tick: N and M are the lengths of ``presyn``, the raw
+    upper-layer states, and ``back``. ``tick`` and ``reference`` take
+    field changes for that call, as ``_replace`` does."""
+
+    cfg: NetworkConfig
+    s: int
+    x: np.float32
+    theta: np.ndarray  # updated in place by ``tick``
+    alpha: np.float32
+    gamma: np.float32
+    presyn: np.ndarray
+    back: np.ndarray
+    clamp: ClampSignal = NO_CLAMP
+
+    def tick(self, **change):
+        """``core_tick`` on this module's f(presyn) and f':
+        ``(x, eps, products)``."""
+        c = self._replace(**change)
+        return core_tick(
+            c.cfg, c.s, c.x, c.theta, c.alpha, c.gamma,
+            presyn_f32(c.cfg, c.s, c.presyn),
+            partial(derivative32, c.cfg.activations[c.s]), c.back, c.clamp,
+        )
+
+    def reference(self, ref, **change):
+        """``reference_bit32`` or ``reference_f64`` (``ref``) on a copy of
+        theta: ``(x, theta, eps)``."""
+        c = self._replace(**change)
+        return ref(
+            c.x, c.theta.copy(), c.presyn, c.back, c.cfg, c.s, c.alpha,
+            c.gamma, c.clamp,
+        )
+
+    def soft(self) -> NetworkConfig:
+        return replace(self.cfg, clamp_hard=False)
+
+
+def mkcfg(activation="identity", presyn_kind="identity", **kw):
+    """The config of a two-layer net whose lower layer has ``activation``
+    and whose top layer has ``presyn_kind``, soft-clamped unless ``kw``
+    says otherwise. A core reads N and M from the arrays it is handed, so
+    one config serves every fan-in pair."""
+    kw.setdefault("clamp_hard", False)
+    return NetworkConfig((1, 1), (presyn_kind, activation), **kw)
+
+
+def random_case(rng, force_clamp=None) -> Case:
+    """A core of layer 1 with 0-6 presyn lanes and back inputs, any pair of
+    activations and config flags, and a clamp drawn from ``rng`` unless
+    ``force_clamp`` fixes whether it is enabled."""
+    n = int(rng.integers(0, 7))
+    m = int(rng.integers(0, 7))
+    kinds = ["identity", "relu", "tanh"]
+    activation = kinds[rng.integers(0, 3)]
+    presyn_kind = kinds[rng.integers(0, 3)]
+    alpha = F32(rng.choice([0.0, 0.01, 0.1]))
+    gamma = F32(rng.choice([0.0, 0.05, 0.2]))
+    alpha_bias_scale = float(rng.choice([1.0, 0.5]))
+    bias_frozen = bool(rng.integers(0, 2))
+    theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
+    x = F32(rng.uniform(-1, 1))
+    presyn = rng.uniform(-1, 1, n).astype(np.float32)
+    back = rng.uniform(-1, 1, m).astype(np.float32)
+    clamped = bool(rng.integers(0, 2)) if force_clamp is None else force_clamp
+    clamp = ClampSignal(True, float(rng.uniform(-1, 1))) if clamped else NO_CLAMP
+    cfg = mkcfg(
+        activation, presyn_kind, alpha_bias_scale=alpha_bias_scale,
+        bias_frozen=bias_frozen, clamp_hard=bool(rng.integers(0, 2)),
+    )
+    return Case(cfg, 1, x, theta, alpha, gamma, presyn, back, clamp)
+
+
+def check_cycle_sweep() -> None:
+    """Every fan-in pair (N, M) up to 16 of a core of layer 1 ticks, emits
+    N products and costs 3N + M + 4 cycles; a top core, for every M, emits
+    none and costs M + 2. The count is a function of the shape alone."""
+    zeros = partial(np.zeros, dtype=np.float32)
+    for n in range(17):
+        for m in range(17):
+            case = Case(
+                mkcfg(), 1, F32(0.0), zeros(n + 1), F32(0.01), F32(0.05),
+                zeros(n), zeros(m),
+            )
+            assert case.tick()[2].shape == (n,)
+            assert tick_cycles(n, m) == 3 * n + m + 4
+            if n == 0:  # the same core at the top
+                assert case.tick(s=0, theta=zeros(1))[2].shape == (0,)
+                assert tick_cycles(0, m, has_upper=False) == m + 2
+
+
+def check_energy_descent() -> None:
+    """20 identity 2-4-3 nets, both boundaries hard-clamped to random
+    observations, at alpha = 0 and gamma = 0.01: ``Network.energy`` after
+    each of 200 ticks is non-increasing, up to 1e-6."""
+    rng = Prng(2024)
+    cfg = NetworkConfig([2, 4, 3], alpha=0.0, gamma=0.01, clamp_hard=True)
+    for trial in range(20):
+        net = Network(replace(cfg, seed=1000 + trial))
+        clamp = {
+            0: clamp_layer([rng.uniform(-1, 1) for _ in range(2)]),
+            2: clamp_layer([rng.uniform(-1, 1) for _ in range(3)]),
+        }
+        prev = None
+        for t in range(200):
+            net.tick(clamp)
+            e = net.energy()
+            if prev is not None:
+                assert e <= prev + 1e-6, (trial, t, prev, e)
+            prev = e
+
+
 def local_energy(x_i, i, mu_i, x_layer, x_low, theta_low, kind):
     """eps_i^2 plus the lower layer's squared errors, as a function of x_i."""
     e = (x_i - mu_i) ** 2
@@ -184,10 +341,10 @@ def check_state_gradient(rng, n_checks, gamma=0.05, tol=1.2e-3):
         fb = derivative64(kind, x0) * float(sum(float(v) for v in back))
         if abs(fb - (x0 - mu_i)) < 0.01:
             continue
-        x_new, _, _ = core_tick(
+        x_new, _, _ = Case(
             cfg, 1, x_start, np.array([0.0, F32(mu_i)], np.float32), F32(0.0),
-            F32(gamma), np.zeros(1, np.float32), partial(derivative32, kind), back,
-        )
+            F32(gamma), np.zeros(1, np.float32), back,
+        ).tick()
         got = float(x_new) - x0
 
         e_plus = local_energy(x0 + h, i, mu_i, x_layer, x_low, theta_low, kind)
@@ -209,13 +366,12 @@ def check_weight_gradient(rng, n_checks, alpha=0.05, tol=1.2e-3):
         theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
         presyn = rng.uniform(-1, 1, n).astype(np.float32)
         x = float(rng.uniform(-1, 1))
-        cfg = NetworkConfig((1, 1))  # the core is in layer 1
+        cfg = NetworkConfig((1, 1), (kind, "identity"))  # the core is in layer 1
         theta_new = theta.copy()
-        presyn_f = np.array([activation32(kind, v) for v in presyn])
-        core_tick(
-            cfg, 1, F32(x), theta_new, F32(alpha), F32(0.0), presyn_f,
-            partial(derivative32, "identity"), np.zeros(0, np.float32),
-        )
+        Case(
+            cfg, 1, F32(x), theta_new, F32(alpha), F32(0.0), presyn,
+            np.zeros(0, np.float32),
+        ).tick()
         mu64 = sum(
             float(theta[j]) * activation64(kind, float(presyn[j])) for j in range(n)
         ) + float(theta[n])
@@ -267,10 +423,7 @@ def per_core_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
     n_layers = len(cfg.layer_sizes)
     x, eps, products = [None] * n_layers, [None] * n_layers, [None] * n_layers
     for s in reversed(range(n_layers)):
-        kind = cfg.activations[s - 1] if s else "identity"
-        presyn_f = np.array(
-            [activation32(kind, v) for v in state.states_in[s]], dtype=np.float32
-        )
+        presyn_f = presyn_f32(cfg, s, state.states_in[s])
         fprime = partial(derivative32, cfg.activations[s])
         signals = clamp.get(s)
         cores = []
@@ -297,6 +450,17 @@ def per_core_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
 # name -> tick(state, clamp, alpha=, gamma=): a new DenseState, the input
 # left as it was
 REFERENCES = {"oracle": oracle_tick, "per_core": per_core_tick}
+
+
+def engine_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
+    """``Network.tick`` of a copy of the ``DenseState`` ``state``, with the
+    ``REFERENCES`` signature: for crafted states, such as fixed lane
+    orders, that no network's own ticks reach."""
+    net = Network(state.cfg)
+    copies = {field: [a.copy() for a in getattr(state, field)] for field in FIELDS}
+    net.state = replace(state, **copies)
+    net.tick(clamp, alpha=alpha, gamma=gamma)
+    return net.state
 
 
 def assert_same_state(got, want, where=None, exact=False) -> None:

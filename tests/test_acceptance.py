@@ -6,11 +6,9 @@ Each test prints one ``[PASS]``/``[FAIL]`` line (visible with ``-s``):
 """
 
 import contextlib
-import dataclasses
 import subprocess
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,23 +16,15 @@ import pytest
 
 import pcsub
 from pcsub.cli import main as cli_main
-from pcsub.core import core_tick
-from pcsub.network import (
-    ClampSignal,
-    NetworkConfig,
-    build_network,
-    clamp_layer,
-    layer_wiring,
-    tick_cycles,
-)
+from pcsub.network import ClampSignal, NetworkConfig, build_network, layer_wiring
 from pcsub.oracle import run_equivalence_suite
-from pcsub.prng import Prng
-from pcsub.scalar32 import ACTIVATIONS_VEC
 
 from refimpl import (
+    Case,
+    check_cycle_sweep,
+    check_energy_descent,
     check_state_gradient,
     check_weight_gradient,
-    derivative32,
     reference_bit32,
 )
 
@@ -63,25 +53,9 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_cycle_model():
     with criterion(2, "per-core cycles = 3N+M+4 (boundary-adjusted), latency = max"):
-        alpha, gamma = F32(0.01), F32(0.05)
-        # a core of layer 1 (0: the top) with N lanes and M back inputs;
-        # N and M are the lengths of the arrays it is handed
-        cfg = NetworkConfig((1, 1), clamp_hard=False)
-        identity_fprime = partial(derivative32, "identity")
-        for n in range(17):
-            for m in range(17):
-                _, _, out = core_tick(
-                    cfg, 1, F32(0.0), np.zeros(n + 1, np.float32), alpha, gamma,
-                    np.zeros(n, np.float32), identity_fprime, np.zeros(m, np.float32),
-                )
-                assert out.shape == (n,)
-                assert tick_cycles(n, m) == 3 * n + m + 4
-        for m in range(17):
-            core_tick(
-                cfg, 0, F32(0.0), np.zeros(1, np.float32), alpha, gamma,
-                np.zeros(0, np.float32), identity_fprime, np.zeros(m, np.float32),
-            )
-            assert tick_cycles(0, m, has_upper=False) == m + 2
+        # a core of layer 1 (0: the top) with N lanes and M back inputs,
+        # for every N, M in 0..16: test_core.py's sweep
+        check_cycle_sweep()
         # a network's wiring gives the model for every N, M in 1..16 (its
         # hidden layer) and the boundary layers, and a tick reports the
         # slowest core as latency
@@ -117,36 +91,29 @@ def test_criterion_4_clamp_semantics():
             presyn_kind = kinds[rng.integers(0, 3)]
             # the core is in layer 1, below a layer of presyn_kind
             hard = NetworkConfig((1, 1), (presyn_kind, activation), clamp_hard=True)
-            soft = dataclasses.replace(hard, clamp_hard=False)
             alpha, gamma = F32(0.01), F32(0.1)
             theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
             presyn = rng.uniform(-1, 1, n).astype(np.float32)
-            presyn_f = ACTIVATIONS_VEC[presyn_kind](presyn)
-            fprime = partial(derivative32, activation)
             back = rng.uniform(-1, 1, m).astype(np.float32)
             x0 = float(rng.uniform(-1, 1))
             obs = float(rng.uniform(-1, 1))
-            clamp = ClampSignal(True, obs)
+            case = Case(
+                hard, 1, F32(x0), theta, alpha, gamma, presyn, back,
+                ClampSignal(True, obs),
+            )
 
             # hard clamp: stored state is exactly the observation
-            x, _, _ = core_tick(
-                hard, 1, F32(x0), theta.copy(), alpha, gamma, presyn_f, fprime,
-                back, clamp,
-            )
+            x, _, _ = case.tick(theta=theta.copy())
             assert x.tobytes() == F32(obs).tobytes()
 
             # soft clamp: eps from the observation, state update from the
             # stored x; both must match the independent binary32 path
-            row = theta.copy()
-            ref_x, ref_theta, ref_eps = reference_bit32(
-                F32(x0), theta, presyn, back, soft, 1, alpha, gamma, clamp
-            )
-            x, eps, _ = core_tick(
-                soft, 1, F32(x0), row, alpha, gamma, presyn_f, fprime, back, clamp
-            )
+            soft = case._replace(cfg=case.soft())
+            ref_x, ref_theta, ref_eps = soft.reference(reference_bit32)
+            x, eps, _ = soft.tick()
             assert eps.tobytes() == ref_eps.tobytes()
             assert x.tobytes() == ref_x.tobytes()
-            assert row.tobytes() == ref_theta.tobytes()
+            assert theta.tobytes() == ref_theta.tobytes()
 
 
 def _read_curve(path: Path):
@@ -228,25 +195,5 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_energy_descent():
     with criterion(9, "clamped identity nets: energy non-increasing over 200 ticks"):
-        rng = Prng(2024)
-        for trial in range(20):
-            net = build_network(
-                NetworkConfig(
-                    [2, 4, 3],
-                    seed=1000 + trial,
-                    alpha=0.0,
-                    gamma=0.01,
-                    clamp_hard=True,
-                )
-            )
-            clamp = {
-                0: clamp_layer([rng.uniform(-1, 1) for _ in range(2)]),
-                2: clamp_layer([rng.uniform(-1, 1) for _ in range(3)]),
-            }
-            prev = None
-            for t in range(200):
-                net.tick(clamp)
-                e = net.energy()
-                if prev is not None:
-                    assert e <= prev + 1e-6, (trial, t, prev, e)
-                prev = e
+        # test_network.py's energy-descent loop
+        check_energy_descent()

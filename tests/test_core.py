@@ -1,14 +1,13 @@
 """Neural core tests: stages, tick schedule, clamping, gradients, cycles.
 
-Two independent references from ``refimpl`` are used: the discrete-time
-update evaluated in binary64 straight from the component equations
-(accuracy, 1e-5 absolute), and a second binary32 implementation with the
-same pinned accumulation order (bit-exactness).
+Every single-core tick is a ``refimpl.Case``, ticked on ``refimpl``'s own
+f and f' and checked against two independent references from
+``refimpl``: the discrete-time update evaluated in binary64 straight from
+the component equations (accuracy, 1e-5 absolute), and a second binary32
+implementation with the same pinned accumulation order (bit-exactness).
 """
 
-from dataclasses import replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsub.core import (
-    core_tick,
     stage_backsum,
     stage_backvec,
     stage_err,
@@ -24,13 +22,17 @@ from pcsub.core import (
     stage_state,
     stage_wup,
 )
-from pcsub.network import NO_CLAMP, ClampSignal, NetworkConfig, tick_cycles
-from pcsub.scalar32 import ACTIVATIONS_VEC
+from pcsub.network import NO_CLAMP, ClampSignal, tick_cycles
 
 from refimpl import (
+    Case,
+    activation32,
+    check_cycle_sweep,
     check_state_gradient,
     check_weight_gradient,
     derivative32,
+    mkcfg,
+    random_case,
     reference_bit32,
     reference_f64,
 )
@@ -38,14 +40,6 @@ from refimpl import (
 F32 = np.float32
 TOP, LOWER = 0, 1  # the layer of a core without and with an upper layer
 ONE = partial(derivative32, "identity")  # identity's f', which mkcfg's cores have
-
-
-def mkcfg(activation="identity", presyn_kind="identity", **kw):
-    """The config of a two-layer net whose lower layer has ``activation``
-    and whose top layer has ``presyn_kind``. A core reads N and M from the
-    arrays it is handed, so one config serves every fan-in pair."""
-    kw.setdefault("clamp_hard", False)
-    return NetworkConfig((1, 1), (presyn_kind, activation), **kw)
 
 
 def f32s(*values):
@@ -60,12 +54,10 @@ def f32s(*values):
 def test_effective_state():
     # a top core predicts mu = 0, so its eps is the tick's effective state:
     # x when unclamped, the observation when clamped, even if x is NaN
-    cfg = mkcfg()
+    case = Case(mkcfg(), TOP, F32(0.0), f32s(0.0), F32(0.0), F32(0.0), f32s(), f32s())
 
     def eps_of(x, clamp):
-        _, eps, _ = core_tick(cfg, TOP, F32(x), f32s(0.0), F32(0.0), F32(0.0),
-                              f32s(), ONE, f32s(), clamp)
-        return eps
+        return case.tick(x=F32(x), clamp=clamp)[1]
 
     assert eps_of(0.3, ClampSignal(False, 9.9)) == F32(0.3)
     assert eps_of(0.3, ClampSignal(True, 0.7)) == F32(0.7)
@@ -78,7 +70,7 @@ def test_effective_state():
 
 
 def test_stage_pred_derived():
-    presyn_f = ACTIVATIONS_VEC["relu"](f32s(2.0, 3.0))
+    presyn_f = f32s(*(activation32("relu", v) for v in (2.0, 3.0)))
     mu = stage_pred(f32s(0.5, -1.0, 0.25), presyn_f)
     # binary64 reference: 0.5*2 - 1*3 + 0.25 (exact in binary32)
     assert mu == F32(-1.75)
@@ -189,34 +181,16 @@ def test_tick_cycles_boundary():
 
 
 def test_cycles_formula_sweep():
-    # every fan-in pair ticks, emits N products, and costs 3N+M+4 (M+2 at
-    # the top); the count is a function of the shape alone
-    cfg = mkcfg()
-    for n in range(17):
-        for m in range(17):
-            theta = np.zeros(n + 1, np.float32)
-            zeros = np.zeros(n, np.float32)
-            _, _, out = core_tick(
-                cfg, LOWER, F32(0.0), theta, A01, G05, zeros, ONE,
-                np.zeros(m, np.float32),
-            )
-            assert out.shape == (n,)
-            assert tick_cycles(n, m) == 3 * n + m + 4
-    for m in range(17):
-        theta = np.zeros(1, np.float32)
-        _, _, out = core_tick(
-            cfg, TOP, F32(0.0), theta, A01, G05, f32s(), ONE, np.zeros(m, np.float32)
-        )
-        assert out.shape == (0,)
-        assert tick_cycles(0, m, has_upper=False) == m + 2
+    # the one sweep, which criterion 2 runs too
+    check_cycle_sweep()
 
 
 def test_tick_all_zero_is_identity():
     theta = f32s(0.0, 0.0, 0.0)
-    x, eps, out = core_tick(
-        mkcfg(), LOWER, F32(0.25), theta, A01, G05, f32s(0.0, 0.0), ONE,
+    x, eps, out = Case(
+        mkcfg(), LOWER, F32(0.25), theta, A01, G05, f32s(0.0, 0.0),
         np.zeros(3, np.float32),
-    )
+    ).tick()
     assert eps == F32(0.25)  # mu = 0, eps = x_start
     assert out.tolist() == [0.0, 0.0]  # products of the zero weights
     # zero f(presyn) makes every weight delta alpha*eps*0 = 0
@@ -231,10 +205,9 @@ def test_tick_registered_output_is_pre_tick_state():
     # the emitted products use the weights held at the start of the tick,
     # while the core's own weights and state move
     theta = f32s(0.5, 0.0)
-    x, eps, out = core_tick(
-        mkcfg(), LOWER, F32(1.0), theta, F32(0.1), F32(0.5), f32s(1.0), ONE,
-        f32s(),
-    )
+    x, eps, out = Case(
+        mkcfg(), LOWER, F32(1.0), theta, F32(0.1), F32(0.5), f32s(1.0), f32s()
+    ).tick()
     assert eps == F32(0.5)  # mu = 0.5*1 + 0
     assert out.tolist() == [0.25]  # 0.5 * eps, pre-update theta
     assert theta[0] == F32(0.55)  # 0.5 + 0.1*0.5*1
@@ -246,74 +219,10 @@ def test_tick_registered_output_is_pre_tick_state():
 # ---------------------------------------------------------------------------
 
 
-class Case(NamedTuple):
-    """One core of layer ``LOWER``: N and M are the lengths of ``presyn``
-    and ``back``."""
-
-    x: np.float32
-    theta: np.ndarray  # updated in place by ``tick``
-    cfg: NetworkConfig
-    alpha: np.float32
-    gamma: np.float32
-    presyn: np.ndarray
-    back: np.ndarray
-    clamp: ClampSignal
-
-    def tick(self, **change):
-        c = self._replace(**change)
-        presyn_f = ACTIVATIONS_VEC[c.cfg.activations[LOWER - 1]](c.presyn)
-        fprime = partial(derivative32, c.cfg.activations[LOWER])
-        return core_tick(
-            c.cfg, LOWER, c.x, c.theta, c.alpha, c.gamma, presyn_f, fprime,
-            c.back, c.clamp,
-        )
-
-    def reference(self, ref, **change):
-        c = self._replace(**change)
-        return ref(
-            c.x, c.theta.copy(), c.presyn, c.back, c.cfg, LOWER, c.alpha,
-            c.gamma, c.clamp,
-        )
-
-    def soft(self) -> NetworkConfig:
-        return replace(self.cfg, clamp_hard=False)
-
-
-def _random_case(rng, force_clamp=None):
-    n = int(rng.integers(0, 7))
-    m = int(rng.integers(0, 7))
-    kinds = ["identity", "relu", "tanh"]
-    activation = kinds[rng.integers(0, 3)]
-    presyn_kind = kinds[rng.integers(0, 3)]
-    alpha = F32(rng.choice([0.0, 0.01, 0.1]))
-    gamma = F32(rng.choice([0.0, 0.05, 0.2]))
-    alpha_bias_scale = float(rng.choice([1.0, 0.5]))
-    bias_frozen = bool(rng.integers(0, 2))
-    theta = rng.uniform(-1, 1, n + 1).astype(np.float32)
-    x = F32(rng.uniform(-1, 1))
-    presyn = rng.uniform(-1, 1, n).astype(np.float32)
-    back = rng.uniform(-1, 1, m).astype(np.float32)
-    if force_clamp is None:
-        clamped = bool(rng.integers(0, 2))
-    else:
-        clamped = force_clamp
-    clamp = (
-        ClampSignal(True, float(rng.uniform(-1, 1))) if clamped else NO_CLAMP
-    )
-    cfg = mkcfg(
-        activation,
-        presyn_kind,
-        alpha_bias_scale=alpha_bias_scale,
-        bias_frozen=bias_frozen,
-        clamp_hard=bool(rng.integers(0, 2)),
-    )
-    return Case(x, theta, cfg, alpha, gamma, presyn, back, clamp)
-
-
 def test_stage_equivalence_1000_random_cores():
     rng = np.random.default_rng(1234)
     for _ in range(1000):
-        case = _random_case(rng)
+        case = random_case(rng)
         ref64_x, ref64_theta, _ = case.reference(reference_f64)
         ref32_x, ref32_theta, ref32_eps = case.reference(reference_bit32)
         x, eps, _ = case.tick()
@@ -350,17 +259,12 @@ def test_weight_increment_matches_energy_gradient():
 )
 @settings(max_examples=100)
 def test_hard_clamp_absorption(obs, x0):
-    cfg = mkcfg(clamp_hard=True)
-    theta = f32s(0.5, -0.25)
-    clamp = ClampSignal(True, obs)
-    _, _, ref_eps = reference_bit32(
-        F32(x0), theta.copy(), f32s(0.3), f32s(0.9), cfg, LOWER, F32(0.1),
-        F32(0.3), clamp,
+    case = Case(
+        mkcfg(clamp_hard=True), LOWER, F32(x0), f32s(0.5, -0.25), F32(0.1),
+        F32(0.3), f32s(0.3), f32s(0.9), ClampSignal(True, obs),
     )
-    x, eps, _ = core_tick(
-        cfg, LOWER, F32(x0), theta, F32(0.1), F32(0.3), f32s(0.3), ONE, f32s(0.9),
-        clamp,
-    )
+    _, _, ref_eps = case.reference(reference_bit32)
+    x, eps, _ = case.tick()
     assert x.tobytes() == F32(obs).tobytes()
     # the tick's error is computed from the observation
     assert eps.tobytes() == ref_eps.tobytes()
@@ -369,7 +273,7 @@ def test_hard_clamp_absorption(obs, x0):
 def test_soft_clamp_effect():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        case = _random_case(rng, force_clamp=False)
+        case = random_case(rng, force_clamp=False)
         if case.gamma == 0:
             continue
         soft = dict(clamp=ClampSignal(True, float(rng.uniform(-1, 1))), cfg=case.soft())
@@ -384,7 +288,7 @@ def test_soft_clamp_effect():
 def test_alpha_zero_tick_preserves_theta_bits():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        case = _random_case(rng)
+        case = random_case(rng)
         theta_before = case.theta.tobytes()
         case.tick(alpha=F32(0.0))
         assert case.theta.tobytes() == theta_before
@@ -393,6 +297,6 @@ def test_alpha_zero_tick_preserves_theta_bits():
 def test_gamma_zero_unclamped_tick_preserves_x_bits():
     rng = np.random.default_rng(18)
     for _ in range(50):
-        case = _random_case(rng, force_clamp=False)
+        case = random_case(rng, force_clamp=False)
         x, _, _ = case.tick(gamma=F32(0.0), clamp=NO_CLAMP, cfg=case.soft())
         assert x.tobytes() == case.x.tobytes()

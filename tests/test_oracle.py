@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pcsub import oracle
+from pcsub import network, oracle
 from pcsub.errors import ConfigurationError
 from pcsub.network import (
     ClampSignal,
@@ -23,31 +23,10 @@ from pcsub.oracle import (
     run_equivalence_suite,
 )
 
-from refimpl import FIELDS, REFERENCES, assert_same_state, assert_ticks_match
+from refimpl import BAD_STEP_OVERRIDES, FIELDS, REFERENCES, assert_same_state
+from refimpl import assert_ticks_match, dense_zeros, engine_tick
 
 F32 = np.float32
-
-
-def dense_zeros(sizes, acts=None, **kw):
-    """All-zero state; step sizes default to 0 unless given in ``kw``."""
-    kw = {"alpha": 0.0, "gamma": 0.0, **kw}
-    n = len(sizes)
-    return DenseState(
-        cfg=NetworkConfig(layer_sizes=sizes, activations=acts, **kw),
-        x=[np.zeros(k, np.float32) for k in sizes],
-        eps=[np.zeros(k, np.float32) for k in sizes],
-        theta=[
-            np.zeros((k, (sizes[s - 1] if s else 0) + 1), np.float32)
-            for s, k in enumerate(sizes)
-        ],
-        states_in=[
-            np.zeros(sizes[s - 1] if s else 0, np.float32) for s in range(n)
-        ],
-        back_in=[
-            np.zeros((sizes[s + 1] if s < n - 1 else 0, k), np.float32)
-            for s, k in enumerate(sizes)
-        ],
-    )
 
 
 def test_zero_state_stays_zero():
@@ -82,21 +61,6 @@ def test_bad_mode_rejected():
     ds = dense_zeros([1, 1])
     with pytest.raises(ConfigurationError):
         oracle_tick(ds, mode="f32")
-
-
-# binary32 ones too, as a finite, non-negative binary32 override is taken
-# as it is, and a binary64 one past the binary32 range
-BAD_STEP_OVERRIDES = {
-    "nan": float("nan"),
-    "inf": float("inf"),
-    "-inf": -float("inf"),
-    "1e+39": 1e39,
-    "-0.01": -0.01,
-    "f32-nan": F32("nan"),
-    "f32-inf": F32("inf"),
-    "f32--0.01": F32(-0.01),
-    "f64-1e+39": np.float64(1e39),
-}
 
 
 @pytest.mark.parametrize(
@@ -329,6 +293,26 @@ def test_sweep_names_a_one_bit_engine_fault(monkeypatch, net, tick, layer, field
     }
 
 
+def test_sweep_sees_a_fault_in_the_engines_tanh(monkeypatch):
+    # the engine's f is its own and the oracle reads scalar32's table, so
+    # the engine's tanh one ulp high moves the engine alone: the sweep,
+    # which passes on these nets, names where the first tanh-fed products
+    # differ
+    assert run_equivalence_suite(n_nets=4, n_ticks=8, seed=5)["ok"]
+    right = network._ACTIVATIONS["tanh"]
+
+    def high(x):
+        return np.nextafter(right(x), np.inf)
+
+    monkeypatch.setitem(network._ACTIVATIONS, "tanh", high)
+    assert run_equivalence_suite(n_nets=4, n_ticks=8, seed=5) == {
+        "ok": False,
+        "nets": 2,
+        "ticks": 13,
+        "mismatch": "net 1 tick 4: layer 1 field back_in",
+    }
+
+
 @pytest.mark.parametrize("field", ["x", "eps", "theta", "states_in", "back_in"])
 def test_compare_names_the_first_differing_field(field):
     net = build_network(NetworkConfig(layer_sizes=[2, 3, 2], seed=5))
@@ -412,41 +396,47 @@ def _lane_state():
     return ds
 
 
-def _oracle_mu(lane_products, bias):
-    """mu of the layer-1 core, read back as -eps with x_eff = -0.0 (exact)."""
+def _mu(tick, lane_products, bias):
+    """mu of the layer-1 core after ``tick`` (``oracle_tick`` or
+    ``engine_tick``), read back as -eps with x_eff = -0.0 (exact)."""
     ds = _lane_state()
     ds.theta[1][0, :16] = 1.0
     ds.theta[1][0, 16] = bias
     ds.states_in[1][:] = lane_products
-    return -oracle_tick(ds).eps[1][0]
+    return -tick(ds).eps[1][0]
 
 
-def _oracle_b(back_products):
-    """b of the layer-1 core: with zero weights and a soft clamp at +0.0,
-    eps = +0.0 and the stepped x is -0.0 + 1*(1*b - 0) = b, sign included."""
+def _b(tick, back_products):
+    """b of the layer-1 core after ``tick``: with zero weights and a soft
+    clamp at +0.0, eps = +0.0 and the stepped x is -0.0 + 1*(1*b - 0) = b,
+    sign included."""
     ds = _lane_state()
     ds.back_in[1][:, 0] = back_products
-    return oracle_tick(ds, {1: clamp_layer([0.0])}).x[1][0]
+    return tick(ds, {1: clamp_layer([0.0])}).x[1][0]
 
 
 def test_oracle_sums_lanes_in_ascending_order():
+    # the oracle's prefix sums and the engine's scalar loops
     products = np.array(ABSORBING, np.float32)
     assert np.sum(products) != _ascending(products)  # the order is visible
-    mu = _oracle_mu(products, 0.0)  # the bias lane adds 0.0*1
-    assert mu.tobytes() == _ascending(products).tobytes()
-    assert mu == F32(2.0**24)
-    b = _oracle_b(products)
-    assert b.tobytes() == _ascending(products).tobytes()
-    assert b == F32(2.0**24)
+    for tick in (oracle_tick, engine_tick):
+        mu = _mu(tick, products, 0.0)  # the bias lane adds 0.0*1
+        assert mu.tobytes() == _ascending(products).tobytes(), tick
+        assert mu == F32(2.0**24), tick
+        b = _b(tick, products)
+        assert b.tobytes() == _ascending(products).tobytes(), tick
+        assert b == F32(2.0**24), tick
 
 
 def test_oracle_sums_start_from_positive_zero():
-    # -0.0 + -0.0 stays -0.0; only the +0.0 seed makes these sums +0.0
+    # -0.0 + -0.0 stays -0.0; only the +0.0 seed makes these sums +0.0, in
+    # the oracle and the engine
     neg = np.full(16, -0.0, np.float32)
-    mu = _oracle_mu(neg, -0.0)
-    assert mu.tobytes() == F32(0.0).tobytes()
-    b = _oracle_b(neg)
-    assert b.tobytes() == F32(0.0).tobytes()
+    for tick in (oracle_tick, engine_tick):
+        mu = _mu(tick, neg, -0.0)
+        assert mu.tobytes() == F32(0.0).tobytes(), tick
+        b = _b(tick, neg)
+        assert b.tobytes() == F32(0.0).tobytes(), tick
 
 
 # ---------------------------------------------------------------------------

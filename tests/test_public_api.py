@@ -126,6 +126,15 @@ def test_per_core_reference_imports_no_activation():
     assert from_scalar32 == {"pcsub.scalar32", "pcsub.scalar32.F32"}, from_scalar32
 
 
+def test_engine_imports_no_activation_table():
+    # the engine writes its own f and f': network.py imports neither of
+    # scalar32's tables, which the oracle reads, so no fault in one
+    # activation moves the engine and a reference together
+    imported = _imported_modules(PACKAGE / "network.py")
+    tables = {"pcsub.scalar32.ACTIVATIONS_VEC", "pcsub.scalar32.DERIVATIVES_VEC"}
+    assert not imported & tables, imported & tables
+
+
 def test_reference_imports_no_binary64_or_vector_activation():
     # tests/refimpl.py writes its activations itself, binary64 equations
     # and their binary32 roundings: it imports no activation of the

@@ -1,7 +1,6 @@
 """Binary32 arithmetic and activation function tests."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsub import network
-from pcsub.core import core_tick, stage_pred
-from pcsub.network import DenseState, NetworkConfig
+from pcsub.core import stage_pred
+from pcsub.network import NetworkConfig
 from pcsub.oracle import oracle_tick
 from pcsub.scalar32 import (
     ACTIVATION_KINDS,
@@ -20,7 +19,8 @@ from pcsub.scalar32 import (
     is_finite_f32,
 )
 
-from refimpl import activation32, activation64, derivative32, derivative64
+from refimpl import Case, activation32, activation64, derivative32, derivative64
+from refimpl import dense_zeros, engine_tick
 
 F32 = np.float32
 
@@ -45,23 +45,20 @@ def test_mul_add_two_rounding_derived():
     zero = F32(0.0).tobytes()
 
     assert stage_pred(theta, presyn_f).tobytes() == zero
-    # with x = +0.0 the tick's eps is -mu (for a core of layer 1)
-    _, eps, _ = core_tick(
+    # with x = +0.0 the tick's eps is -mu (for a core of layer 1, whose
+    # identity upper layer makes presyn_f the raw states)
+    _, eps, _ = Case(
         NetworkConfig((1, 1)), 1, F32(0.0), theta.copy(), F32(0.0), F32(0.0),
-        presyn_f, partial(derivative32, "identity"), np.zeros(0, np.float32),
-    )
+        presyn_f, np.zeros(0, np.float32),
+    ).tick()
     assert eps.tobytes() == zero
 
-    # the oracle, on a 2-1 identity net whose bottom core has these weights
-    state = DenseState(
-        cfg=NetworkConfig(layer_sizes=(2, 1), alpha=0.0, gamma=0.0),
-        x=[np.zeros(2, np.float32), np.zeros(1, np.float32)],
-        eps=[np.zeros(2, np.float32), np.zeros(1, np.float32)],
-        theta=[np.zeros((2, 1), np.float32), theta.reshape(1, 3)],
-        states_in=[np.zeros(0, np.float32), presyn_f],
-        back_in=[np.zeros((1, 2), np.float32), np.zeros((0, 1), np.float32)],
-    )
+    # the oracle and the engine, on a 2-1 identity net whose bottom core
+    # has these weights
+    state = dense_zeros((2, 1))
+    state.theta[1][0], state.states_in[1][:] = theta, presyn_f
     assert oracle_tick(state).eps[1].tobytes() == zero
+    assert engine_tick(state).eps[1].tobytes() == zero
 
 
 def test_mul_add_nan_inf_propagate():
@@ -153,23 +150,29 @@ def _vector_inputs(dtype):
 def test_vector_forms_match_scalar_bitwise():
     # every table, element by element, has the bytes of the reference's
     # binary64 equations rounded once to binary32, NaN payloads included;
-    # so has the engine's own scalar f' of tanh
+    # so have the engine's own f (identity's is the operand itself) and
+    # its scalar f' of tanh
     xs32, xs64 = _vector_inputs(np.float32), _vector_inputs(np.float64)
     for kind in ACTIVATION_KINDS:
         f, fprime = ACTIVATIONS_VEC[kind], DERIVATIVES_VEC[kind]
-        va, vd = f(xs32), fprime(xs32)
-        assert va.dtype == vd.dtype == np.float32
+        engine_f = network._ACTIVATIONS.get(kind, lambda x: x)
+        va, vd, ve = f(xs32), fprime(xs32), engine_f(xs32)
+        assert va.dtype == vd.dtype == ve.dtype == np.float32
         for i, x in enumerate(xs32):
-            assert va[i].tobytes() == activation32(kind, x).tobytes(), (kind, x)
+            want = activation32(kind, x).tobytes()
+            assert va[i].tobytes() == want, (kind, x)
+            assert ve[i].tobytes() == want, (kind, x)
             want = derivative32(kind, x).tobytes()
             assert vd[i].tobytes() == want, (kind, x)
             if kind == TANH:
                 assert network._tanh_derivative(x).tobytes() == want, (kind, x)
-        # binary64 keeps its dtype and follows the binary64 equations
-        va, vd = f(xs64), fprime(xs64)
-        assert va.dtype == vd.dtype == np.float64
+        # binary64 keeps its dtype and follows the binary64 equations, as
+        # the engine's energy reads it
+        va, vd, ve = f(xs64), fprime(xs64), engine_f(xs64)
+        assert va.dtype == vd.dtype == ve.dtype == np.float64
         for i, x in enumerate(xs64.tolist()):
             assert _same_value(va[i], activation64(kind, x)), (kind, x)
+            assert _same_value(ve[i], activation64(kind, x)), (kind, x)
             assert _same_value(vd[i], derivative64(kind, x)), (kind, x)
 
 

@@ -12,7 +12,6 @@ CSV.
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import EXPERIMENTS, ConfigFile, load_config, parse_config, run_experiment
 from .core import core_tick
-from .errors import CheckpointError, ConfigParseError, ConfigurationError
 from .harness import (
     Dataset,
     LearningCurve,
@@ -23,7 +22,6 @@ from .harness import (
     write_curve_csv,
 )
 from .network import (
-    ClampSignal,
     DenseState,
     Network,
     NetworkConfig,
@@ -34,6 +32,7 @@ from .network import (
 )
 from .oracle import oracle_tick, run_equivalence_suite
 from .prng import Prng
+from .rules import CheckpointError, ClampSignal, ConfigParseError, ConfigurationError
 from .scalar32 import ACTIVATION_KINDS
 
 __version__ = "0.1.0"

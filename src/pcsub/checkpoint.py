@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CheckpointError
 from .network import Network, NetworkConfig, build_network, layer_wiring
+from .rules import CheckpointError
 
 MAGIC = "PCSUB1"
 

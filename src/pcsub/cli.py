@@ -16,12 +16,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import rules
 from .checkpoint import load_checkpoint
 from .config import EXPERIMENTS, load_config, run_experiment
-from .errors import CheckpointError, ConfigParseError, ConfigurationError
 from .harness import dataset_for, evaluate_dataset, output_dir, run_config
-from .network import _integer, layer_wiring
+from .network import layer_wiring
 from .oracle import run_equivalence_suite
+from .rules import CheckpointError, ConfigParseError, ConfigurationError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -87,7 +88,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_tick(args) -> int:
-    _integer("--ticks", args.ticks, 1)  # before the checkpoint is read
+    rules.integer("--ticks", args.ticks, 1)  # before the checkpoint is read
     net = load_checkpoint(args.checkpoint)
     diverged = False
     for _ in range(args.ticks):

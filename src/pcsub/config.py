@@ -8,11 +8,11 @@ built-in defaults and the fallback is logged once per parse.
 
 ``ConfigFile`` declares the key set and each key's default, once: a
 field per key, whose default is read from the consumer's class where the
-consumer declares one (``NetworkConfig``, ``TrainProtocol``). Each key's
-value rule is written once, by the module that consumes the key:
-``NETWORK_RULES`` in ``network``, ``HARNESS_RULES`` in ``harness``.
-``parse_config`` applies those rules and reports every failure with its
-key's line.
+consumer declares one (``NetworkConfig``, ``TrainProtocol``). Each value
+rule is written once, in ``rules``, and the module that consumes a key
+declares which rule checks it: ``NETWORK_RULES`` in ``network``,
+``HARNESS_RULES`` in ``harness``. ``parse_config`` applies those rules
+and reports every failure with its key's line.
 
 The canned experiments are config files under ``configs/``;
 ``run_experiment`` runs one through ``harness.run_config``, the path
@@ -26,9 +26,10 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigParseError, ConfigurationError
+from . import rules
 from .harness import HARNESS_RULES, TrainProtocol, output_dir, run_config
-from .network import NETWORK_RULES, NetworkConfig, _activations, _choice
+from .network import NETWORK_RULES, NetworkConfig
+from .rules import ConfigParseError, ConfigurationError
 
 log = logging.getLogger(__name__)
 
@@ -145,7 +146,7 @@ def parse_config(text: str) -> ConfigFile:
 
     for key, rule in _RULES.items():
         check(key, rule, key, getattr(cfg, key))
-    check("activations", _activations, cfg.activations, len(cfg.layer_sizes))
+    check("activations", rules.activations, cfg.activations, len(cfg.layer_sizes))
     if errors:
         raise ConfigParseError(sorted(errors, key=lambda error: error[0]))
     defaulted = sorted(set(DEFAULTS) - set(seen))
@@ -165,7 +166,7 @@ def load_config(path) -> ConfigFile:
 
 
 def experiment_config(name: str) -> ConfigFile:
-    name = _choice("experiment", name, EXPERIMENTS)
+    name = rules.choice("experiment", name, EXPERIMENTS)
     return load_config(_CONFIG_DIR / f"{name}.cfg")
 
 

@@ -4,8 +4,9 @@
 nothing from it: the engine runs the same stage rules with its own code,
 the lane-parallel stages a whole layer at a time, and the tests drive
 ``core_tick`` over a network's latches to check the engine bit for bit.
-The types of its inputs (``NetworkConfig``, ``ClampSignal``) and the
-cycle model are the network's.
+Its config type (``NetworkConfig``) and the cycle model are the
+network's; its clamp type (``ClampSignal``) is defined in ``rules``,
+with every other input rule.
 
 A core is a single scalar unit (i, layer s). Its storage is row i of its
 layer's register file: the activity x, the error eps and the (N+1,)
@@ -66,7 +67,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import NO_CLAMP, ClampSignal, NetworkConfig
+from .network import NetworkConfig
+from .rules import NO_CLAMP, ClampSignal
 from .scalar32 import F32
 
 _ZERO = F32(0.0)

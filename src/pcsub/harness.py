@@ -40,19 +40,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .network import (
-    Network,
-    _boolean,
-    _choice,
-    _integer,
-    _real,
-    _seed,
-    _sizes,
-    build_network,
-    clamp_layer,
-)
+from . import rules
+from .network import Network, build_network, clamp_layer
 from .prng import Prng
+from .rules import ConfigurationError
 from .scalar32 import ACTIVATIONS_VEC, RELU, TANH
 
 if TYPE_CHECKING:
@@ -65,21 +56,21 @@ TEACHER_KINDS = ("relu_teacher", "tanh_teacher")
 _ALPHA_ZERO = np.float32(0.0)
 
 
-_count = partial(_integer, lo=1)
+_count = partial(rules.integer, lo=1)
 
 # rule(key, value) of each config key the harness consumes: TrainProtocol
 # applies the first five to its fields, TeacherSpec and generate_dataset
 # the rest, and parse_config all of them to the same keys of a file
 HARNESS_RULES = {
     "infer_ticks": _count,
-    "learn_ticks": partial(_integer, lo=0),
+    "learn_ticks": partial(rules.integer, lo=0),
     "epochs": _count,
     "eval_ticks": _count,
-    "reset_between_samples": _boolean,
+    "reset_between_samples": rules.boolean,
     "n_samples": _count,
-    "teacher_kind": partial(_choice, choices=TEACHER_KINDS),
-    "teacher_seed": _seed,
-    "teacher_weight_scale": _real,
+    "teacher_kind": partial(rules.choice, choices=TEACHER_KINDS),
+    "teacher_seed": rules.seed,
+    "teacher_weight_scale": rules.real,
 }
 
 
@@ -98,7 +89,7 @@ class TeacherSpec:
     def __post_init__(self):
         checked = {
             "kind": _check("teacher_kind", self.kind),
-            "dims": _sizes("teacher dims", self.dims, 3, 3),
+            "dims": rules.sizes("teacher dims", self.dims, 3, 3),
             "seed": _check("teacher_seed", self.seed),
             "weight_scale": _check("teacher_weight_scale", self.weight_scale),
         }

@@ -60,19 +60,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .network import (
-    ClampMap,
-    ClampSignal,
-    DenseState,
-    Network,
-    NetworkConfig,
-    _binary32,
-    _check_clamp,
-    _choice,
-    build_network,
-    layer_wiring,
-)
+from . import rules
+from .network import DenseState, Network, NetworkConfig, build_network, layer_wiring
+from .rules import ClampMap, ClampSignal, ConfigurationError
 from .scalar32 import (
     ACTIVATION_KINDS,
     ACTIVATIONS_VEC,
@@ -95,7 +85,7 @@ def _clamp_arrays(sizes, clamp: Optional[ClampMap], dtype) -> list:
     ``dtype``) with the mask None where every signal is enabled. Rejects a
     clamp that ``Network.tick`` rejects."""
     arrays = [None] * len(sizes)
-    for s, signals in _check_clamp(clamp, sizes).items():
+    for s, signals in rules.check_clamp(clamp, sizes).items():
         en = np.array([sig.x_set_en for sig in signals], dtype=bool)
         obs = np.array([sig.x_obs for sig in signals], dtype=dtype)
         arrays[s] = None if en.all() else en, obs
@@ -112,9 +102,9 @@ def oracle_tick(
     """Pure function: one tick applied to a dense snapshot. A state whose
     arrays do not have its config's shapes raises ``ConfigurationError``."""
     _check_shapes(state)
-    dtype = _MODES[_choice("oracle mode", mode, _MODES)]
-    av = _binary32("alpha", state.cfg.alpha if alpha is None else alpha)
-    gv = _binary32("gamma", state.cfg.gamma if gamma is None else gamma)
+    dtype = _MODES[rules.choice("oracle mode", mode, _MODES)]
+    av = rules.binary32("alpha", state.cfg.alpha if alpha is None else alpha)
+    gv = rules.binary32("gamma", state.cfg.gamma if gamma is None else gamma)
     clamps = _clamp_arrays(state.layer_sizes, clamp, dtype)
     return _step(state, clamps, av, gv, dtype)
 
@@ -290,7 +280,7 @@ def run_equivalence_suite(
         # what the oracle reads of this net, converted once: the clamp
         # arrays, checked, and the binary32 step sizes
         clamps = _clamp_arrays(sizes, clamp, dtype)
-        av, gv = _binary32("alpha", cfg.alpha), _binary32("gamma", cfg.gamma)
+        av, gv = rules.binary32("alpha", cfg.alpha), rules.binary32("gamma", cfg.gamma)
         state = net.snapshot()
         for t in range(n_ticks):
             net.tick(clamp)

@@ -6,7 +6,9 @@ Every arithmetic result is rounded to binary32 where it is produced;
 NaN/Inf propagate and are detected downstream, never masked here. A value
 is rounded once, when it enters the datapath or is computed, and not
 again where it is read: re-rounding a binary32 value cannot change a bit,
-it only costs a conversion call.
+it only costs a conversion call. The rules for what may enter,
+``is_finite_f32`` among them, are in ``rules``; this module holds only
+the arithmetic and the activations.
 
 The MAC uses two roundings (multiply rounded, then add rounded) rather
 than a fused single rounding, so the same sequence is reproducible in
@@ -38,20 +40,6 @@ TANH = "tanh"
 ACTIVATION_KINDS = (IDENTITY, RELU, TANH)
 
 _ZERO = F32(0.0)
-
-
-# Smallest magnitude that rounds to infinity in binary32: halfway between
-# the largest finite binary32 and 2**128, where the tie goes to even (2**128).
-_F32_OVERFLOW = 2.0**128 - 2.0**103
-
-
-def is_finite_f32(value) -> bool:
-    """True when the real ``value`` is finite and stays finite rounded to
-    binary32: the rule for every configured value that is cast to binary32.
-    An int past the binary64 range is False, not an OverflowError."""
-    if isinstance(value, int) and not -_F32_OVERFLOW < value < _F32_OVERFLOW:
-        return False  # compared exactly, with no float() to overflow
-    return abs(float(value)) < _F32_OVERFLOW
 
 
 def _relu_vec(x: np.ndarray) -> np.ndarray:

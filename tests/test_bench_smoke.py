@@ -5,7 +5,10 @@ checkpoints, ``DenseState.from_network``, ``oracle_tick``,
 ``run_equivalence_suite``, the CLI). A change that breaks one of those
 calls, the sweep's summary dict or a digest of ``bench/digests.json``
 fails here, not only when the benchmark itself is run. ``--seconds 0``
-times the minimum number of repetitions.
+times the minimum number of repetitions. ``--trace 1`` also imports the
+modules ``bench/spans.py`` names and wraps their public functions and
+methods, so one traced case checks that every name it wraps still
+resolves.
 """
 
 import json
@@ -19,13 +22,20 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "workload", ["tick_wide", "exp_tanh_ts", "exp_scale_large", "verify"]
+    "workload, trace",
+    [
+        *[
+            pytest.param(w, "0", id=w)
+            for w in ["tick_wide", "exp_tanh_ts", "exp_scale_large", "verify"]
+        ],
+        pytest.param("exp_tanh_ts", "1", id="exp_tanh_ts-traced"),
+    ],
 )
-def test_bench_workload_passes_its_checks(workload):
+def test_bench_workload_passes_its_checks(workload, trace):
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "bench" / "run.py"),
-            "--workload", workload, "--seconds", "0", "--trace", "0",
+            "--workload", workload, "--seconds", "0", "--trace", trace,
         ],
         cwd=ROOT,
         capture_output=True,

@@ -11,18 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from pcsub import rules
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.config import DEFAULTS, experiment_config, parse_config
-from pcsub.errors import CheckpointError, ConfigParseError, ConfigurationError
 from pcsub.harness import HARNESS_RULES, TeacherSpec, TrainProtocol, generate_dataset
-from pcsub.network import (
-    NETWORK_RULES,
+from pcsub.network import NETWORK_RULES, NetworkConfig, build_network, clamp_layer
+from pcsub.rules import (
+    CheckpointError,
     ClampSignal,
-    NetworkConfig,
-    _activations,
-    _boolean,
-    build_network,
-    clamp_layer,
+    ConfigParseError,
+    ConfigurationError,
 )
 from pcsub.oracle import oracle_tick
 from pcsub.prng import Prng
@@ -358,7 +356,7 @@ def test_switches_reject_non_bools(key, value):
     with pytest.raises(ConfigurationError) as exc:
         SWITCHES[key](value)
     with pytest.raises(ConfigurationError) as rule:
-        _boolean(key, value)
+        rules.boolean(key, value)
     assert str(exc.value) == str(rule.value) == f"{key} must be a bool, got {value!r}"
 
 
@@ -367,8 +365,7 @@ def test_switches_reject_non_bools(key, value):
 def test_switches_accept_python_and_numpy_bools(key, value):
     built = SWITCHES[key](value)
     assert getattr(built, key) == value
-    if key != "x_set_en":  # a ClampSignal keeps the value it is given
-        assert type(getattr(built, key)) is bool
+    assert type(getattr(built, key)) is bool
 
 
 _DTYPES = st.sampled_from(
@@ -413,7 +410,7 @@ def _entry_points(value) -> list:
         for key, rule in {**NETWORK_RULES, **HARNESS_RULES}.items()
     ]
     calls += [
-        lambda: _activations(value, 2),
+        lambda: rules.activations(value, 2),
         lambda: ClampSignal(True, value),
         lambda: ClampSignal(value, 0.0),
         lambda: net.tick(alpha=value),

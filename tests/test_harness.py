@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pcsub.config import EXPERIMENTS, experiment_config, run_experiment
-from pcsub.errors import ConfigurationError
 from pcsub.harness import (
     Dataset,
     LearningCurve,
@@ -20,6 +19,7 @@ from pcsub.harness import (
     write_curve_csv,
 )
 from pcsub.network import NetworkConfig, build_network
+from pcsub.rules import ConfigurationError
 
 from refimpl import activation64
 

@@ -15,16 +15,10 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from pcsub import core, network
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
-from pcsub.errors import ConfigurationError
-from pcsub.network import (
-    ClampSignal,
-    NetworkConfig,
-    build_network,
-    clamp_layer,
-    layer_wiring,
-)
+from pcsub.network import NetworkConfig, build_network, clamp_layer, layer_wiring
 from pcsub.oracle import oracle_tick
 from pcsub.prng import Prng
+from pcsub.rules import ClampSignal, ConfigurationError
 from pcsub.scalar32 import ACTIVATION_KINDS
 
 from refimpl import (

@@ -8,20 +8,14 @@ import numpy as np
 import pytest
 
 from pcsub import network, oracle
-from pcsub.errors import ConfigurationError
-from pcsub.network import (
-    ClampSignal,
-    Network,
-    NetworkConfig,
-    build_network,
-    clamp_layer,
-)
+from pcsub.network import Network, NetworkConfig, build_network, clamp_layer
 from pcsub.oracle import (
     DenseState,
     compare_to_network,
     oracle_tick,
     run_equivalence_suite,
 )
+from pcsub.rules import ClampSignal, ConfigurationError
 
 from refimpl import BAD_STEP_OVERRIDES, FIELDS, REFERENCES, assert_same_state
 from refimpl import assert_ticks_match, dense_zeros, engine_tick

@@ -91,7 +91,7 @@ def test_readme_layout_lists_every_module():
     layout = _fenced_blocks(section)[0]
     listed = set(re.findall(r"^\s+(\w+)\.py\b", layout, re.M))
     modules = {p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__")}
-    assert modules <= listed, modules - listed
+    assert modules == listed, modules ^ listed
 
 
 def _imported_modules(path: Path) -> set:
@@ -107,6 +107,23 @@ def _imported_modules(path: Path) -> set:
             # ``from . import core`` and ``from pcsub import core``
             found.update(f"{module}.{alias.name}" for alias in node.names)
     return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name another module imports is public and documented where it is
+    # defined: no pcsub module reaches into another for a ``_name``
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pcsub"
+            ):
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not private, private
 
 
 def test_engine_and_oracle_do_not_import_the_per_core_reference():

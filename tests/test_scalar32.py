@@ -11,13 +11,8 @@ from pcsub import network
 from pcsub.core import stage_pred
 from pcsub.network import NetworkConfig
 from pcsub.oracle import oracle_tick
-from pcsub.scalar32 import (
-    ACTIVATION_KINDS,
-    ACTIVATIONS_VEC,
-    DERIVATIVES_VEC,
-    TANH,
-    is_finite_f32,
-)
+from pcsub.rules import is_finite_f32
+from pcsub.scalar32 import ACTIVATION_KINDS, ACTIVATIONS_VEC, DERIVATIVES_VEC, TANH
 
 from refimpl import Case, activation32, activation64, derivative32, derivative64
 from refimpl import dense_zeros, engine_tick

@@ -4,9 +4,10 @@
 nothing from it: the engine runs the same stage rules with its own code,
 the lane-parallel stages a whole layer at a time, and the tests drive
 ``core_tick`` over a network's latches to check the engine bit for bit.
-Its config type (``NetworkConfig``) and the cycle model are the
-network's; its clamp type (``ClampSignal``) is defined in ``rules``,
-with every other input rule.
+Nor do they share arithmetic: the engine and the oracle compute in
+numpy's binary32, this module in Python floats without numpy, so a fault
+in either (a flushed subnormal, a fused multiply-add, a NaN rule) moves
+one side only. Its clamp type (``ClampSignal``) is defined in ``rules``.
 
 A core is a single scalar unit (i, layer s). Its storage is row i of its
 layer's register file: the activity x, the error eps and the (N+1,)
@@ -24,19 +25,21 @@ bottom-up sum b is written by BACKSUM and read by STATE in the same tick,
 so it is not stored.
 
 The caller applies the activations: it hands over f(presyn) as values
-and f' as a function of one binary32 operand, so this module holds no
-activation code. Of the layer's ``NetworkConfig`` it reads
-``clamp_hard``, ``bias_frozen`` and ``alpha_bias_scale``, which it rounds
-to binary32 as the engine does. A core with s == 0 is a top core. N and M
-are the lengths of the row and the back column it is handed, so any
-(N, M) can be ticked, whatever the config's layer sizes.
+and f' as a function of one binary32 operand. Of the layer's
+``NetworkConfig`` it reads ``clamp_hard``, ``bias_frozen`` and
+``alpha_bias_scale``, which it rounds to binary32 as the engine does. A
+core with s == 0 is a top core. N and M are the lengths of the row and
+the back column it is handed, whatever the config's layer sizes.
 
-All arithmetic is binary32 (see ``scalar32``). Every stage operand is
-already binary32: a value is rounded once, where it enters the datapath
-(network build, checkpoint load, the build of a ``ClampSignal``, the
-step-size rule) or where a stage produces it, and never again where
-it is read. Operation order is pinned so an independent reference can
-match bit-for-bit:
+All arithmetic is binary32. ``core_tick`` reads every operand, a
+binary32 value, as a Python float; each +, - and x is done in binary64
+and rounded once to binary32 by ``round32``, which gives the correctly
+rounded binary32 result because 53 >= 2*24 + 2 (Figueroa 1995, "When is
+double rounding innocuous?"). A value is rounded once, where it enters
+the datapath (network build, checkpoint load, the build of a
+``ClampSignal``, the step-size rule) or where a stage produces it, and
+never again where it is read. Operation order is pinned so an
+independent implementation can match bit-for-bit:
 
   PRED    mu = sum_j theta[j]*f(presyn[j]) + theta[N]*1, accumulated in
           ascending j from acc=0, bias lane last, one MAC per lane.
@@ -52,11 +55,9 @@ match bit-for-bit:
           hard clamping the stored x is overwritten with x_obs instead.
           gamma == 0 leaves x bit-identical (same no-op rule as WUP).
 
-Only PRED and BACKSUM have a lane order, so only they loop over lanes:
-one scalar MAC or add per lane, ascending, which is the sequential
-datapath itself. BACKVEC and WUP touch each lane independently and are
-one binary32 array operation each, with the same roundings per lane
-(WUP: multiply rounded, then add rounded).
+A MAC is two roundings, the product's and then the sum's; the bias
+lane's product with 1.0 is exact, so its MAC is the add alone. Every
+stage walks its lanes in ascending order: the sequential datapath itself.
 
 The state a core emits downward is the x it held at the start of the
 tick, which the network latches itself. A top core runs no PRED, BACKVEC
@@ -65,108 +66,103 @@ or WUP and emits no products.
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
-from .network import NetworkConfig
 from .rules import NO_CLAMP, ClampSignal
-from .scalar32 import F32
 
-_ZERO = F32(0.0)
-_ONE = F32(1.0)
-_NO_PRODUCTS = np.empty(0, dtype=np.float32)  # what a top core emits
-_NO_PRODUCTS.flags.writeable = False
+_SLOT = array("f", [0.0])  # storing a float here is a C cast to binary32
 
 
-def stage_pred(theta, presyn_f) -> np.float32:
+def round32(v: float) -> float:
+    """``v`` rounded once to binary32 (to nearest, ties to even), as a
+    Python float: past the binary32 range to a signed inf, below half
+    the least subnormal to a signed zero."""
+    _SLOT[0] = v
+    return _SLOT[0]
+
+
+def stage_pred(theta, presyn_f) -> float:
     """Prediction mu: MAC over the f(presyn) lanes ascending, bias lane last."""
-    n = theta.shape[0] - 1
-    acc = _ZERO
+    n = len(theta) - 1
+    acc = 0.0
     for j in range(n):
-        acc = theta[j] * presyn_f[j] + acc
-    return theta[n] * _ONE + acc
+        acc = round32(round32(theta[j] * presyn_f[j]) + acc)
+    return round32(theta[n] + acc)
 
 
-def stage_err(x_eff, mu) -> np.float32:
+def stage_err(x_eff, mu) -> float:
     """eps = x_eff - mu on binary32 operands (one rounding)."""
-    return x_eff - mu
+    return round32(x_eff - mu)
 
 
-def stage_backsum(back) -> np.float32:
+def stage_backsum(back) -> float:
     """b = sum of the M back products, ascending k from +0.0."""
-    acc = _ZERO
-    for v in np.asarray(back, dtype=np.float32):
-        acc = acc + v
+    acc = 0.0
+    for v in back:
+        acc = round32(acc + v)
     return acc
 
 
-def stage_backvec(theta, eps) -> np.ndarray:
+def stage_backvec(theta, eps) -> list:
     """Products theta[j]*eps for the upper layer, from pre-update theta."""
-    n = theta.shape[0] - 1
-    return theta[:n] * eps
+    return [round32(w * eps) for w in theta[:-1]]
 
 
-def stage_wup(cfg: NetworkConfig, theta, presyn_f, eps, alpha) -> None:
-    """Hebbian update of the weight row in place; numeric no-op when
-    alpha == 0."""
-    if alpha == _ZERO:
+def stage_wup(cfg, theta, presyn_f, eps, alpha) -> None:
+    """Hebbian update of the weight row, a list, in place; numeric no-op
+    when alpha == 0."""
+    if alpha == 0.0:
         return
-    n = theta.shape[0] - 1
-    coeff = alpha * eps
-    # lanes are independent: one array MAC, still two roundings per lane
-    theta[:n] = coeff * presyn_f + theta[:n]
+    n = len(theta) - 1
+    coeff = round32(alpha * eps)
+    for j in range(n):
+        theta[j] = round32(round32(coeff * presyn_f[j]) + theta[j])
     if not cfg.bias_frozen:
-        coeff_b = (alpha * F32(cfg.alpha_bias_scale)) * eps
-        theta[n] = coeff_b * _ONE + theta[n]
+        coeff_b = round32(round32(alpha * round32(cfg.alpha_bias_scale)) * eps)
+        theta[n] = round32(coeff_b + theta[n])
 
 
-def stage_state(
-    cfg: NetworkConfig, fprime, x, x_eff, eps, b, clamp: ClampSignal, gamma
-) -> np.float32:
-    """Next x: the explicit Euler step with the layer's f' ``fprime``, or
-    the clamp's binary32 observation ``x_eff`` under a hard clamp."""
+def stage_state(cfg, fprime, x, x_eff, eps, b, clamp: ClampSignal, gamma) -> float:
+    """Next x: the explicit Euler step with the layer's f' ``fprime``, read
+    as a float, or the clamp's observation ``x_eff`` under a hard clamp."""
     if cfg.clamp_hard and clamp.x_set_en:
         return x_eff
-    if gamma == _ZERO:
+    if gamma == 0.0:
         return x
-    return x + gamma * (fprime(x_eff) * b - eps)
+    drive = round32(round32(float(fprime(x_eff)) * b) - eps)
+    return round32(x + round32(gamma * drive))
 
 
 def core_tick(
-    cfg: NetworkConfig,
-    s: int,
-    x: np.float32,
-    theta: np.ndarray,
-    alpha: np.float32,
-    gamma: np.float32,
-    presyn_f,
-    fprime,
-    back,
+    cfg, s: int, x, theta, alpha, gamma, presyn_f, fprime, back,
     clamp: ClampSignal = NO_CLAMP,
 ):
     """Run the full six-stage schedule on one core of layer ``s`` under
-    ``cfg``; returns ``(x, eps, products)``: the next state, this tick's
-    error and the BACKVEC products (theta[j]*eps, j < N) for the layer
-    above.
+    ``cfg``; returns ``(x, eps, products)`` as Python floats: the next
+    state, this tick's error and the list of BACKVEC products for the
+    layer above.
 
     ``x`` is the state held at the start of the tick and ``theta`` the
-    core's (N+1,) weight row, which WUP updates in place. ``alpha`` and
-    ``gamma`` are the tick's binary32 step sizes, ``presyn_f`` holds
-    f(presyn) of the N latched upper-layer states (a pure per-lane
-    function, computed once per layer), ``fprime`` maps a binary32 operand
-    to the layer's f' rounded to binary32, and ``back`` holds the M latched
-    products from the layer below. The clamp observation is read as the
-    binary32 value its signal holds; ``alpha_bias_scale`` is rounded to
-    binary32 here. Run it under ``np.errstate(all="ignore")``, as the engine runs
-    its own stages, so that NaN and infinite operands propagate without a
-    warning.
+    core's (N+1,) weight row, into which WUP writes the lanes it updates
+    item by item (none when alpha == 0). ``alpha`` and ``gamma`` are the
+    tick's step sizes, ``presyn_f`` holds f(presyn) of the N latched
+    upper-layer states, ``fprime`` maps a binary32 operand to the layer's
+    binary32 f', and ``back`` holds the M latched products from below.
+    Every operand, the clamp's observation too, is binary32, read with
+    ``float()`` whatever its type; NaN and inf propagate.
     """
-    x_eff = clamp.x_obs if clamp.x_set_en else x
+    x, alpha, gamma = float(x), float(alpha), float(gamma)
+    row = [float(w) for w in theta]
+    presyn_f = [float(v) for v in presyn_f]
+    x_eff = float(clamp.x_obs) if clamp.x_set_en else x
     top = s == 0  # a top core runs no PRED, BACKVEC or WUP
-    mu = _ZERO if top else stage_pred(theta, presyn_f)
+    mu = 0.0 if top else stage_pred(row, presyn_f)
     eps = stage_err(x_eff, mu)
-    b = stage_backsum(back)
-    products = _NO_PRODUCTS if top else stage_backvec(theta, eps)
-    if not top:
-        stage_wup(cfg, theta, presyn_f, eps, alpha)
+    b = stage_backsum([float(v) for v in back])
+    products = [] if top else stage_backvec(row, eps)
+    if not top and alpha != 0.0:
+        stage_wup(cfg, row, presyn_f, eps, alpha)
+        for j in range(len(row) - cfg.bias_frozen):  # a frozen bias keeps its bits
+            theta[j] = row[j]
     x = stage_state(cfg, fprime, x, x_eff, eps, b, clamp, gamma)
     return x, eps, products

@@ -74,14 +74,14 @@ A tick's boundary condition is a clamp map of ``ClampSignal``s, whose
 types and rule are in ``rules`` with every other input rule: each
 observation was checked and rounded to binary32 when its signal was
 built, and pass 1 reads each signal's fields as they are.
-``core.core_tick`` runs the same schedule one core at a time; it is the
-per-core reference the engine is tested against, and this module imports
-none of it. The engine's f (of the layer above, for PRED, WUP and
-``energy``) and f' are this module's own: ``core_tick``'s callers hand it
-both, and the oracle reads ``scalar32``'s tables, so neither reference
-shares an activation with the engine. The tick fills fresh x and eps
-arrays and never writes the old ones in place: the old x array becomes
-the lower layer's ``states_in`` latch as it is, with no copy.
+``core.core_tick`` runs the same schedule one core at a time in Python
+floats; it is the per-core reference the engine is tested against, and
+this module imports none of it. The engine's f (of the layer above, for
+PRED, WUP and ``energy``) and f' are its own: ``core_tick``'s callers
+hand it both, and the oracle reads ``scalar32``'s tables, so neither
+reference shares an activation with the engine. The tick fills fresh x
+and eps arrays and never writes the old ones in place: the old x array
+becomes the lower layer's ``states_in`` latch as it is, with no copy.
 ``reset_states`` and ``load_checkpoint`` also assign new arrays. The
 ``TickReport`` a tick returns holds no arrays, and each network builds
 its two possible reports once: the post-tick x and eps are

@@ -216,24 +216,27 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype):
 # ---------------------------------------------------------------------------
 
 
-def _state_bytes(state: DenseState) -> list:
-    return [a.tobytes() for name in _FIELDS for a in getattr(state, name)]
+def _state_keys(state: DenseState) -> list:
+    """Per field, the (dtype, shape, bytes) of each layer's array."""
+    return [
+        [(a.dtype, a.shape, a.tobytes()) for a in getattr(state, name)]
+        for name in _FIELDS
+    ]
 
 
 def compare_to_network(net: Network, state: DenseState) -> Optional[str]:
     """Bitwise comparison of a network's state, bus latches included,
-    against a dense state: None when all bytes match, else the first
-    differing field, layer by layer. One pass over the bytes decides; the
-    field is looked for only on a mismatch."""
-    mine = net.state
-    if _state_bytes(mine) == _state_bytes(state):
+    against a dense state: None when both have the same layers and every
+    array the same dtype, shape and bytes, else the first differing site,
+    layer by layer (a layer one side lacks differs). One pass over the
+    arrays decides; the site is looked for only on a mismatch."""
+    mine, other = _state_keys(net.state), _state_keys(state)
+    if mine == other:
         return None
-    for s in range(len(mine.x)):
-        for name in _FIELDS:
-            a, b = getattr(mine, name)[s], getattr(state, name)[s]
-            if a.tobytes() != np.asarray(b, dtype=np.float32).tobytes():
+    for s in range(max(map(len, mine + other))):
+        for name, a, b in zip(_FIELDS, mine, other):
+            if a[s : s + 1] != b[s : s + 1]:
                 return f"layer {s} field {name}"
-    return None
 
 
 def run_equivalence_suite(

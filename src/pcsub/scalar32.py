@@ -1,7 +1,8 @@
 """Binary32 arithmetic contract and per-layer activation functions.
 
 All datapath values are IEEE-754 binary32 (``np.float32``) with
-round-to-nearest-even, which numpy guarantees for same-dtype operands.
+round-to-nearest-even, which numpy guarantees for same-dtype operands;
+``core`` gets the same bits from Python floats, rounded once per result.
 Every arithmetic result is rounded to binary32 where it is produced;
 NaN/Inf propagate and are detected downstream, never masked here. A value
 is rounded once, when it enters the datapath or is computed, and not
@@ -21,8 +22,7 @@ per-kind tables ``ACTIVATIONS_VEC`` and ``DERIVATIVES_VEC``, looked up
 once by a caller that fixes the kind. They keep their input's dtype, so
 the same entry serves the oracle's binary32 and binary64 modes and the
 teacher. The engine writes its own f and f' (``network``), and
-``core.core_tick`` takes both from its caller, so neither shares the
-oracle's activations.
+``core.core_tick`` takes both from its caller.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Shared test references: binary64 equations, a second binary32 path,
-the one single-core case, and the two ticks every differential test of
-``Network.tick`` runs against.
+"""Shared test references: binary64 equations, the one single-core case,
+and the two ticks every differential test of ``Network.tick`` runs
+against.
 
 The equations deliberately do not import the core's stage functions or
 the package's activation tables; they mirror the documented accumulation
@@ -12,13 +12,17 @@ tick and the reference it is checked against.
 
 ``Case`` is the one single core a test builds: ``Case.tick`` runs
 ``core.core_tick`` on this module's f and f', and ``Case.reference``
-runs ``reference_bit32`` or ``reference_f64`` on the same inputs. Every
-per-core check goes through it, so a change of ``core_tick``'s signature
-touches ``Case.tick`` and ``per_core_tick`` alone.
+runs ``reference_f64`` on the same inputs. Every per-core check goes
+through it, so a change of ``core_tick``'s signature touches
+``Case.tick`` and ``per_core_tick`` alone. ``core_tick`` computes in
+Python floats; these two convert its results to binary32 numpy values
+at their edge.
 
 ``REFERENCES`` holds the two reference ticks of a whole ``DenseState``:
 the dense oracle's bit32 step and ``per_core_tick``, ``core_tick`` driven
-core by core. ``assert_same_state`` is the one comparison of two states,
+core by core. The engine and the oracle compute in numpy's binary32 and
+``core_tick`` does not, so ``per_core_tick`` shares no arithmetic with
+the engine. ``assert_same_state`` is the one comparison of two states,
 and ``assert_ticks_match`` ticks a network beside a reference through it.
 """
 
@@ -135,41 +139,6 @@ def reference_f64(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
     return x_new, theta_new, eps
 
 
-def reference_bit32(x, theta, presyn, back, cfg, s, alpha, gamma, clamp):
-    """Second binary32 implementation with the same pinned order; the
-    arguments are ``reference_f64``'s."""
-    n = len(theta) - 1
-    alpha, gamma = F32(alpha), F32(gamma)
-    x = F32(x)
-    x_eff = F32(clamp.x_obs) if clamp.x_set_en else x
-    mu = F32(0.0)
-    if s > 0:
-        fpre = [activation32(cfg.activations[s - 1], v) for v in presyn]
-        for j in range(n):
-            mu = F32(F32(theta[j] * fpre[j]) + mu)
-        mu = F32(F32(theta[n] * F32(1.0)) + mu)
-    eps = F32(x_eff - mu)
-    b = F32(0.0)
-    for v in back:
-        b = F32(b + F32(v))
-    theta_new = np.array(theta, dtype=np.float32).copy()
-    if s > 0 and alpha != 0:
-        coeff = F32(alpha * eps)
-        for j in range(n):
-            theta_new[j] = F32(F32(coeff * fpre[j]) + theta_new[j])
-        if not cfg.bias_frozen:
-            cb = F32(F32(alpha * F32(cfg.alpha_bias_scale)) * eps)
-            theta_new[n] = F32(F32(cb * F32(1.0)) + theta_new[n])
-    if cfg.clamp_hard and clamp.x_set_en:
-        x_new = F32(clamp.x_obs)
-    elif gamma == 0:
-        x_new = x
-    else:
-        fp = derivative32(cfg.activations[s], x_eff)
-        x_new = F32(x + F32(gamma * F32(F32(fp * b) - eps)))
-    return x_new, theta_new, eps
-
-
 def dense_zeros(sizes, acts=None, **kw) -> DenseState:
     """The all-zero state of a net of ``sizes``, weights included; step
     sizes default to 0 unless given in ``kw``."""
@@ -198,19 +167,19 @@ class Case(NamedTuple):
 
     def tick(self, **change):
         """``core_tick`` on this module's f(presyn) and f':
-        ``(x, eps, products)``."""
+        ``(x, eps, products)`` as binary32 numpy values."""
         c = self._replace(**change)
-        return core_tick(
+        x, eps, products = core_tick(
             c.cfg, c.s, c.x, c.theta, c.alpha, c.gamma,
             presyn_f32(c.cfg, c.s, c.presyn),
             partial(derivative32, c.cfg.activations[c.s]), c.back, c.clamp,
         )
+        return F32(x), F32(eps), np.array(products, np.float32)
 
-    def reference(self, ref, **change):
-        """``reference_bit32`` or ``reference_f64`` (``ref``) on a copy of
-        theta: ``(x, theta, eps)``."""
+    def reference(self, **change):
+        """``reference_f64`` on a copy of theta: ``(x, theta, eps)``."""
         c = self._replace(**change)
-        return ref(
+        return reference_f64(
             c.x, c.theta.copy(), c.presyn, c.back, c.cfg, c.s, c.alpha,
             c.gamma, c.clamp,
         )
@@ -413,9 +382,9 @@ def per_core_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
     """The per-core reference tick of the ``DenseState`` ``state``, into a
     new one: the layers bottom-up and the cores of each layer last-to-first,
     each a stateless ``core_tick`` on row i of its layer's arrays against
-    the same latches, then the bus swap. f(presyn) and f' are this module's
-    own binary32 f and f'; ``alpha``/``gamma`` override the configured step
-    sizes."""
+    the same latches, then the bus swap; its Python floats become binary32
+    arrays here. f(presyn) and f' are this module's own binary32 f and f';
+    ``alpha``/``gamma`` override the configured step sizes."""
     cfg, clamp = state.cfg, clamp or {}
     alpha = F32(cfg.alpha if alpha is None else alpha)
     gamma = F32(cfg.gamma if gamma is None else gamma)
@@ -423,17 +392,16 @@ def per_core_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
     n_layers = len(cfg.layer_sizes)
     x, eps, products = [None] * n_layers, [None] * n_layers, [None] * n_layers
     for s in reversed(range(n_layers)):
-        presyn_f = presyn_f32(cfg, s, state.states_in[s])
+        presyn_f = presyn_f32(cfg, s, state.states_in[s]).tolist()
         fprime = partial(derivative32, cfg.activations[s])
         signals = clamp.get(s)
-        cores = []
-        with np.errstate(all="ignore"):  # as in Network.tick
-            for i in reversed(range(cfg.layer_sizes[s])):
-                cores.append(core_tick(
-                    cfg, s, state.x[s][i], theta[s][i], alpha, gamma,
-                    presyn_f, fprime, state.back_in[s][:, i],
-                    signals[i] if signals else NO_CLAMP,
-                ))
+        cores = [
+            core_tick(
+                cfg, s, state.x[s][i], theta[s][i], alpha, gamma, presyn_f,
+                fprime, state.back_in[s][:, i], signals[i] if signals else NO_CLAMP,
+            )
+            for i in reversed(range(cfg.layer_sizes[s]))
+        ]
         x_s, eps_s, rows = zip(*reversed(cores))
         x[s], eps[s] = np.array(x_s, np.float32), np.array(eps_s, np.float32)
         products[s] = np.array(rows, np.float32).reshape(len(rows), -1)
@@ -469,11 +437,11 @@ def assert_same_state(got, want, where=None, exact=False) -> None:
     NaN at the same places and every other element byte-identical. With
     ``exact``, for two states of one implementation, raw bytes everywhere.
 
-    NaN sign and payload are left out between implementations: numpy's
-    scalar ``+`` (the per-core reference) returns the second of two NaN
-    operands and its array add (the engine and the oracle) the first, so a
-    sum of two differently signed NaNs differs. One NaN rule for every tick
-    is ROADMAP item 4.
+    NaN sign and payload are left out between implementations: on x86-64
+    Python's float ``+`` (the per-core reference) and numpy's scalar ``+``
+    return the second of two NaN operands and numpy's array add (the
+    oracle) the first, so a sum of two differently signed NaNs differs.
+    One NaN rule for every tick is ROADMAP item 4.
     """
     for field in FIELDS:
         pairs = zip(getattr(got, field), getattr(want, field), strict=True)

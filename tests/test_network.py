@@ -1,6 +1,7 @@
 """Network composition, tick scheduling, buses, energy, determinism."""
 
 import dataclasses
+import itertools
 import tempfile
 import threading
 import warnings
@@ -320,6 +321,7 @@ SPECIAL_OBS = (
     np.float32(-1e-45), np.float64(1e39), -1,
 )
 STEP_CORNERS = (0.0, 1e-40, 0.01, 0.5)
+BIAS_SCALES = (1.0, 0.5, 0.1)  # 0.1 is not a binary32 value
 _STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
 
 
@@ -375,6 +377,8 @@ def _configs(draw):
         gamma=draw(st.sampled_from(STEP_CORNERS)),
         clamp_hard=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
+        bias_frozen=draw(st.booleans()),
+        alpha_bias_scale=draw(st.sampled_from(BIAS_SCALES)),
     )
 
 
@@ -419,11 +423,13 @@ _CLAMP_243 = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
 
 
 def test_core_order_does_not_matter():
-    # 20 ticks at the configured step sizes against both references; no
-    # NaN arises, so every field compares as raw bytes
+    # 20 ticks at the configured step sizes against both references, under
+    # the default bias rules, a bias scale that binary32 rounds and a
+    # frozen bias; no NaN arises, so every field compares as raw bytes
     cfg = NetworkConfig(layer_sizes=[2, 4, 3], seed=13, alpha=0.02, gamma=0.1)
-    for reference in REFERENCES.values():
-        net = build_network(cfg)
+    bias_rules = [{}, {"alpha_bias_scale": 0.1}, {"bias_frozen": True}]
+    for reference, rules in itertools.product(REFERENCES.values(), bias_rules):
+        net = build_network(dataclasses.replace(cfg, **rules))
         assert_ticks_match(reference, net, [(_CLAMP_243, None, None)] * 20)
         _assert_no_nan(net)
 

@@ -315,6 +315,18 @@ def test_compare_names_the_first_differing_field(field):
         net.tick(clamp)
     state = net.snapshot()
     assert compare_to_network(net, state) is None
+    # the same values in binary64, another dtype or shape over the same
+    # bytes, and a layer one side lacks differ too
+    for change in (
+        lambda a: a.astype(np.float64), lambda a: a.view(np.int32),
+        lambda a: a.reshape(1, -1),
+    ):
+        other = net.snapshot()
+        getattr(other, field)[1] = change(getattr(other, field)[1])
+        assert compare_to_network(net, other) == f"layer 1 field {field}"
+    longer = net.snapshot()
+    getattr(longer, field).append(getattr(longer, field)[-1].copy())
+    assert compare_to_network(net, longer) == f"layer 3 field {field}"
     _flip_low_bit(getattr(state, field)[1])
     assert compare_to_network(net, state) == f"layer 1 field {field}"
 

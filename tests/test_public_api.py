@@ -136,11 +136,13 @@ def test_engine_and_oracle_do_not_import_the_per_core_reference():
 
 
 def test_per_core_reference_imports_no_activation():
-    # core_tick takes f(presyn) and f' from its caller: of pcsub.scalar32,
-    # core.py imports the binary32 type alone
+    # core_tick takes f(presyn) and f' from its caller and computes in
+    # Python floats: core.py imports neither numpy, whose binary32 the
+    # engine computes in, nor scalar32 nor the network
     imported = _imported_modules(PACKAGE / "core.py")
-    from_scalar32 = {n for n in imported if n.startswith("pcsub.scalar32")}
-    assert from_scalar32 == {"pcsub.scalar32", "pcsub.scalar32.F32"}, from_scalar32
+    banned = ("numpy", "pcsub.scalar32", "pcsub.network")
+    shared = {n for n in imported if n.startswith(banned)}
+    assert not shared, shared
 
 
 def test_engine_imports_no_activation_table():

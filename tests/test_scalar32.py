@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsub import network
-from pcsub.core import stage_pred
+from pcsub.core import round32, stage_pred
 from pcsub.network import NetworkConfig
 from pcsub.oracle import oracle_tick
 from pcsub.rules import is_finite_f32
@@ -39,7 +39,7 @@ def test_mul_add_two_rounding_derived():
     assert fused == F32(2.0**-24)
     zero = F32(0.0).tobytes()
 
-    assert stage_pred(theta, presyn_f).tobytes() == zero
+    assert F32(stage_pred(theta.tolist(), presyn_f.tolist())).tobytes() == zero
     # with x = +0.0 the tick's eps is -mu (for a core of layer 1, whose
     # identity upper layer makes presyn_f the raw states)
     _, eps, _ = Case(
@@ -59,14 +59,22 @@ def test_mul_add_two_rounding_derived():
 def test_mul_add_nan_inf_propagate():
     # PRED's MAC masks no special value: a NaN lane, an overflowing
     # product and inf + -inf all reach mu
-    with np.errstate(all="ignore"):
-        nan_lane = stage_pred(np.array([float("nan"), 0.0], np.float32), f32(1.0))
-        assert np.isnan(nan_lane)
-        assert np.isinf(stage_pred(np.array([3.0e38, 0.0], np.float32), f32(2.0)))
-        inf_minus_inf = stage_pred(
-            np.array([float("inf"), float("-inf")], np.float32), f32(1.0)
-        )
-        assert np.isnan(inf_minus_inf)
+    nan_lane = stage_pred([float("nan"), 0.0], [1.0])
+    assert math.isnan(nan_lane)
+    assert stage_pred([float(F32(3.0e38)), 0.0], [2.0]) == math.inf
+    assert math.isnan(stage_pred([math.inf, -math.inf], [1.0]))
+
+
+def test_round32_store_matches_numpy_at_the_range_ends():
+    # core.py rounds each result by storing it into an array('f') item:
+    # past the range to inf, the midpoint above the largest binary32 to
+    # inf (the tie goes to even), below half the least subnormal to a
+    # zero of the operand's sign, as numpy's binary32 cast does
+    cases = {1e39: "inf", 2.0**128 - 2.0**103: "inf", 1e-46: "0.0", -1e-46: "-0.0"}
+    with np.errstate(over="ignore"):
+        for v, want in cases.items():
+            got = F32(round32(v)).tobytes()
+            assert got == F32(v).tobytes() == F32(want).tobytes(), v
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ registered buses, so every core only ever reads last tick's values.
 
 import numpy as np
 
-from pcsub import NetworkConfig, build_network, clamp_layer
+from pcsub import Network, NetworkConfig, clamp_layer
 from pcsub.network import layer_wiring
 
 cfg = NetworkConfig(
@@ -20,7 +20,7 @@ cfg = NetworkConfig(
     seed=42,
     init_scale=0.5,
 )
-net = build_network(cfg)
+net = Network(cfg)
 
 # the cycle model depends on the wiring alone: 3N+M+4 per core, M+2 on top
 report = net.tick()

@@ -10,7 +10,7 @@ computes in binary64 and bounds the rounding drift instead.
 
 import numpy as np
 
-from pcsub import NetworkConfig, build_network, clamp_layer, oracle_tick
+from pcsub import Network, NetworkConfig, clamp_layer, oracle_tick
 from pcsub.oracle import compare_to_network, run_equivalence_suite
 
 cfg = NetworkConfig(
@@ -20,7 +20,7 @@ cfg = NetworkConfig(
     gamma=0.05,
     seed=7,
 )
-net = build_network(cfg)
+net = Network(cfg)
 dense32 = net.snapshot()  # a copy of net.state, a DenseState
 dense64 = net.snapshot()
 

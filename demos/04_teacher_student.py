@@ -11,10 +11,10 @@ minute; pass --quick for a shorter run.
 import sys
 
 from pcsub import (
+    Network,
     NetworkConfig,
     TeacherSpec,
     TrainProtocol,
-    build_network,
     generate_dataset,
     train_network,
     write_curve_csv,
@@ -38,7 +38,7 @@ cfg = NetworkConfig(
 proto = TrainProtocol(
     infer_ticks=20, learn_ticks=5, epochs=epochs, eval_ticks=100
 )
-curve = train_network(build_network(cfg), ds, proto)
+curve = train_network(Network(cfg), ds, proto)
 
 print("\nepoch  mse")
 for i, v in enumerate(curve.mse):

@@ -11,8 +11,8 @@ import tempfile
 from pathlib import Path
 
 from pcsub import (
+    Network,
     NetworkConfig,
-    build_network,
     clamp_layer,
     load_checkpoint,
     save_checkpoint,
@@ -25,7 +25,7 @@ cfg = NetworkConfig(
     gamma=0.1,
     seed=9,
 )
-net = build_network(cfg)
+net = Network(cfg)
 for _ in range(25):
     net.tick({0: clamp_layer([0.6, -0.2])})
 

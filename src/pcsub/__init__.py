@@ -26,7 +26,6 @@ from .network import (
     Network,
     NetworkConfig,
     TickReport,
-    build_network,
     clamp_layer,
     tick_cycles,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "TeacherSpec",
     "TickReport",
     "TrainProtocol",
-    "build_network",
     "clamp_layer",
     "core_tick",
     "generate_dataset",

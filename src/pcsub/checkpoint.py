@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import Network, NetworkConfig, build_network, layer_wiring
+from .network import Network, NetworkConfig, layer_wiring
 from .rules import CheckpointError
 
 MAGIC = "PCSUB1"
@@ -89,7 +89,7 @@ def load_checkpoint(path, cfg: Optional[NetworkConfig] = None) -> Network:
 
     # a read-only view of ``blob``; the state gets owned binary32 copies
     payload = np.frombuffer(blob, dtype="<f4", offset=nl + 1)
-    net = build_network(cfg)
+    net = Network(cfg)
     theta, x, pos = [], [], 0
     for n, k in zip(sizes, lanes):
         theta.append(payload[pos : pos + n * k].reshape(n, k).astype(np.float32))

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import rules
-from .network import Network, build_network, clamp_layer
+from .network import Network, clamp_layer
 from .prng import Prng
 from .rules import ConfigurationError
 from .scalar32 import ACTIVATIONS_VEC, RELU, TANH
@@ -304,7 +304,7 @@ def run_config(cfg: ConfigFile, csv_path) -> LearningCurve:
     proto = protocol_for(cfg)
     _check_writable(csv_path)
     ds = dataset_for(cfg)
-    net = build_network(net_cfg)
+    net = Network(net_cfg)
     curve = train_network(net, ds, proto)
     write_curve_csv(curve, csv_path)
     return curve

@@ -22,13 +22,11 @@ an atomic bus swap. Because all cross-core reads hit latches, the order
 in which cores execute cannot change a bit, and neither can running a
 stage for a whole layer at once.
 
-``Network.state``, a ``DenseState``, is the network's only state: per
-layer, binary32 arrays of the activities x and errors eps, shape (n,),
-the weights theta, shape (n, N+1) with the bias column last, and the two
-bus latches. Core i is row i of them. ``Network.tick`` is the engine: in
-the calling thread it ticks the layers top to bottom, each in two passes
-over those arrays with the stage rules, operand order and roundings of
-``core``:
+``Network.state``, a ``DenseState``, is the network's only state, and
+``DenseState`` states its layout: per layer, binary32 arrays of which
+core i is row i. ``Network.tick`` is the engine: in the calling thread
+it ticks the layers top to bottom, each in two passes over those arrays
+with the stage rules, operand order and roundings of ``core``:
 
 1. a per-core scalar loop for the stages with a lane order or a branch:
    PRED (one MAC per lane, ascending from +0.0, bias lane last), ERR,
@@ -85,9 +83,7 @@ becomes the lower layer's ``states_in`` latch as it is, with no copy.
 ``reset_states`` and ``load_checkpoint`` also assign new arrays. The
 ``TickReport`` a tick returns holds no arrays, and each network builds
 its two possible reports once: the post-tick x and eps are
-``Network.state``'s.
-``Network.snapshot`` returns a copy of the state, and the oracle ticks
-such copies.
+``Network.state``'s. The oracle ticks the copies ``Network.snapshot`` makes.
 
 Weights are initialized i.i.d. uniform in [-init_scale, +init_scale] from
 a SplitMix64 stream seeded with ``seed``: draws proceed layer-major (top
@@ -214,8 +210,9 @@ class DenseState:
     """A whole network's state, bus latches included, with the config it
     was built from: ``Network.state`` is one and ticks in place,
     ``Network.snapshot`` returns a copy of it, and the oracle ticks one
-    into a new one. Building one checks nothing; ``oracle_tick`` checks
-    the shapes of the state it is given."""
+    into a new one. The one statement of the layout: ``FIELDS``, built by
+    ``zeros``, copied by ``copy`` and checked by ``check_shapes``, which
+    ``oracle_tick`` runs; building one checks nothing."""
 
     cfg: NetworkConfig
     x: list  # per-layer (n,)
@@ -224,23 +221,53 @@ class DenseState:
     states_in: list  # per-layer (N,) latched upper states
     back_in: list  # per-layer (M, n) latched products
 
+    # the per-layer array lists, in the order of the fields above
+    FIELDS = ("x", "eps", "theta", "states_in", "back_in")
+    # what a shape mismatch calls a field, where it is not the field's name
+    _SHAPE_NAMES = {"x": "state", "eps": "state", "theta": "weight"}
+
     @property
     def layer_sizes(self) -> tuple:
         return self.cfg.layer_sizes
 
     @classmethod
+    def zeros(cls, cfg: NetworkConfig) -> DenseState:
+        """The all-zero binary32 state of ``cfg``'s wiring, weights
+        included, every array its own."""
+        # per layer, the shape of each field's array, in FIELDS order
+        shapes = [
+            ((n,), (n,), (n, n_pre + 1), (n_pre,), (m, n))
+            for n, n_pre, m, _ in layer_wiring(cfg.layer_sizes)
+        ]
+        return cls(cfg, *([np.zeros(s, np.float32) for s in f] for f in zip(*shapes)))
+
+    def copy(self) -> DenseState:
+        """A state of the same config whose arrays are copies of these."""
+        arrays = {name: [a.copy() for a in getattr(self, name)] for name in self.FIELDS}
+        return DenseState(self.cfg, **arrays)
+
+    def check_shapes(self) -> None:
+        """Raise ``ConfigurationError`` unless every field is a list or
+        tuple of one array per layer with the shape ``zeros`` gives it:
+        first the field's layer count, then layer by layer."""
+        template = DenseState.zeros(self.cfg)
+        for name in self.FIELDS:
+            arrays = getattr(self, name)
+            if not isinstance(arrays, (list, tuple)) or len(arrays) != len(template.x):
+                raise rules.ConfigurationError(f"{name}: one array per layer expected")
+        for s in range(len(template.x)):
+            for name in self.FIELDS:
+                a = getattr(self, name)[s]
+                if not isinstance(a, np.ndarray):
+                    raise rules.ConfigurationError(f"layer {s}: {name} is not an array")
+                if a.shape != getattr(template, name)[s].shape:
+                    what = self._SHAPE_NAMES.get(name, name)
+                    raise rules.ConfigurationError(f"layer {s}: {what} shape mismatch")
+
+    @classmethod
     def from_network(cls, net: Network) -> DenseState:
+        # kept for bench/run.py and bench/reference.py; elsewhere net.snapshot()
         return net.snapshot()
-
-
-def _quiescent(wiring) -> dict:
-    """Zero x, eps and bus latches of every layer of ``wiring``."""
-    return {
-        "x": [np.zeros(n, np.float32) for n, _, _, _ in wiring],
-        "eps": [np.zeros(n, np.float32) for n, _, _, _ in wiring],
-        "states_in": [np.zeros(n_pre, np.float32) for _, n_pre, _, _ in wiring],
-        "back_in": [np.zeros((m, n), np.float32) for n, _, m, _ in wiring],
-    }
 
 
 class Network:
@@ -251,15 +278,9 @@ class Network:
         self._wiring = layer_wiring(cfg.layer_sizes)
         rng = Prng(cfg.seed)
         scale = float(cfg.init_scale)
-        self.state = DenseState(
-            cfg=cfg,
-            # layer by layer, core-major, lane ascending: the PRNG stream order
-            theta=[
-                rng.fill_uniform((n, n_pre + 1), -scale, scale)
-                for n, n_pre, _, _ in self._wiring
-            ],
-            **_quiescent(self._wiring),
-        )
+        state = self.state = DenseState.zeros(cfg)
+        # layer by layer, core-major, lane ascending: the PRNG stream order
+        state.theta = [rng.fill_uniform(w.shape, -scale, scale) for w in state.theta]
         # the cycle model depends on the shape alone, so a tick reports one
         # of two reports built here: (not diverged, diverged)
         cycles = max(cycles for _, _, _, cycles in self._wiring)
@@ -459,14 +480,7 @@ class Network:
 
     def snapshot(self) -> DenseState:
         """A copy of ``state`` whose arrays are its own."""
-        st = self.state
-        return DenseState(
-            st.cfg,
-            *(
-                [a.copy() for a in arrays]
-                for arrays in (st.x, st.eps, st.theta, st.states_in, st.back_in)
-            ),
-        )
+        return self.state.copy()
 
     def energy(self) -> float:
         """Sum of squared prediction errors, recomputed densely in binary64
@@ -490,12 +504,16 @@ class Network:
         return total
 
     def reset_states(self) -> None:
-        """Zero all activities, errors, and latched buses; weights kept."""
-        for name, arrays in _quiescent(self._wiring).items():
-            setattr(self.state, name, arrays)
+        """Zero all activities, errors, and latched buses; weights kept.
+        ``state`` stays the same object, with new arrays."""
+        zero = DenseState.zeros(self.cfg)
+        for name in DenseState.FIELDS:
+            if name != "theta":
+                setattr(self.state, name, getattr(zero, name))
 
 
 def build_network(cfg: NetworkConfig) -> Network:
+    # kept for bench/run.py; elsewhere Network(cfg)
     return Network(cfg)
 
 

@@ -38,8 +38,9 @@ used as it is, never written, and never handed on. The step sizes are
 the state's configured ones, or the per-tick overrides, rounded to
 binary32. Step sizes and clamps that ``Network.tick`` rejects are
 rejected by ``oracle_tick`` too, by the same checks with the same
-messages, before anything is computed, and so is a state whose arrays do
-not have its config's shapes (``ConfigurationError`` for all of them).
+messages, before anything is computed, and so is a state whose fields
+are not lists of arrays of its config's shapes
+(``DenseState.check_shapes``; ``ConfigurationError`` for all of them).
 Both modes mirror the simulator's registered communication: predictions
 read states latched one tick ago, bottom-up sums read products latched
 one tick ago, and the latches are refreshed from this tick's values at
@@ -61,8 +62,8 @@ from typing import Optional
 import numpy as np
 
 from . import rules
-from .network import DenseState, Network, NetworkConfig, build_network, layer_wiring
-from .rules import ClampMap, ClampSignal, ConfigurationError
+from .network import DenseState, Network, NetworkConfig
+from .rules import ClampMap, ClampSignal
 from .scalar32 import (
     ACTIVATION_KINDS,
     ACTIVATIONS_VEC,
@@ -76,8 +77,6 @@ _MODES = {"bit32": np.float32, "f64": np.float64}
 
 # the equivalence sweep draws layer widths from 1 to this
 _MAX_WIDTH = 16
-
-_FIELDS = ("x", "eps", "theta", "states_in", "back_in")
 
 
 def _clamp_arrays(sizes, clamp: Optional[ClampMap], dtype) -> list:
@@ -100,30 +99,14 @@ def oracle_tick(
     gamma: Optional[float] = None,
 ) -> DenseState:
     """Pure function: one tick applied to a dense snapshot. A state whose
-    arrays do not have its config's shapes raises ``ConfigurationError``."""
-    _check_shapes(state)
+    fields are not lists of arrays of its config's shapes raises
+    ``ConfigurationError``."""
+    state.check_shapes()
     dtype = _MODES[rules.choice("oracle mode", mode, _MODES)]
     av = rules.binary32("alpha", state.cfg.alpha if alpha is None else alpha)
     gv = rules.binary32("gamma", state.cfg.gamma if gamma is None else gamma)
     clamps = _clamp_arrays(state.layer_sizes, clamp, dtype)
     return _step(state, clamps, av, gv, dtype)
-
-
-def _check_shapes(state: DenseState) -> None:
-    """Every layer array of ``state`` has the shape its config wires."""
-    wiring = layer_wiring(state.layer_sizes)
-    for name in _FIELDS:
-        if len(getattr(state, name)) != len(wiring):
-            raise ConfigurationError(f"{name}: one array per layer expected")
-    for s, (n, n_pre, m_back, _) in enumerate(wiring):
-        if state.x[s].shape != (n,) or state.eps[s].shape != (n,):
-            raise ConfigurationError(f"layer {s}: state shape mismatch")
-        if state.theta[s].shape != (n, n_pre + 1):
-            raise ConfigurationError(f"layer {s}: weight shape mismatch")
-        if state.states_in[s].shape != (n_pre,):
-            raise ConfigurationError(f"layer {s}: states_in shape mismatch")
-        if state.back_in[s].shape != (m_back, n):
-            raise ConfigurationError(f"layer {s}: back_in shape mismatch")
 
 
 def _ascending_sum(terms: np.ndarray, axis: int) -> np.ndarray:
@@ -148,7 +131,6 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype):
     is new."""
     cfg = state.cfg
     acts = cfg.activations
-    last = len(acts) - 1
     alpha, gamma, zero = dtype(alpha), dtype(gamma), dtype(0.0)
     # x * 1.0 is x, bit for bit but for quieting a signalling NaN, which the
     # add that follows quiets anyway: so the bias lane's MAC adds the bias
@@ -200,15 +182,11 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype):
         new_eps.append(eps)
         new_theta.append(theta)
 
-    return DenseState(
-        cfg=cfg,
-        x=new_x,
-        eps=new_eps,
-        theta=new_theta,
-        states_in=[np.zeros(0, dtype)]
-        + [state.x[s].astype(dtype) for s in range(last)],
-        back_in=new_backvec + [np.zeros((0, len(new_x[last])), dtype)],
-    )
+    # the bus swap, as the engine's: the top layer latches no states and
+    # the bottom layer no products
+    states_in = [a.astype(dtype) for a in state.states_in[:1] + state.x[:-1]]
+    back_in = new_backvec + [state.back_in[-1].astype(dtype)]
+    return DenseState(cfg, new_x, new_eps, new_theta, states_in, back_in)
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +194,30 @@ def _step(state: DenseState, clamps, alpha, gamma, dtype):
 # ---------------------------------------------------------------------------
 
 
-def _state_keys(state: DenseState) -> list:
-    """Per field, the (dtype, shape, bytes) of each layer's array."""
-    return [
-        [(a.dtype, a.shape, a.tobytes()) for a in getattr(state, name)]
-        for name in _FIELDS
-    ]
+def _same(mine: list, other: list) -> bool:
+    """Whether two lists of arrays have the same length and each pair of
+    arrays the same dtype, shape and bytes. The first difference decides."""
+    if len(mine) != len(other):
+        return False
+    for a, b in zip(mine, other):
+        if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+            return False
+    return True
 
 
 def compare_to_network(net: Network, state: DenseState) -> Optional[str]:
     """Bitwise comparison of a network's state, bus latches included,
     against a dense state: None when both have the same layers and every
     array the same dtype, shape and bytes, else the first differing site,
-    layer by layer (a layer one side lacks differs). One pass over the
-    arrays decides; the site is looked for only on a mismatch."""
-    mine, other = _state_keys(net.state), _state_keys(state)
-    if mine == other:
+    layer by layer (a layer one side lacks differs). A pass that stops at
+    the first difference decides; the site is looked for only then."""
+    mine, fields = net.state, DenseState.FIELDS
+    if all(_same(getattr(mine, name), getattr(state, name)) for name in fields):
         return None
-    for s in range(max(map(len, mine + other))):
-        for name, a, b in zip(_FIELDS, mine, other):
-            if a[s : s + 1] != b[s : s + 1]:
+    sides = [(name, getattr(mine, name), getattr(state, name)) for name in fields]
+    for s in range(max(len(arrays) for _, *both in sides for arrays in both)):
+        for name, a, b in sides:
+            if not _same(a[s : s + 1], b[s : s + 1]):
                 return f"layer {s} field {name}"
 
 
@@ -268,7 +250,7 @@ def run_equivalence_suite(
             seed=90000 + idx,
             init_scale=0.5,
         )
-        net = build_network(cfg)
+        net = Network(cfg)
         clamp_mode = idx % 3
         clamp: ClampMap = {}
         if clamp_mode >= 1:

@@ -143,27 +143,46 @@ MUTANTS = (
     # the oracle's comparison of two states
     Mutant(
         "compare_casts_to_binary32", ORACLE,
-        "(a.dtype, a.shape, a.tobytes())",
-        "np.asarray(a, np.float32).tobytes()",
+        "a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes()",
+        "np.asarray(a, np.float32).tobytes() != np.asarray(b, np.float32).tobytes()",
         (COMPARE,),
     ),
     Mutant(
         "compare_ignores_dtype", ORACLE,
-        "(a.dtype, a.shape, a.tobytes())",
-        "(a.shape, a.tobytes())",
+        "a.dtype != b.dtype or ",
+        "",
         (COMPARE,),
     ),
     Mutant(
         "compare_ignores_shape", ORACLE,
-        "(a.dtype, a.shape, a.tobytes())",
-        "(a.dtype, a.tobytes())",
+        " or a.shape != b.shape",
+        "",
         (COMPARE,),
     ),
     Mutant(
         "compare_skips_extra_layers", ORACLE,
-        "max(map(len, mine + other))",
-        "len(mine[0])",
+        "    if len(mine) != len(other):\n        return False\n",
+        "",
         (COMPARE,),
+    ),
+    # the state layout, in DenseState
+    Mutant(
+        "copy_shares_an_array", NETWORK,
+        "[a.copy() for a in getattr(self, name)]",
+        '[a if name == "x" else a.copy() for a in getattr(self, name)]',
+        ("tests/test_network.py::test_snapshot_owns_its_arrays",),
+    ),
+    Mutant(
+        "shape_check_skips_back_in", NETWORK,
+        "            for name in self.FIELDS:\n                a = getattr(self, name)[s]",
+        "            for name in self.FIELDS[:-1]:\n                a = getattr(self, name)[s]",
+        ("tests/test_oracle.py::test_malformed_snapshot_rejected",),
+    ),
+    Mutant(
+        "reset_keeps_eps", NETWORK,
+        '            if name != "theta":\n',
+        '            if name not in ("theta", "eps"):\n',
+        ("tests/test_network.py::test_reset_states_clears_dynamics_only",),
     ),
 )
 

@@ -42,8 +42,6 @@ from pcsub.prng import Prng
 
 F32 = np.float32
 
-FIELDS = ("x", "eps", "theta", "states_in", "back_in")
-
 # step sizes that ``Network.tick`` and ``oracle_tick`` reject as overrides:
 # binary32 ones too, as a finite, non-negative binary32 override is taken
 # as it is, and a binary64 one past the binary32 range
@@ -143,10 +141,7 @@ def dense_zeros(sizes, acts=None, **kw) -> DenseState:
     """The all-zero state of a net of ``sizes``, weights included; step
     sizes default to 0 unless given in ``kw``."""
     kw = {"alpha": 0.0, "gamma": 0.0, **kw}
-    state = Network(NetworkConfig(sizes, acts, **kw)).snapshot()
-    for theta in state.theta:
-        theta[...] = 0.0
-    return state
+    return DenseState.zeros(NetworkConfig(sizes, acts, **kw))
 
 
 class Case(NamedTuple):
@@ -425,8 +420,7 @@ def engine_tick(state, clamp=None, alpha=None, gamma=None) -> DenseState:
     ``REFERENCES`` signature: for crafted states, such as fixed lane
     orders, that no network's own ticks reach."""
     net = Network(state.cfg)
-    copies = {field: [a.copy() for a in getattr(state, field)] for field in FIELDS}
-    net.state = replace(state, **copies)
+    net.state = state.copy()
     net.tick(clamp, alpha=alpha, gamma=gamma)
     return net.state
 
@@ -443,7 +437,7 @@ def assert_same_state(got, want, where=None, exact=False) -> None:
     oracle) the first, so a sum of two differently signed NaNs differs.
     One NaN rule for every tick is ROADMAP item 4.
     """
-    for field in FIELDS:
+    for field in DenseState.FIELDS:
         pairs = zip(getattr(got, field), getattr(want, field), strict=True)
         for s, (a, b) in enumerate(pairs):
             site = (where, field, s)

@@ -16,7 +16,7 @@ import pytest
 
 import pcsub
 from pcsub.cli import main as cli_main
-from pcsub.network import ClampSignal, NetworkConfig, build_network, layer_wiring
+from pcsub.network import ClampSignal, Network, NetworkConfig, layer_wiring
 from pcsub.oracle import run_equivalence_suite
 
 from refimpl import (
@@ -63,11 +63,11 @@ def test_criterion_2_cycle_model():
                 sizes = [n, 1, m]
                 cycles = [c for _, _, _, c in layer_wiring(sizes)]
                 assert cycles == [1 + 2, 3 * n + m + 4, 3 * 1 + 0 + 4]
-                net = build_network(NetworkConfig(sizes, seed=1))
+                net = Network(NetworkConfig(sizes, seed=1))
                 assert net.tick().network_cycles == max(cycles)
         # network latency equals the slowest core
         for sizes, want in [([2, 4, 3], 16), ([8, 16, 8], 52), ([1, 1], 7)]:
-            net = build_network(NetworkConfig(sizes, seed=1))
+            net = Network(NetworkConfig(sizes, seed=1))
             report = net.tick()
             assert report.network_cycles == max(c for *_, c in layer_wiring(sizes))
             assert report.network_cycles == want

@@ -9,7 +9,7 @@ import pytest
 import pcsub
 from pcsub.checkpoint import save_checkpoint
 from pcsub.cli import main as cli_main
-from pcsub.network import NetworkConfig, build_network
+from pcsub.network import Network, NetworkConfig
 
 FAST_CFG = """
 layer_sizes = 2, 4, 3
@@ -159,7 +159,7 @@ def test_out_dir_env_var(tmp_path):
 
 
 def test_tick_checkpoint(tmp_path):
-    net = build_network(NetworkConfig([2, 4, 3], seed=5, gamma=0.05))
+    net = Network(NetworkConfig([2, 4, 3], seed=5, gamma=0.05))
     ckpt = tmp_path / "net.ckpt"
     save_checkpoint(net, ckpt)
     proc = run_cli("tick", str(ckpt), "--ticks", "3")
@@ -187,7 +187,7 @@ def test_eval_checkpoint(tmp_path):
     cfg_text = FAST_CFG
     cfg_path = tmp_path / "task.cfg"
     cfg_path.write_text(cfg_text)
-    net = build_network(
+    net = Network(
         NetworkConfig(
             [2, 4, 3],
             activations=["identity", "relu", "identity"],
@@ -205,7 +205,7 @@ def test_eval_checkpoint(tmp_path):
 def test_eval_dimension_mismatch_exit_1(tmp_path):
     cfg_path = tmp_path / "task.cfg"
     cfg_path.write_text(FAST_CFG)
-    net = build_network(NetworkConfig([3, 4, 3], seed=3))
+    net = Network(NetworkConfig([3, 4, 3], seed=3))
     ckpt = tmp_path / "net.ckpt"
     save_checkpoint(net, ckpt)
     proc = run_cli("eval", str(ckpt), str(cfg_path))

@@ -15,7 +15,7 @@ from pcsub import rules
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
 from pcsub.config import DEFAULTS, experiment_config, parse_config
 from pcsub.harness import HARNESS_RULES, TeacherSpec, TrainProtocol, generate_dataset
-from pcsub.network import NETWORK_RULES, NetworkConfig, build_network, clamp_layer
+from pcsub.network import NETWORK_RULES, Network, NetworkConfig, clamp_layer
 from pcsub.rules import (
     CheckpointError,
     ClampSignal,
@@ -398,7 +398,7 @@ _ANY_VALUE = st.recursive(
 
 
 def _net22():
-    return build_network(NetworkConfig((2, 2)))
+    return Network(NetworkConfig((2, 2)))
 
 
 def _entry_points(value) -> list:
@@ -500,7 +500,7 @@ def test_to_network_config():
 
 
 def _fresh_net(seed=3):
-    return build_network(
+    return Network(
         NetworkConfig(layer_sizes=[2, 4, 3], seed=seed, alpha=0.01, gamma=0.05)
     )
 
@@ -600,7 +600,7 @@ def test_checkpoint_non_canonical_header_rejected(tmp_path, header):
     # each parses to sizes (2, 3) and has the right payload size, but only
     # the canonical header would be saved back byte for byte
     path = tmp_path / "net.ckpt"
-    save_checkpoint(build_network(NetworkConfig(layer_sizes=[2, 3], seed=4)), path)
+    save_checkpoint(Network(NetworkConfig(layer_sizes=[2, 3], seed=4)), path)
     payload = path.read_bytes().split(b"\n", 1)[1]
     path.write_bytes(header + b"\n" + payload)
     with pytest.raises(CheckpointError) as exc:

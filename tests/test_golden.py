@@ -34,7 +34,7 @@ import pytest
 
 from pcsub.config import EXPERIMENTS, experiment_config, run_experiment
 from pcsub.harness import dataset_for, evaluate_dataset, run_config
-from pcsub.network import NetworkConfig, build_network, clamp_layer
+from pcsub.network import Network, NetworkConfig, clamp_layer
 from pcsub.prng import Prng
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
@@ -116,7 +116,7 @@ def tick_digest(name: str) -> dict:
     if mode == "soft":
         kwargs = dict(kwargs, clamp_hard=False)
     cfg = NetworkConfig(**kwargs)
-    net = build_network(cfg)
+    net = Network(cfg)
     sizes = cfg.layer_sizes
     rng = Prng(1000 + cfg.seed)
     clamp = {}
@@ -141,7 +141,7 @@ def tick_digest(name: str) -> dict:
 
 def epoch0_mse(name: str) -> float:
     cfg = experiment_config(name)
-    net = build_network(cfg.to_network_config())
+    net = Network(cfg.to_network_config())
     return evaluate_dataset(net, dataset_for(cfg), cfg.eval_ticks)[0]
 
 

@@ -18,7 +18,7 @@ from pcsub.harness import (
     train_network,
     write_curve_csv,
 )
-from pcsub.network import NetworkConfig, build_network
+from pcsub.network import Network, NetworkConfig
 from pcsub.rules import ConfigurationError
 
 from refimpl import activation64
@@ -180,14 +180,14 @@ def test_protocol_rejects_non_integer_counts(counts):
 def test_curve_length_is_epochs_plus_one():
     cfg, ds = _small_setup()
     proto = TrainProtocol(infer_ticks=5, learn_ticks=2, epochs=3, eval_ticks=10)
-    curve = train_network(build_network(cfg), ds, proto)
+    curve = train_network(Network(cfg), ds, proto)
     assert len(curve) == 4
     assert len(curve.diverged) == 4
 
 
 def test_alpha_zero_training_preserves_weights():
     cfg, ds = _small_setup(alpha=0.0)
-    net = build_network(cfg)
+    net = Network(cfg)
     before = [w.tobytes() for w in net.state.theta]
     train_network(net, ds, TrainProtocol(5, 3, 2, 10))
     after = [w.tobytes() for w in net.state.theta]
@@ -196,7 +196,7 @@ def test_alpha_zero_training_preserves_weights():
 
 def test_learn_ticks_zero_flat_curve():
     cfg, ds = _small_setup()
-    curve = train_network(build_network(cfg), ds, TrainProtocol(5, 0, 3, 20))
+    curve = train_network(Network(cfg), ds, TrainProtocol(5, 0, 3, 20))
     assert all(v == curve.mse[0] for v in curve.mse)
 
 
@@ -206,14 +206,14 @@ def test_dimension_mismatch_rejected():
         TeacherSpec("relu_teacher", (3, 4, 3), seed=1, weight_scale=1.0), 4
     )
     with pytest.raises(ConfigurationError):
-        train_network(build_network(cfg), bad, TrainProtocol(2, 1, 1, 5))
+        train_network(Network(cfg), bad, TrainProtocol(2, 1, 1, 5))
 
 
 def test_divergence_recorded_training_continues():
     # an absurd step size blows the dynamics up; flags must record it and
     # the curve must still have every epoch entry
     cfg, ds = _small_setup(gamma=5.0, alpha=0.5, n_samples=4)
-    curve = train_network(build_network(cfg), ds, TrainProtocol(10, 5, 3, 10))
+    curve = train_network(Network(cfg), ds, TrainProtocol(10, 5, 3, 10))
     assert len(curve) == 4
     assert any(curve.diverged)
 
@@ -225,7 +225,7 @@ def test_divergence_recorded_training_continues():
 
 def test_evaluate_perfect_identity_chain():
     cfg = NetworkConfig([1, 1, 1], alpha=0.0, gamma=0.1, seed=0, init_scale=0.0)
-    net = build_network(cfg)
+    net = Network(cfg)
     for theta in net.state.theta[1:]:
         theta[0, 0] = F32(1.0)  # unit weight, zero bias
     xs = np.array([[0.9], [-0.4], [0.25], [0.65]], dtype=np.float32)
@@ -238,7 +238,7 @@ def test_evaluate_zero_weight_net_gives_target_power():
     ds = generate_dataset(
         TeacherSpec("relu_teacher", (2, 4, 3), seed=11, weight_scale=1.0), 12
     )
-    got, _ = evaluate_dataset(build_network(cfg), ds, eval_ticks=50)
+    got, _ = evaluate_dataset(Network(cfg), ds, eval_ticks=50)
     want = float((ds.targets.astype(np.float64) ** 2).mean())
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -249,7 +249,7 @@ def test_evaluate_empty_dataset_rejected():
         inputs=np.zeros((0, 2), np.float32), targets=np.zeros((0, 3), np.float32)
     )
     with pytest.raises(ConfigurationError):
-        evaluate_dataset(build_network(cfg), empty, eval_ticks=5)
+        evaluate_dataset(Network(cfg), empty, eval_ticks=5)
 
 
 @pytest.mark.parametrize("eval_ticks", [0, -3, 2.5, True])
@@ -257,12 +257,12 @@ def test_evaluate_rejects_bad_tick_count(eval_ticks):
     # 0 and -3 ticks would score the reset outputs without an error
     cfg, ds = _small_setup()
     with pytest.raises(ConfigurationError, match="eval_ticks"):
-        evaluate_dataset(build_network(cfg), ds, eval_ticks)
+        evaluate_dataset(Network(cfg), ds, eval_ticks)
 
 
 def test_evaluation_purity():
     cfg, ds = _small_setup()
-    net = build_network(cfg)
+    net = Network(cfg)
     before = [w.tobytes() for w in net.state.theta]
     evaluate_dataset(net, ds, eval_ticks=30)
     after = [w.tobytes() for w in net.state.theta]

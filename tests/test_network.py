@@ -16,7 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from pcsub import core, network
 from pcsub.checkpoint import load_checkpoint, save_checkpoint
-from pcsub.network import NetworkConfig, build_network, clamp_layer, layer_wiring
+from pcsub.network import DenseState, Network, NetworkConfig, clamp_layer, layer_wiring
 from pcsub.oracle import oracle_tick
 from pcsub.prng import Prng
 from pcsub.rules import ClampSignal, ConfigurationError
@@ -24,7 +24,6 @@ from pcsub.scalar32 import ACTIVATION_KINDS
 
 from refimpl import (
     BAD_STEP_OVERRIDES,
-    FIELDS,
     REFERENCES,
     activation64,
     assert_same_state,
@@ -38,7 +37,7 @@ F32 = np.float32
 
 def mknet(sizes, **kw):
     kw.setdefault("seed", 11)
-    return build_network(NetworkConfig(layer_sizes=sizes, **kw))
+    return Network(NetworkConfig(layer_sizes=sizes, **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,7 @@ def test_cores_share_the_layer_weight_matrix(tmp_path):
     # core i's weights are row i of its layer's matrix: a write to
     # state.theta is what the tick, snapshot() and a checkpoint read
     cfg = NetworkConfig(layer_sizes=(2, 4, 3), seed=29, alpha=0.01, gamma=0.1)
-    built = build_network(cfg)
+    built = Network(cfg)
     save_checkpoint(built, tmp_path / "built.ckpt")
     loaded = load_checkpoint(tmp_path / "built.ckpt", cfg)
     # a load assigns owned, writable arrays, not views of the file's bytes
@@ -310,6 +309,24 @@ def test_snapshot_shapes():
     assert [x.shape for x in snap.x] == [(4,), (6,), (2,)]
 
 
+def test_snapshot_owns_its_arrays():
+    # field by field and layer by layer, a snapshot shares no memory with
+    # the state it copies, and a write to either side leaves the other
+    net = mknet([2, 3, 2], seed=8)
+    net.tick({0: clamp_layer([0.5, -0.5])})
+    snap = net.snapshot()
+    assert_same_state(snap, net.state, exact=True)
+    for name in DenseState.FIELDS:
+        pairs = zip(getattr(net.state, name), getattr(snap, name), strict=True)
+        for s, (mine, copied) in enumerate(pairs):
+            assert not np.shares_memory(mine, copied), (name, s)
+            kept = mine.tobytes()
+            copied[...] = F32(-0.375)
+            assert mine.tobytes() == kept, (name, s)
+            mine[...] = F32(0.75)
+            assert (copied == F32(-0.375)).all(), (name, s)
+
+
 # ---------------------------------------------------------------------------
 # differential checks: the engine against both references
 # ---------------------------------------------------------------------------
@@ -326,7 +343,7 @@ _STEP_OVERRIDES = st.sampled_from((None,) + STEP_CORNERS)
 
 
 def _assert_no_nan(net) -> None:
-    for field in FIELDS:
+    for field in DenseState.FIELDS:
         for s, a in enumerate(getattr(net.state, field)):
             assert not np.isnan(a).any(), (field, s)
 
@@ -355,7 +372,7 @@ def test_special_clamp_observations_match_oracle(clamp_hard):
         for t in range(2 * k)
     ]
     for reference in REFERENCES.values():
-        assert_ticks_match(reference, build_network(cfg), ticks)
+        assert_ticks_match(reference, Network(cfg), ticks)
 
 
 _obs = st.one_of(
@@ -407,7 +424,7 @@ def test_tick_matches_oracle_property(case):
     """``Network.tick`` equals the dense oracle's tick on every field after
     every tick, as ``refimpl.assert_same_state`` compares them."""
     cfg, ticks = case
-    assert_ticks_match(oracle_tick, build_network(cfg), ticks)
+    assert_ticks_match(oracle_tick, Network(cfg), ticks)
 
 
 @given(case=_tick_cases())
@@ -416,7 +433,7 @@ def test_engine_matches_per_core_reference(case):
     """The same property against ``core_tick`` driven core by core,
     bottom-up and last core first."""
     cfg, ticks = case
-    assert_ticks_match(per_core_tick, build_network(cfg), ticks)
+    assert_ticks_match(per_core_tick, Network(cfg), ticks)
 
 
 _CLAMP_243 = {0: clamp_layer([0.3, -0.6]), 2: clamp_layer([0.2, 0.1, -0.4])}
@@ -429,7 +446,7 @@ def test_core_order_does_not_matter():
     cfg = NetworkConfig(layer_sizes=[2, 4, 3], seed=13, alpha=0.02, gamma=0.1)
     bias_rules = [{}, {"alpha_bias_scale": 0.1}, {"bias_frozen": True}]
     for reference, rules in itertools.product(REFERENCES.values(), bias_rules):
-        net = build_network(dataclasses.replace(cfg, **rules))
+        net = Network(dataclasses.replace(cfg, **rules))
         assert_ticks_match(reference, net, [(_CLAMP_243, None, None)] * 20)
         _assert_no_nan(net)
 
@@ -651,7 +668,7 @@ class NetworkMachine(RuleBasedStateMachine):
 
     @initialize(cfg=_configs())
     def build(self, cfg):
-        self.net = build_network(cfg)
+        self.net = Network(cfg)
         self.model = self.net.snapshot()
 
     def _zero(self, *fields):
@@ -703,7 +720,7 @@ class NetworkMachine(RuleBasedStateMachine):
     @rule()
     def write_into_snapshot(self):
         snap = self.net.snapshot()
-        for name in FIELDS:
+        for name in DenseState.FIELDS:
             for a in getattr(snap, name):
                 a[...] = F32(-0.375)
         self.held.append(snap)
@@ -733,9 +750,9 @@ class NetworkMachine(RuleBasedStateMachine):
     def state_matches_model_and_owns_its_arrays(self):
         state = self.net.state
         assert_same_state(state, self.model)
-        own = [a for name in FIELDS for a in getattr(state, name)]
+        own = [a for name in DenseState.FIELDS for a in getattr(state, name)]
         for snap in self.held:
-            for name in FIELDS:
+            for name in DenseState.FIELDS:
                 for b in getattr(snap, name):
                     assert not any(np.shares_memory(a, b) for a in own), name
 
@@ -791,11 +808,11 @@ def test_references_see_a_fault_in_the_engines_tanh_derivative(monkeypatch):
     clamp = {0: clamp_layer([0.5, -0.25]), 2: clamp_layer([0.75])}
     ticks = [(clamp, None, None)] * 4
     for reference in REFERENCES.values():
-        assert_ticks_match(reference, build_network(cfg), ticks)
+        assert_ticks_match(reference, Network(cfg), ticks)
     monkeypatch.setattr(network, "_tanh_derivative", one_step_high)
     for reference in REFERENCES.values():
         with pytest.raises(AssertionError):
-            assert_ticks_match(reference, build_network(cfg), ticks)
+            assert_ticks_match(reference, Network(cfg), ticks)
 
 
 def test_thread_count_does_not_matter():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pcsub import network, oracle
-from pcsub.network import Network, NetworkConfig, build_network, clamp_layer
+from pcsub.network import Network, NetworkConfig, clamp_layer
 from pcsub.oracle import (
     DenseState,
     compare_to_network,
@@ -17,7 +17,7 @@ from pcsub.oracle import (
 )
 from pcsub.rules import ClampSignal, ConfigurationError
 
-from refimpl import BAD_STEP_OVERRIDES, FIELDS, REFERENCES, assert_same_state
+from refimpl import BAD_STEP_OVERRIDES, REFERENCES, assert_same_state
 from refimpl import assert_ticks_match, dense_zeros, engine_tick
 
 F32 = np.float32
@@ -62,7 +62,7 @@ def test_bad_mode_rejected():
 )
 @pytest.mark.parametrize("key", ["alpha", "gamma"])
 def test_bad_step_override_rejected_like_network(key, value):
-    net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
+    net = Network(NetworkConfig(layer_sizes=[2, 3], seed=5))
     ds = net.snapshot()
     for tick in (net.tick, lambda **kw: oracle_tick(ds, **kw)):
         with pytest.raises(ConfigurationError, match=key):
@@ -105,7 +105,7 @@ BAD_CLAMPS = [
 def test_bad_clamp_rejected_like_network(clamp):
     # one clamp check, where the clamp enters: both entry points raise the
     # same message, and a rejected tick leaves the network as it was
-    net = build_network(
+    net = Network(
         NetworkConfig(layer_sizes=[2, 4, 3], seed=5, alpha=0.01, gamma=0.1)
     )
     net.tick({0: _TOP, 2: clamp_layer([0.5, 0.3, 0.1])})
@@ -140,7 +140,7 @@ def test_huge_int_observation_enters_as_infinity(clamp, as_inf):
     # runs whole: the network and the oracle leave the bytes of a tick
     # with the infinity itself, never a half-updated network
     cfg = NetworkConfig(layer_sizes=[2, 4, 3], seed=5, alpha=0.01, gamma=0.1)
-    net, twin = build_network(cfg), build_network(cfg)
+    net, twin = Network(cfg), Network(cfg)
     for n in (net, twin):
         n.tick({0: _TOP, 2: clamp_layer([0.5, 0.3, 0.1])})
     ds = net.snapshot()
@@ -172,26 +172,48 @@ def test_shape_validation():
 
 
 @pytest.mark.parametrize(
-    "field, layer, shape",
+    "field, layer, entry, message",
     [
-        ("eps", 0, (3,)),
-        ("theta", 1, (3, 2)),
-        ("states_in", 1, (3,)),
-        ("back_in", 0, (2, 2)),
+        pytest.param("eps", 0, np.zeros(3, F32), "state shape", id="eps-0-shape0"),
+        pytest.param(
+            "theta", 1, np.zeros((3, 2), F32), "weight shape", id="theta-1-shape1"
+        ),
+        pytest.param(
+            "states_in", 1, np.zeros(3, F32), "states_in shape", id="states_in-1-shape2"
+        ),
+        pytest.param(
+            "back_in", 0, np.zeros((2, 2), F32), "back_in shape", id="back_in-0-shape3"
+        ),
+        # the right shapes, as lists where arrays belong
+        pytest.param("x", 0, [0.0, 0.0], "x is not an array", id="x-0-list"),
+        pytest.param(
+            "theta", 1, [[0.0] * 3] * 3, "theta is not an array", id="theta-1-list"
+        ),
     ],
 )
-def test_malformed_snapshot_rejected(field, layer, shape):
-    state = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5)).snapshot()
-    getattr(state, field)[layer] = np.zeros(shape, np.float32)
-    with pytest.raises(ConfigurationError, match=f"layer {layer}"):
+def test_malformed_snapshot_rejected(field, layer, entry, message):
+    state = Network(NetworkConfig(layer_sizes=[2, 3], seed=5)).snapshot()
+    getattr(state, field)[layer] = entry
+    with pytest.raises(ConfigurationError, match=f"^layer {layer}: {message}"):
         oracle_tick(state)
 
 
-@pytest.mark.parametrize("field", ["x", "eps", "theta", "states_in", "back_in"])
-def test_snapshot_missing_a_layer_rejected(field):
-    state = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5)).snapshot()
-    getattr(state, field).pop()
-    with pytest.raises(ConfigurationError, match=field):
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        pytest.param(name, lambda arrays: arrays[:-1], id=name)
+        for name in DenseState.FIELDS
+    ]
+    + [
+        # no list at all, and one array whose length is the layer count
+        pytest.param("x", lambda arrays: None, id="x-None"),
+        pytest.param("theta", lambda arrays: arrays[0], id="theta-array"),
+    ],
+)
+def test_snapshot_missing_a_layer_rejected(field, change):
+    state = Network(NetworkConfig(layer_sizes=[2, 3], seed=5)).snapshot()
+    setattr(state, field, change(getattr(state, field)))
+    with pytest.raises(ConfigurationError, match=f"^{field}: one array per layer"):
         oracle_tick(state)
 
 
@@ -199,7 +221,7 @@ def test_snapshot_missing_a_layer_rejected(field):
     "key", ["0", None, 1.0, True, np.bool_(True), np.float32(1.0)]
 )
 def test_non_integer_clamp_key_rejected(key):
-    net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
+    net = Network(NetworkConfig(layer_sizes=[2, 3], seed=5))
     ds = net.snapshot()
     clamp = {key: clamp_layer([0.1, 0.2, 0.3])}
     for tick in (lambda: net.tick(clamp), lambda: oracle_tick(ds, clamp)):
@@ -209,7 +231,7 @@ def test_non_integer_clamp_key_rejected(key):
 
 @pytest.mark.parametrize("key", [1, np.int64(1), np.uint8(1)])
 def test_integer_clamp_keys_accepted(key):
-    net = build_network(NetworkConfig(layer_sizes=[2, 3], seed=5))
+    net = Network(NetworkConfig(layer_sizes=[2, 3], seed=5))
     ds = net.snapshot()
     clamp = {key: clamp_layer([0.1, 0.2, 0.3])}
     net.tick(clamp)
@@ -232,7 +254,7 @@ def test_random_net_bit_identical_to_simulator():
         for t in range(24)
     ]
     for reference in REFERENCES.values():
-        assert_ticks_match(reference, build_network(cfg), ticks)
+        assert_ticks_match(reference, Network(cfg), ticks)
 
 
 def test_equivalence_suite_small():
@@ -307,9 +329,9 @@ def test_sweep_sees_a_fault_in_the_engines_tanh(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("field", ["x", "eps", "theta", "states_in", "back_in"])
+@pytest.mark.parametrize("field", DenseState.FIELDS)
 def test_compare_names_the_first_differing_field(field):
-    net = build_network(NetworkConfig(layer_sizes=[2, 3, 2], seed=5))
+    net = Network(NetworkConfig(layer_sizes=[2, 3, 2], seed=5))
     clamp = {0: clamp_layer([0.5, -0.5])}
     for _ in range(2):
         net.tick(clamp)
@@ -342,9 +364,9 @@ def test_f64_tracks_bit32_within_drift_bound():
             gamma=0.05,
             seed=seed,
         )
-        net = build_network(cfg)
-        ds32 = DenseState.from_network(net)
-        ds64 = DenseState.from_network(net)
+        net = Network(cfg)
+        ds32 = net.snapshot()
+        ds64 = net.snapshot()
         clamp = {0: clamp_layer([0.3, -0.1, 0.6])}
         for _ in range(50):
             ds32 = oracle_tick(ds32, clamp, mode="bit32")
@@ -364,7 +386,7 @@ def test_f64_puts_nan_where_bit32_does(kind, alpha, gamma):
         layer_sizes=[2, 3, 2], activations=[kind, kind, "identity"],
         alpha=alpha, gamma=gamma, seed=11,
     )
-    ds32 = build_network(cfg).snapshot()
+    ds32 = Network(cfg).snapshot()
     ds32.states_in[1][0] = np.nan
     ds64 = ds32
     for t in range(3):
@@ -460,17 +482,17 @@ def _state_in(dtype, **kw):
         seed=11,
         **kw,
     )
-    net = build_network(cfg)
+    net = Network(cfg)
     for _ in range(3):
         net.tick({0: clamp_layer([0.5, -0.25])}, alpha=0.01, gamma=0.05)
     ds = net.snapshot()
-    for name in FIELDS:
+    for name in DenseState.FIELDS:
         setattr(ds, name, [a.astype(dtype) for a in getattr(ds, name)])
     return ds
 
 
 def _assert_mode_dtype(ds, dtype):
-    for name in FIELDS:
+    for name in DenseState.FIELDS:
         for a in getattr(ds, name):
             assert a.dtype == dtype, name
 
@@ -532,8 +554,8 @@ def test_oracle_tick_result_owns_its_arrays(
     out = oracle_tick(ds, clamp, mode=mode)
     assert_same_state(ds, before, exact=True)
     _assert_mode_dtype(out, dtype)
-    ins = [a for name in FIELDS for a in getattr(ds, name)]
-    outs = [a for name in FIELDS for a in getattr(out, name)]
+    ins = [a for name in DenseState.FIELDS for a in getattr(ds, name)]
+    outs = [a for name in DenseState.FIELDS for a in getattr(out, name)]
     for o in outs:
         assert not any(np.shares_memory(o, i) for i in ins)
     for a, b in itertools.combinations(outs, 2):
@@ -550,8 +572,8 @@ def test_sweep_states_own_their_arrays(monkeypatch):
     def checked(state, clamps, *args):
         out = step(state, clamps, *args)
         held = [a for layer in clamps if layer for a in layer if a is not None]
-        held += [a for name in FIELDS for a in getattr(state, name)]
-        for o in (a for name in FIELDS for a in getattr(out, name)):
+        held += [a for name in DenseState.FIELDS for a in getattr(state, name)]
+        for o in (a for name in DenseState.FIELDS for a in getattr(out, name)):
             assert not any(np.shares_memory(o, h) for h in held)
         ticks.append(out)
         return out

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pcsub
+from pcsub.network import DenseState
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -32,7 +33,6 @@ PUBLIC = [
     "TeacherSpec",
     "TickReport",
     "TrainProtocol",
-    "build_network",
     "clamp_layer",
     "core_tick",
     "generate_dataset",
@@ -167,3 +167,36 @@ def test_reference_imports_no_binary64_or_vector_activation():
         if n == "pcsub.scalar32" or n.startswith("pcsub.scalar32.")
     }
     assert not from_scalar32, from_scalar32
+
+
+def _modules(*dirs) -> list:
+    """The .py files of ``dirs`` under the repository root, sorted."""
+    return sorted(path for d in dirs for path in (ROOT / d).glob("*.py"))
+
+
+def test_state_layout_is_listed_once():
+    # DenseState.FIELDS is the one list of the state's fields: no other
+    # tuple or list of those five names, in the package, tests or demos
+    fields = set(DenseState.FIELDS)
+    listed = []
+    for path in _modules("src/pcsub", "tests", "demos"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List)) and {
+                getattr(e, "value", None) for e in node.elts
+            } == fields:
+                listed.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert len(listed) == 1 and listed[0].startswith("src/pcsub/network.py:"), listed
+
+
+def test_only_the_benchmark_calls_the_old_constructors():
+    # build_network(cfg) is Network(cfg) and DenseState.from_network(net)
+    # is net.snapshot(): they stay only for bench/, which calls them
+    calls = []
+    for path in _modules("src/pcsub", "tests", "demos"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("build_network", "from_network"):
+                    calls.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not calls, calls
